@@ -41,7 +41,6 @@ from .ehrhart import (
     hstar_interior,
     hstar_polytope,
     hstar_simplex,
-    interior_series,
     quasi_coefficients,
     volume,
 )

@@ -21,7 +21,7 @@ from .geometry import (
     project_to_affine_hull,
 )
 from .ehrhart import hstar_boundary, hstar_interior, hstar_polytope
-from .decomposition import inequality_audit, stapledon_report
+from .decomposition import EhrhartReport
 from .gorenstein import verify_gorenstein_identities
 from .rational_ehrhart import rational_decompose, rational_series
 from .oracle import hstar_from_counts
@@ -54,14 +54,18 @@ def _parse_vertices(text: str):
     return points
 
 
+def _load_file(path: str) -> Polytope:
+    try:
+        return load_polytope(path)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        raise UsageError("-f: %s" % exc) from exc
+
+
 def _load_input(args) -> Polytope:
     if args.file and args.vertices:
         raise UsageError("give either -f or --vertices, not both")
     if args.file:
-        try:
-            P = load_polytope(args.file)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError("-f: %s" % exc) from exc
+        P = _load_file(args.file)
     elif args.vertices:
         P = build_polytope(_parse_vertices(args.vertices))
     else:
@@ -135,8 +139,8 @@ def _cmd_interior(args) -> int:
 
 def _cmd_decompose(args) -> int:
     P = _load_input(args)
-    report = stapledon_report(P)
-    audit = inequality_audit(P)
+    analysis = EhrhartReport(P)
+    report, audit = analysis.decomposition, analysis.audit
     lines = ["ℓ=%d, a = %s, b = %s" % (report.ell, report.a.text(), report.b.text()),
              "q = %d, deg h* = %d, a equals boundary h*: %s"
              % (report.q, report.s_degree, report.a_equals_boundary),
@@ -197,7 +201,7 @@ def _cmd_verify(args) -> int:
     else:
         if not args.file:
             raise UsageError("verify needs -f FILE (repeatable) or --corpus")
-        entries = [(path, load_polytope(path)) for path in args.file]
+        entries = [(path, _load_file(path)) for path in args.file]
     failures = 0
     rows = []
     for name, P in entries:
@@ -244,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_input(p)
         if name in ("hstar", "boundary"):
             p.add_argument("--dump-triangulation", metavar="PATH",
-                           help="write the half-open cone triangulation as JSON")
+                           help="write the half-open cone triangulation over the "
+                                "interior point x as JSON")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("rational")

@@ -113,10 +113,6 @@ def standard_corpus() -> list[tuple[str, Polytope]]:
     return entries
 
 
-def lattice_corpus() -> list[tuple[str, Polytope]]:
-    return [(name, P) for name, P in standard_corpus() if P.is_lattice]
-
-
 def nested_lattice_pairs() -> list[tuple[str, Polytope, Polytope]]:
     """Pairs (inner, outer) of lattice corpus members with inner inside outer."""
     by_name = dict(standard_corpus())

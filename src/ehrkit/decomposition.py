@@ -1,33 +1,33 @@
-"""Symmetric decomposition of h* and the inequality audit built on it.
+"""Symmetric decomposition of h*, the inequality audit, and the per-polytope analysis.
 
 Writing (1 + ... + z^(ell-1))/(1 + ... + z^(q-1)) * h*_P as a(z) + z^ell b(z)
 with both parts palindromic has a unique solution; here a is recovered in
 closed form from the reversal identity and cross-checked against two
-independent computations: the boundary h*-polynomial and a per-simplex
-parallelepiped route that cones the half-open boundary cells over an interior
-point of dilation denominator ell.
+independent computations.  Both read the one half-open triangulation path
+with an interior apex x of dilation denominator ell: the cells without x give
+the boundary h*-polynomial, and the cells at heights (q, ..., q, ell) give b.
+h* itself comes from the same path with a vertex as apex.
+
+EhrhartReport is the analysis of one polytope, computing each artifact once;
+stapledon_report, inequality_audit and ehrhart_report are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
-from .errors import ApexInSpan, NoSolution, NotDivisible, NotFullDimensional
+from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
 from .geometry import Point, Polytope, as_point, build_polytope, point_denominator
 from .gradedpoly import GradedPolynomial
-from .ehrhart import (
-    fpp_lattice_points,
-    hstar_boundary,
-    hstar_polytope,
-    hstar_simplex,
-    quasi_coefficients,
-    _disjoint_cells,
-)
+from .ehrhart import QuasiCoefficients, fpp_lattice_points, hstar_cells, hstar_polytope
 from .triangulation import (
+    ConeTriangulation,
     HalfOpenSimplex,
     find_interior_point,
+    half_open_cone,
     half_open_decompose,
     is_unimodular,
     pyramid,
@@ -99,50 +99,35 @@ class DecompositionReport:
         )
 
 
-def pyramid_b_polynomial(P: Polytope, ell: int, x: Point) -> GradedPolynomial:
-    """b(z) recomputed cell by cell from parallelepiped points with beta > 0.
-
-    Cones every half-open boundary simplex over x (denominator ell) with
-    heights (q, ..., q, ell).  The lattice points with positive apex
-    coefficient sit at heights >= ell by minimality of ell; their height
-    multiset, shifted down by ell, sums to b(z).
-    """
-    q = P.denominator_q
-    T = triangulate_boundary(P)
-    boundary, _ = half_open_decompose(T, P, apex=x)
+def _b_polynomial(cone: ConeTriangulation, ell: int) -> GradedPolynomial:
+    q = cone.parent.denominator_q
     counts: dict[int, int] = {}
-    for simplex in boundary.simplices:
-        cell = pyramid(x, simplex)
-        heights = [q] * len(simplex.vertices) + [ell]
+    for cell in cone.cells:
+        heights = [q] * (len(cell.vertices) - 1) + [ell]
         for point, alpha_nums, _denom in fpp_lattice_points(cell, heights):
             if alpha_nums[-1] > 0:
                 height = point[-1]
-                assert height >= ell, "apex point below ell contradicts minimality"
+                if height < ell:
+                    raise IdentityViolated("apex point below ell contradicts minimality")
                 counts[height - ell] = counts.get(height - ell, 0) + 1
     return GradedPolynomial.from_dict(counts)
 
 
+def pyramid_b_polynomial(P: Polytope, ell: int, x: Point) -> GradedPolynomial:
+    """b(z) recomputed cell by cell from parallelepiped points with beta > 0.
+
+    Walks the half-open cells coned over x (denominator ell) with heights
+    (q, ..., q, ell).  The lattice points with positive apex coefficient sit
+    at heights >= ell by minimality of ell; their height multiset, shifted
+    down by ell, sums to b(z).
+    """
+    _, cone = half_open_decompose(triangulate_boundary(P), P, apex=x)
+    return _b_polynomial(cone, ell)
+
+
 def stapledon_report(P: Polytope) -> DecompositionReport:
     """Full symmetric-decomposition bundle with both b-routes cross-checked."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("decomposition needs a full-dimensional polytope")
-    q, d = P.denominator_q, P.dim
-    h = hstar_polytope(P)
-    s = h.degree_key
-    ell, x = find_interior_point(P)
-    assert ell == q * (d + 1) - s, "interior-dilate search disagrees with reciprocity"
-
-    a, b = symmetric_decompose(h, q, ell, d)
-    h_boundary = hstar_boundary(P, apex=x)
-    a_equals_boundary = a == h_boundary
-    assert a_equals_boundary, "a(z) must equal the boundary h*-polynomial"
-
-    b_geometric = pyramid_b_polynomial(P, ell, x)
-    assert b_geometric == b, "parallelepiped route disagrees with the algebraic b(z)"
-
-    lhs = a + b.shift(ell)
-    return DecompositionReport(q=q, ell=ell, lhs=lhs, a=a, b=b,
-                               a_equals_boundary=a_equals_boundary, s_degree=s)
+    return EhrhartReport(P).decomposition
 
 
 def pyramid_hstar_compare(P: Polytope, x):
@@ -152,7 +137,7 @@ def pyramid_hstar_compare(P: Polytope, x):
     x needs a nonzero last coordinate.  Both numerators use denominator
     (1 - z^q)^d, the pyramid with an extra (1 - z^r) factor, r the denominator
     of x.  Returns (h_base, h_pyramid, h_base <= h_pyramid); equality is
-    asserted when x is the unit apex e_d.
+    checked when x is the unit apex e_d.
     """
     x = as_point(x)
     d = P.ambient_dim
@@ -164,11 +149,10 @@ def pyramid_hstar_compare(P: Polytope, x):
     r = point_denominator(x)
 
     base_proj = build_polytope([v[:-1] for v in P.vertices])
-    cells = _disjoint_cells(base_proj)
-    h_base = GradedPolynomial.zero()
+    cells = half_open_cone(base_proj, base_proj.vertices[0]).cells
+    h_base = hstar_cells(cells, q)
     h_pyr = GradedPolynomial.zero()
     for cell in cells:
-        h_base = h_base + hstar_simplex(cell, q)
         lifted = HalfOpenSimplex(tuple(v + (Fraction(0),) for v in cell.vertices),
                                  cell.missing)
         cone = pyramid(x, lifted)
@@ -177,8 +161,8 @@ def pyramid_hstar_compare(P: Polytope, x):
             counts[point[-1]] = counts.get(point[-1], 0) + 1
         h_pyr = h_pyr + GradedPolynomial.from_dict(counts)
     leq = h_pyr.dominates(h_base)
-    if x == tuple([Fraction(0)] * (d - 1) + [Fraction(1)]):
-        assert h_base == h_pyr, "unit-apex pyramid must preserve h*"
+    if x == tuple([Fraction(0)] * (d - 1) + [Fraction(1)]) and h_base != h_pyr:
+        raise IdentityViolated("unit-apex pyramid must preserve h*")
     return h_base, h_pyr, leq
 
 
@@ -207,6 +191,131 @@ class InequalityAudit:
         return tuple(i for i in self.items if i.level == "warning" and i.applicable)
 
 
+@dataclass(frozen=True)
+class EhrhartReport:
+    """h* data, decomposition and audit of one full-dimensional polytope.
+
+    Each field is computed on first read and at most once.  The fields share
+    h*, the interior point (ell, x) and the half-open cone over x, which feeds
+    the boundary h*, the b-route and the unimodularity test.
+    """
+
+    polytope: Polytope
+
+    @property
+    def q(self) -> int:
+        return self.polytope.denominator_q
+
+    @property
+    def d(self) -> int:
+        return self.polytope.dim
+
+    @property
+    def ell(self) -> int:
+        return self._interior_point[0]
+
+    @cached_property
+    def _interior_point(self):
+        return find_interior_point(self.polytope)
+
+    @cached_property
+    def _cone(self):
+        """(BoundaryTriangulation, ConeTriangulation) over the interior point x."""
+        P = self.polytope
+        return half_open_decompose(triangulate_boundary(P), P, apex=self._interior_point[1])
+
+    @cached_property
+    def hstar(self) -> GradedPolynomial:
+        return hstar_polytope(self.polytope)
+
+    @cached_property
+    def hstar_boundary(self) -> GradedPolynomial:
+        return hstar_cells(self._cone[0].simplices, self.q)
+
+    @cached_property
+    def hstar_interior(self) -> GradedPolynomial:
+        return self.hstar.reverse(self.q * (self.d + 1))
+
+    @cached_property
+    def decomposition(self) -> DecompositionReport:
+        q, d, h, ell = self.q, self.d, self.hstar, self.ell
+        s = h.degree_key
+        if ell != q * (d + 1) - s:
+            raise IdentityViolated("interior-dilate search disagrees with reciprocity")
+        a, b = symmetric_decompose(h, q, ell, d)
+        if a != self.hstar_boundary:
+            raise IdentityViolated("a(z) must equal the boundary h*-polynomial")
+        if _b_polynomial(self._cone[1], ell) != b:
+            raise IdentityViolated("parallelepiped route disagrees with the algebraic b(z)")
+        return DecompositionReport(q=q, ell=ell, lhs=a + b.shift(ell), a=a, b=b,
+                                   a_equals_boundary=True, s_degree=s)
+
+    @cached_property
+    def audit(self) -> InequalityAudit:
+        P, q, d = self.polytope, self.q, self.d
+        h, hb, ell = self.hstar, self.hstar_boundary, self.ell
+        s = h.degree_key
+        hd = h.as_dict()
+        top = q * (d + 1) - 1
+        items = []
+
+        ok, witness = True, "all indices"
+        for j in range((top + 1) // 2):
+            low = sum(hd.get(i, 0) for i in range(0, j + 2))
+            high = sum(hd.get(top - i, 0) for i in range(0, j + 1))
+            if low < high:
+                ok, witness = False, "j=%d: %d < %d" % (j, low, high)
+                break
+        items.append(AuditItem("cumulative_lower", True, ok, witness))
+
+        ok, witness = True, "all indices"
+        for j in range(s + 1):
+            high = sum(hd.get(s - i, 0) for i in range(0, j + 1))
+            low = sum(hd.get(i, 0) for i in range(0, j + 1))
+            if high < low:
+                ok, witness = False, "j=%d: %d < %d" % (j, high, low)
+                break
+        items.append(AuditItem("cumulative_upper", True, ok, witness))
+
+        if P.is_lattice:
+            quasi = QuasiCoefficients.from_hstar(h, q, d)
+            k_d = quasi.value(d, 0)
+            k_d1 = quasi.value(d - 1, 0)
+            bound = Fraction(ell * d, 2) * k_d
+            items.append(AuditItem(
+                "leading_coefficient_bound", True, bound >= k_d1,
+                "(ell*d/2)*k_d = %s vs k_{d-1} = %s" % (bound, k_d1)))
+        else:
+            items.append(AuditItem("leading_coefficient_bound", False, True,
+                                   "lattice polytopes only"))
+
+        if ell <= q:
+            items.append(AuditItem("boundary_dominated", True, h.dominates(hb),
+                                   "ell=%d <= q=%d" % (ell, q)))
+        else:
+            items.append(AuditItem("boundary_dominated", False, True,
+                                   "ell=%d > q=%d" % (ell, q)))
+
+        unimodular = P.is_lattice and is_unimodular(self._cone[0])
+        if unimodular:
+            hbd = hb.as_dict()
+            chain_ok = all(hbd.get(j, 0) <= hbd.get(j + 1, 0) for j in range(d // 2))
+            chain_ok = chain_ok and hbd.get(0, 0) == 1
+            binom_ok = all(hbd.get(j, 0) <= comb(hbd.get(1, 0) + j - 1, j)
+                           for j in range(d + 1))
+            items.append(AuditItem("unimodular_chain", True, chain_ok,
+                                   "monotone start of boundary h*", level="warning"))
+            items.append(AuditItem("unimodular_binomial_bound", True, binom_ok,
+                                   "h*_j <= C(h*_1 + j - 1, j)", level="warning"))
+        else:
+            items.append(AuditItem("unimodular_chain", False, True,
+                                   "no unimodular boundary triangulation", level="warning"))
+            items.append(AuditItem("unimodular_binomial_bound", False, True,
+                                   "no unimodular boundary triangulation", level="warning"))
+
+        return InequalityAudit(tuple(items))
+
+
 def inequality_audit(P: Polytope) -> InequalityAudit:
     """Evaluate the coefficient inequalities implied by the decomposition.
 
@@ -215,98 +324,12 @@ def inequality_audit(P: Polytope) -> InequalityAudit:
     h*_boundary <= h*_P when ell <= q.  Chains that are only known under a
     unimodular boundary triangulation are reported as warnings.
     """
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("audit needs a full-dimensional polytope")
-    q, d = P.denominator_q, P.dim
-    h = hstar_polytope(P)
-    hb = hstar_boundary(P)
-    ell, _ = find_interior_point(P)
-    s = h.degree_key
-    hd = h.as_dict()
-    top = q * (d + 1) - 1
-    items = []
-
-    ok, witness = True, "all indices"
-    for j in range((top + 1) // 2):
-        low = sum(hd.get(i, 0) for i in range(0, j + 2))
-        high = sum(hd.get(top - i, 0) for i in range(0, j + 1))
-        if low < high:
-            ok, witness = False, "j=%d: %d < %d" % (j, low, high)
-            break
-    items.append(AuditItem("cumulative_lower", True, ok, witness))
-
-    ok, witness = True, "all indices"
-    for j in range(s + 1):
-        high = sum(hd.get(s - i, 0) for i in range(0, j + 1))
-        low = sum(hd.get(i, 0) for i in range(0, j + 1))
-        if high < low:
-            ok, witness = False, "j=%d: %d < %d" % (j, high, low)
-            break
-    items.append(AuditItem("cumulative_upper", True, ok, witness))
-
-    if P.is_lattice:
-        quasi = quasi_coefficients(P)
-        k_d = quasi.value(d, 0)
-        k_d1 = quasi.value(d - 1, 0)
-        bound = Fraction(ell * d, 2) * k_d
-        items.append(AuditItem(
-            "leading_coefficient_bound", True, bound >= k_d1,
-            "(ell*d/2)*k_d = %s vs k_{d-1} = %s" % (bound, k_d1)))
-    else:
-        items.append(AuditItem("leading_coefficient_bound", False, True,
-                               "lattice polytopes only"))
-
-    if ell <= q:
-        items.append(AuditItem("boundary_dominated", True, h.dominates(hb),
-                               "ell=%d <= q=%d" % (ell, q)))
-    else:
-        items.append(AuditItem("boundary_dominated", False, True,
-                               "ell=%d > q=%d" % (ell, q)))
-
-    unimodular = P.is_lattice and is_unimodular(triangulate_boundary(P), P)
-    if unimodular:
-        hbd = hb.as_dict()
-        chain_ok = all(hbd.get(j, 0) <= hbd.get(j + 1, 0) for j in range(d // 2))
-        chain_ok = chain_ok and hbd.get(0, 0) == 1
-        binom_ok = all(hbd.get(j, 0) <= comb(hbd.get(1, 0) + j - 1, j)
-                       for j in range(d + 1))
-        items.append(AuditItem("unimodular_chain", True, chain_ok,
-                               "monotone start of boundary h*", level="warning"))
-        items.append(AuditItem("unimodular_binomial_bound", True, binom_ok,
-                               "h*_j <= C(h*_1 + j - 1, j)", level="warning"))
-    else:
-        items.append(AuditItem("unimodular_chain", False, True,
-                               "no unimodular boundary triangulation", level="warning"))
-        items.append(AuditItem("unimodular_binomial_bound", False, True,
-                               "no unimodular boundary triangulation", level="warning"))
-
-    return InequalityAudit(tuple(items))
-
-
-@dataclass(frozen=True)
-class EhrhartReport:
-    """One-stop bundle: h* data, decomposition, and the audit flags."""
-
-    q: int
-    d: int
-    ell: int
-    hstar: GradedPolynomial
-    hstar_boundary: GradedPolynomial
-    hstar_interior: GradedPolynomial
-    decomposition: DecompositionReport
-    audit: InequalityAudit
+    return EhrhartReport(P).audit
 
 
 def ehrhart_report(P: Polytope) -> EhrhartReport:
-    from .ehrhart import hstar_interior
-    report = stapledon_report(P)
-    return EhrhartReport(
-        q=P.denominator_q,
-        d=P.dim,
-        ell=report.ell,
-        hstar=hstar_polytope(P),
-        hstar_boundary=report.a,
-        hstar_interior=hstar_interior(P),
-        decomposition=report,
-        audit=inequality_audit(P),
-    )
+    """The analysis of P with every field computed, so reading one does no work."""
+    report = EhrhartReport(P)
+    for name in ("hstar_interior", "decomposition", "audit"):
+        getattr(report, name)
+    return report

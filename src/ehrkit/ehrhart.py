@@ -6,7 +6,9 @@ interval (0,1] on generators opposite missing facets and [0,1) elsewhere.
 The multiset of last coordinates of its lattice points is exactly the h*
 coefficient data.  Lattice points are enumerated through a unimodular
 diagonalization of the generator matrix, which walks exactly det-many
-residues instead of scanning a bounding box.
+residues instead of scanning a bounding box.  The cells come from the one
+half-open path of the triangulation module: h* cones over the lexicographically
+smallest vertex of P, boundary h* over the interior point x.
 """
 
 from __future__ import annotations
@@ -16,20 +18,11 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm
 
-from .errors import DimensionZero, NonIntegralGenerator, NotFullDimensional
+from .errors import DimensionZero, IdentityViolated, NonIntegralGenerator, NotFullDimensional
 from .gradedpoly import GradedPolynomial
 from .geometry import Polytope
 from .linalg import diagonalize, interpolate_polynomial
-from .triangulation import (
-    ConeTriangulation,
-    HalfOpenSimplex,
-    _facet_vertices,
-    _pull_triangulate,
-    half_open_decompose,
-    pick_generic_point,
-    pyramid,
-    triangulate_boundary,
-)
+from .triangulation import HalfOpenSimplex, half_open_cone, half_open_decompose, triangulate_boundary
 
 
 def _generator_matrix(S: HalfOpenSimplex, heights):
@@ -70,14 +63,11 @@ def fpp_lattice_points(S: HalfOpenSimplex, heights):
                 val = big
             nums.append(val)
         point = []
-        ok = True
         for row in rows:
             total = sum(row[j] * nums[j] for j in range(n))
             if total % big:
-                ok = False
-                break
+                raise IdentityViolated("residue enumeration produced a non-lattice point")
             point.append(total // big)
-        assert ok, "residue enumeration produced a non-lattice point"
         out.append((tuple(point), tuple(nums), big))
     return out
 
@@ -101,25 +91,18 @@ def hstar_simplex(S: HalfOpenSimplex, q: int) -> GradedPolynomial:
     return GradedPolynomial.from_dict(counts)
 
 
-def _disjoint_cells(P: Polytope, seed: int = 0) -> list[HalfOpenSimplex]:
-    """Half-open d-simplices partitioning P, all vertices among P's vertices.
+def hstar_cells(cells, q: int) -> GradedPolynomial:
+    """Sum of the simplex h*-polynomials of disjoint half-open cells.
 
-    Cones the pulled triangulation of the facets opposite the lex-smallest
-    vertex over that vertex, then applies the visibility construction; every
-    vertex has denominator dividing q, so uniform heights q stay valid.
+    Only a closed cell has the origin in its parallelepiped, and a visibility
+    partition has exactly one, so the constant term must be one.
     """
-    apex = P.vertices[0]
-    base = []
-    for hs in P.facets:
-        face = _facet_vertices(P, hs)
-        if apex in face:
-            continue
-        base.extend(HalfOpenSimplex.closed(piece) for piece in _pull_triangulate(face))
-    cells = tuple(pyramid(apex, S) for S in base)
-    cone = ConeTriangulation(apex, cells, P)
-    y = pick_generic_point(cone, seed=seed)
-    from .triangulation import _apply_visibility
-    return [_apply_visibility(cell, y) for cell in cells]
+    total = GradedPolynomial.zero()
+    for cell in cells:
+        total = total + hstar_simplex(cell, q)
+    if total.coeff(0) != 1:
+        raise IdentityViolated("constant term %d, expected 1" % total.coeff(0))
+    return total
 
 
 def hstar_polytope(P: Polytope, seed: int = 0) -> GradedPolynomial:
@@ -127,10 +110,9 @@ def hstar_polytope(P: Polytope, seed: int = 0) -> GradedPolynomial:
     if not P.is_full_dimensional:
         raise NotFullDimensional("h* needs a full-dimensional polytope")
     q = P.denominator_q
-    total = GradedPolynomial.zero()
-    for cell in _disjoint_cells(P, seed=seed):
-        total = total + hstar_simplex(cell, q)
-    assert total.coeff(0) == 1 and total.degree_key < q * (P.dim + 1)
+    total = hstar_cells(half_open_cone(P, P.vertices[0], seed=seed).cells, q)
+    if total.degree_key >= q * (P.dim + 1):
+        raise IdentityViolated("deg h* = %d is not below q(d+1)" % total.degree_key)
     return total
 
 
@@ -140,14 +122,8 @@ def hstar_boundary(P: Polytope, apex=None, seed: int = 0) -> GradedPolynomial:
         raise NotFullDimensional("boundary h* needs a full-dimensional polytope")
     if P.dim < 1:
         raise DimensionZero("a point has no boundary series")
-    q = P.denominator_q
-    T = triangulate_boundary(P)
-    boundary, _ = half_open_decompose(T, P, apex=apex, seed=seed)
-    total = GradedPolynomial.zero()
-    for S in boundary.simplices:
-        total = total + hstar_simplex(S, q)
-    assert total.coeff(0) == 1
-    return total
+    boundary, _ = half_open_decompose(triangulate_boundary(P), P, apex=apex, seed=seed)
+    return hstar_cells(boundary.simplices, P.denominator_q)
 
 
 def hstar_interior(P: Polytope) -> GradedPolynomial:
@@ -193,14 +169,6 @@ def boundary_series(P: Polytope) -> SeriesForm:
     return SeriesForm(hstar_boundary(P), Fraction(P.denominator_q), P.dim)
 
 
-def interior_series(P: Polytope) -> SeriesForm:
-    return SeriesForm(hstar_interior(P), Fraction(P.denominator_q), P.dim + 1)
-
-
-def _counts_from_hstar(h: GradedPolynomial, q: int, d: int, upto: int) -> list[int]:
-    return SeriesForm(h, Fraction(q), d + 1).coefficients(upto + 1)
-
-
 @dataclass(frozen=True)
 class QuasiCoefficients:
     """Periodic coefficient lists of the counting quasipolynomial.
@@ -218,6 +186,28 @@ class QuasiCoefficients:
     def evaluate(self, n: int) -> Fraction:
         return sum(self.value(i, n) * n ** i for i in range(len(self.coefficients)))
 
+    @staticmethod
+    def from_hstar(h: GradedPolynomial, q: int, d: int) -> "QuasiCoefficients":
+        """Interpolate the quasipolynomial of h* / (1 - z^q)^(d+1) per residue class mod q."""
+        counts = SeriesForm(h, Fraction(q), d + 1).coefficients(q * (d + 1) + 1)
+        per_residue = []
+        for r in range(q):
+            ns = [r + q * k for k in range(d + 1)]
+            if ns[0] == 0:
+                ns = [q * (k + 1) for k in range(d + 1)]
+            coeffs = interpolate_polynomial(ns, [counts[n] for n in ns])
+            per_residue.append(coeffs)
+        lists = []
+        for i in range(d + 1):
+            values = [per_residue[r][i] for r in range(q)]
+            lists.append(_minimal_period(values))
+        result = QuasiCoefficients(tuple(lists))
+        lead = result.coefficients[d]
+        # leading coefficient is the volume: h*(1) = d! q^(d+1) vol(P)
+        if not (len(lead) == 1 and lead[0] * factorial(d) * q ** (d + 1) == h.evaluate_at_one()):
+            raise IdentityViolated("leading quasi-coefficient disagrees with h*(1)")
+        return result
+
 
 def _minimal_period(values: list[Fraction]) -> tuple[Fraction, ...]:
     q = len(values)
@@ -229,27 +219,7 @@ def _minimal_period(values: list[Fraction]) -> tuple[Fraction, ...]:
 
 def quasi_coefficients(P: Polytope) -> QuasiCoefficients:
     """Interpolate the counting quasipolynomial per residue class mod q."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("quasipolynomial needs a full-dimensional polytope")
-    q, d = P.denominator_q, P.dim
-    h = hstar_polytope(P)
-    counts = _counts_from_hstar(h, q, d, q * (d + 1))
-    per_residue = []
-    for r in range(q):
-        ns = [r + q * k for k in range(d + 1)]
-        if ns[0] == 0:
-            ns = [q * (k + 1) for k in range(d + 1)]
-        coeffs = interpolate_polynomial(ns, [counts[n] for n in ns])
-        per_residue.append(coeffs)
-    lists = []
-    for i in range(d + 1):
-        values = [per_residue[r][i] for r in range(q)]
-        lists.append(_minimal_period(values))
-    result = QuasiCoefficients(tuple(lists))
-    lead = result.coefficients[d]
-    # leading coefficient is the volume: h*(1) = d! q^(d+1) vol(P)
-    assert len(lead) == 1 and lead[0] * factorial(d) * q ** (d + 1) == h.evaluate_at_one()
-    return result
+    return QuasiCoefficients.from_hstar(hstar_polytope(P), P.denominator_q, P.dim)
 
 
 def volume(P: Polytope) -> Fraction:

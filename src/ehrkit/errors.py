@@ -88,7 +88,7 @@ class ApexInSpan(EhrkitError):
 # -- classification / rational series ----------------------------------------
 
 class IdentityViolated(EhrkitError):
-    """A classification identity that is a theorem failed to hold (bug signal)."""
+    """An identity or cross-check that is a theorem failed to hold (bug signal)."""
 
 
 class InvalidM(EhrkitError):

@@ -4,9 +4,10 @@ Points are tuples of Fraction; every predicate is decided exactly.  Facet
 enumeration is an incremental beneath-beyond insertion, which is all the
 sophistication needed at desk scale (dimension <= 6, <= 50 vertices).
 
-All types are immutable values; the only mutation anywhere is the
-construct-once facet cache, which is idempotent and safe to publish across
-threads.
+All types are immutable values; the only mutation anywhere is construct-once
+caches (the facet description here, cell halfspaces of a cone triangulation,
+the fields of an EhrhartReport), which are idempotent and safe to publish
+across threads.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .geometry import Polytope, as_point, contains, dilate, translate
 from .gradedpoly import GradedPolynomial
-from .ehrhart import hstar_boundary, hstar_polytope
+from .decomposition import EhrhartReport
 from .triangulation import find_interior_point, interior_lattice_points
 
 
@@ -53,7 +53,6 @@ class GorensteinStatus:
     kind: GorensteinKind
     g: int | None
     translate: tuple[int, ...] | None
-    certificates: dict
 
     def describe(self) -> str:
         if self.kind is GorensteinKind.NONE:
@@ -121,8 +120,8 @@ def gorenstein_index(P: Polytope) -> GorensteinStatus:
 
     if flag:
         assert g % q == 0
-        return GorensteinStatus(kind, g, shift, {})
-    return GorensteinStatus(kind, None, None, {})
+        return GorensteinStatus(kind, g, shift)
+    return GorensteinStatus(kind, None, None)
 
 
 @dataclass(frozen=True)
@@ -145,17 +144,13 @@ def verify_gorenstein_identities(P: Polytope) -> GorensteinIdentityReport:
     polynomials as certificates.
     """
     status = gorenstein_index(P)
-    checks: list[str] = []
-    polys: dict = {}
     if status.kind is GorensteinKind.NONE:
         return GorensteinIdentityReport(status, (), {})
 
     q = P.denominator_q
-    h = hstar_polytope(P)
-    hb = hstar_boundary(P)
-    ell, _ = find_interior_point(P)
-    polys["hstar"] = h
-    polys["hstar_boundary"] = hb
+    report = EhrhartReport(P)
+    h, hb, ell = report.hstar, report.hstar_boundary, report.ell
+    checks: list[str] = []
 
     geom = GradedPolynomial.geometric
 
@@ -177,9 +172,6 @@ def verify_gorenstein_identities(P: Polytope) -> GorensteinIdentityReport:
                  "rational Gorenstein polytope must satisfy geom(ell) h* = geom(q) boundary h*")
         checks.append("geom_ell_hstar_equals_geom_q_boundary")
 
-    if status.kind is not GorensteinKind.NONE:
-        _require(h.is_palindromic(), "classified polytopes have palindromic h*")
-        checks.append("hstar_palindromic")
-
-    new_status = GorensteinStatus(status.kind, status.g, status.translate, polys)
-    return GorensteinIdentityReport(new_status, tuple(checks), polys)
+    _require(h.is_palindromic(), "classified polytopes have palindromic h*")
+    checks.append("hstar_palindromic")
+    return GorensteinIdentityReport(status, tuple(checks), {"hstar": h, "hstar_boundary": hb})

@@ -1,11 +1,14 @@
-"""Boundary triangulations, coning, and the visibility half-open construction.
+"""Half-open triangulations: facet pulling, coning and visibility.
 
-The pipeline is: triangulate each facet by recursively pulling its
-lexicographically smallest vertex, cone the boundary cells over an interior
-apex, then pick a generic point y and remove from every cell the facets whose
-halfspace excludes y.  That turns the cover into a genuine partition with
-exactly one closed cell, which is what makes constant terms add up correctly
-downstream.
+One path cuts P into half-open cells: triangulate each facet whose hyperplane
+misses an apex by recursively pulling its lexicographically smallest vertex,
+cone the pieces over the apex, then pick a generic point y and remove from
+every cell the facets whose halfspace excludes y.  That turns the cover into
+a genuine partition with exactly one closed cell, which is what makes
+constant terms add up correctly downstream.  h* uses the lexicographically
+smallest vertex as apex; boundary h* and the b-route use an interior point x,
+over which every facet is pulled and the cells without x partition the
+boundary.
 
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from a fixed perturbation schedule that is verified
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import ceil, floor
 
@@ -23,11 +27,13 @@ from .errors import (
     AffinelyDependent,
     BoundExceeded,
     ExhaustedRetries,
+    IdentityViolated,
     NotFullDimensional,
     NotGeneric,
     NotLatticePolytope,
 )
-from .geometry import Halfspace, Point, Polytope, _make_halfspace, as_point, build_polytope
+from .geometry import (Halfspace, Point, Polytope, _make_halfspace, as_point, build_polytope,
+                       contains, dilate, format_rational)
 from .linalg import diagonalize, matrix_rank, solve_unique, vec_add, vec_scale, vec_sub
 
 
@@ -104,6 +110,11 @@ class ConeTriangulation:
     cells: tuple[HalfOpenSimplex, ...]
     parent: Polytope
 
+    @cached_property
+    def _halfspaces(self) -> tuple[list[Halfspace], ...]:
+        """cell_halfspaces of every cell, for the generic point and the masks."""
+        return tuple(cell_halfspaces(cell) for cell in self.cells)
+
 
 def _facet_vertices(P: Polytope, hs: Halfspace) -> tuple[Point, ...]:
     return tuple(v for v in P.vertices if hs.slack(v) == 0)
@@ -132,17 +143,19 @@ def _pull_triangulate(points) -> list[tuple[Point, ...]]:
         return [tuple(points)]
     sub = build_polytope(charted)
     chart_of = dict(zip(charted, points))
-    apex_chart = min(sub.vertices)
-    simplices = []
-    for hs in sub.facets:
-        face = _facet_vertices(sub, hs)
-        if apex_chart in face:
-            continue
-        for piece in _pull_triangulate(face):
-            simplices.append(tuple(sorted(chart_of[c] for c in piece) )
-                             + (chart_of[apex_chart],))
-    # re-sort each simplex so vertex order is the global lexicographic one
-    return sorted(tuple(sorted(s)) for s in simplices)
+    apex = min(sub.vertices)
+    return sorted(tuple(sorted(chart_of[c] for c in piece + (apex,)))
+                  for piece in _pull_facets(sub, apex))
+
+
+def _pull_facets(P: Polytope, apex=None) -> list[tuple[Point, ...]]:
+    """Pulling triangulations of the facets of P whose hyperplane misses apex
+    (every facet when apex is None), as sorted vertex tuples in sorted order."""
+    pieces = []
+    for hs in P.facets:
+        if apex is None or hs.slack(apex) != 0:
+            pieces.extend(_pull_triangulate(_facet_vertices(P, hs)))
+    return sorted(pieces)
 
 
 def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
@@ -151,20 +164,12 @@ def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
         raise NotFullDimensional("boundary triangulation needs a full-dimensional polytope")
     if P.dim < 1:
         raise NotFullDimensional("boundary triangulation needs dimension >= 1")
-    simplices = []
-    for hs in P.facets:
-        for piece in _pull_triangulate(_facet_vertices(P, hs)):
-            simplices.append(HalfOpenSimplex.closed(piece))
-    return sorted(simplices, key=lambda s: s.vertices)
+    return [HalfOpenSimplex.closed(piece) for piece in _pull_facets(P)]
 
 
 def pyramid(x, S: HalfOpenSimplex) -> HalfOpenSimplex:
-    """Cone S over the apex x; the new facet opposite x is present."""
-    x = as_point(x)
-    rows = [vec_sub(v, S.vertices[0]) for v in S.vertices[1:]]
-    if matrix_rank(rows + [vec_sub(x, S.vertices[0])]) == len(rows):
-        raise AffinelyDependent("apex lies in the affine span of the simplex")
-    return HalfOpenSimplex(S.vertices + (x,), S.missing + (False,))
+    """Cone S over an apex x off its affine span; the facet opposite x is present."""
+    return HalfOpenSimplex(S.vertices + (as_point(x),), S.missing + (False,))
 
 
 def cone_over_boundary(T, P: Polytope, apex) -> ConeTriangulation:
@@ -194,13 +199,11 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
     if not Tprime.cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
-    from .geometry import contains  # local import to avoid cycle at module load
-
     base = Tprime.apex
     if not contains(P, base, "interior"):
         base = vec_scale(Fraction(1, len(P.vertices)),
                          [sum(v[c] for v in P.vertices) for c in range(d)])
-    planes = [hs for cell in Tprime.cells for hs in cell_halfspaces(cell)]
+    planes = [hs for cell_planes in Tprime._halfspaces for hs in cell_planes]
     for attempt in range(32):
         eps = Fraction(1, 64 * (seed + 1) * 2 ** attempt)
         offsetv = [Fraction(0)] * d
@@ -212,15 +215,28 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
-def _apply_visibility(cell: HalfOpenSimplex, y: Point) -> HalfOpenSimplex:
-    """Remove the facets of a closed cell whose halfspace excludes y."""
-    mask = []
-    for hs in cell_halfspaces(cell):
-        slack = hs.slack(y)
-        if slack == 0:
+def _apply_visibility(cone: ConeTriangulation, y=None, seed: int = 0) -> ConeTriangulation:
+    """Remove from every cell the facets whose halfspace excludes y (default:
+    pick_generic_point).  The facet opposite the apex lies in a facet of P, so
+    it is never removed, which lets the masks restrict to the base cells."""
+    y = pick_generic_point(cone, seed=seed) if y is None else as_point(y)
+    cells = []
+    for cell, planes in zip(cone.cells, cone._halfspaces):
+        slacks = [hs.slack(y) for hs in planes]
+        if 0 in slacks:
             raise NotGeneric("point lies on a cell hyperplane")
-        mask.append(slack < 0)
-    return HalfOpenSimplex(cell.vertices, tuple(mask))
+        if slacks[-1] < 0:
+            raise IdentityViolated("the facet opposite the apex is visible from y")
+        cells.append(HalfOpenSimplex(cell.vertices, tuple(s < 0 for s in slacks)))
+    return ConeTriangulation(cone.apex, tuple(cells), cone.parent)
+
+
+def half_open_cone(P: Polytope, apex, seed: int = 0) -> ConeTriangulation:
+    """Half-open d-simplices partitioning P: the facets whose hyperplane misses
+    the point apex of P are pulled, coned over it and masked by visibility."""
+    apex = as_point(apex)
+    T = [HalfOpenSimplex.closed(piece) for piece in _pull_facets(P, apex)]
+    return _apply_visibility(cone_over_boundary(T, P, apex), seed=seed)
 
 
 def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
@@ -234,18 +250,10 @@ def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
     """
     if apex is None:
         apex = find_interior_point(P)[1]
-    cone = cone_over_boundary(T, P, apex)
-    if y is None:
-        y = pick_generic_point(cone, seed=seed)
-    else:
-        y = as_point(y)
-    open_cells = tuple(_apply_visibility(cell, y) for cell in cone.cells)
+    cone = _apply_visibility(cone_over_boundary(T, P, apex), y, seed)
     boundary = tuple(
-        HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1]) for cell in open_cells)
-    # the facet opposite the apex is never visible, so masks restrict cleanly
-    assert all(not cell.missing[-1] for cell in open_cells)
-    return (BoundaryTriangulation(boundary, P),
-            ConeTriangulation(cone.apex, open_cells, P))
+        HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1]) for cell in cone.cells)
+    return BoundaryTriangulation(boundary, P), cone
 
 
 def interior_lattice_points(P: Polytope) -> list[tuple[int, ...]]:
@@ -268,8 +276,6 @@ def find_interior_point(P: Polytope):
     """
     if not P.is_full_dimensional:
         raise NotFullDimensional("interior point search needs a full-dimensional polytope")
-    from .geometry import dilate  # late import: geometry must not depend on us
-
     bound = P.denominator_q * (P.dim + 1)
     for ell in range(1, bound + 1):
         pts = interior_lattice_points(dilate(P, ell))
@@ -313,7 +319,6 @@ def triangulation_to_json_dict(cone: ConeTriangulation) -> dict:
             if v not in index:
                 index[v] = len(pool_points)
                 pool_points.append(v)
-    from .geometry import format_rational
     return {
         "points": [[format_rational(c) for c in v] for v in pool_points],
         "apex": index[cone.apex],

@@ -134,6 +134,14 @@ def test_verify_files(square2_file, p52_file, capsys):
     assert out.count("PASS") == 2 and "2/2 polytopes verified" in out
 
 
+def test_verify_bad_files(tmp_path, capsys):
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps({"vertices": [[0.5, 0], [1, 1], [0, 1]]}))
+    for path in (str(floats), str(tmp_path / "missing.json")):
+        assert run(["verify", "-f", path]) == 2
+        assert capsys.readouterr().err.startswith("usage error: -f: ")
+
+
 def test_verify_corpus(capsys):
     assert run(["verify", "--corpus"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -14,8 +16,9 @@ from ehrkit.decomposition import (
     stapledon_report,
     symmetric_decompose,
 )
+from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.oracle import count_points
-from ehrkit.triangulation import find_interior_point
+from ehrkit.triangulation import cell_halfspaces, find_interior_point
 
 
 
@@ -185,3 +188,34 @@ def test_ehrhart_report_bundle():
     assert rep.hstar_boundary == GP.from_list([1, 4, 1])
     assert rep.hstar_interior == GP.from_dict({1: 4, 2: 7, 3: 1})
     assert rep.audit.all_passed
+
+
+def _count_calls(monkeypatch, fn):
+    """Count the calls of fn through every ehrkit module name bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ehrkit"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
+    """cube-4d: 24 cells over a vertex for h*, 48 over x for the boundary and
+    the b-route; one halfspace set per cell, one walk per cell and route."""
+    cube = build_polytope(list(product((0, 1), repeat=4)))
+    counts = {fn.__name__: _count_calls(monkeypatch, fn)
+              for fn in (find_interior_point, fpp_lattice_points, cell_halfspaces)}
+    rep = ehrhart_report(cube)
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "find_interior_point": 1, "fpp_lattice_points": 24 + 48 + 48,
+        "cell_halfspaces": 24 + 48}
+    for field in ("q", "d", "ell", "hstar", "hstar_boundary", "hstar_interior",
+                  "decomposition", "audit"):
+        getattr(rep, field)
+    assert len(counts["fpp_lattice_points"]) == 120  # reading the fields walked nothing
