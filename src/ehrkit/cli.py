@@ -26,11 +26,7 @@ from .gorenstein import verify_gorenstein_identities
 from .rational_ehrhart import rational_decompose, rational_series
 from .oracle import hstar_from_counts
 from .corpus import standard_corpus
-from .triangulation import (
-    half_open_decompose,
-    triangulate_boundary,
-    triangulation_to_json_dict,
-)
+from .triangulation import triangulation_to_json_dict
 
 SCHEMA = 1
 
@@ -84,11 +80,10 @@ def _emit(args, P: Polytope, result: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _dump_triangulation(args, P: Polytope) -> None:
+def _dump_triangulation(args, analysis: EhrhartReport) -> None:
     if not getattr(args, "dump_triangulation", None):
         return
-    T = triangulate_boundary(P)
-    _, cone = half_open_decompose(T, P)
+    _, cone = analysis.cone
     with open(args.dump_triangulation, "w", encoding="utf-8") as fh:
         json.dump({"schema": SCHEMA, **triangulation_to_json_dict(cone)}, fh, indent=2)
 
@@ -111,8 +106,9 @@ def _cmd_info(args) -> int:
 
 def _cmd_hstar(args) -> int:
     P = _load_input(args)
-    h = hstar_polytope(P)
-    _dump_triangulation(args, P)
+    analysis = EhrhartReport(P)
+    h = analysis.hstar
+    _dump_triangulation(args, analysis)
     _emit(args, P, {"hstar": h.to_json_dict(), "q": str(P.denominator_q), "d": str(P.dim)},
           ["h* = %s (q=%d, d=%d)" % (h.text(), P.denominator_q, P.dim)])
     return 0
@@ -120,8 +116,9 @@ def _cmd_hstar(args) -> int:
 
 def _cmd_boundary(args) -> int:
     P = _load_input(args)
-    h = hstar_boundary(P)
-    _dump_triangulation(args, P)
+    analysis = EhrhartReport(P)
+    h = analysis.hstar_boundary
+    _dump_triangulation(args, analysis)
     _emit(args, P, {"hstar_boundary": h.to_json_dict(), "q": str(P.denominator_q),
                     "d": str(P.dim)},
           ["h*_boundary = %s (q=%d, d=%d)" % (h.text(), P.denominator_q, P.dim)])
@@ -206,9 +203,11 @@ def _cmd_verify(args) -> int:
     rows = []
     for name, P in entries:
         try:
-            ok = (hstar_polytope(P) == hstar_from_counts(P, "closed")
+            h = hstar_polytope(P)
+            ok = (h == hstar_from_counts(P, "closed")
                   and hstar_boundary(P) == hstar_from_counts(P, "boundary")
-                  and hstar_interior(P) == hstar_from_counts(P, "interior"))
+                  and h.reverse(P.denominator_q * (P.dim + 1))
+                  == hstar_from_counts(P, "interior"))
         except EhrkitError as exc:
             ok = False
             rows.append((name, "ERROR: %s" % exc))

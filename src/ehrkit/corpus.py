@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from .errors import IdentityViolated
 from .geometry import Polytope, build_polytope, dilate
 
 _SEED = 20240801
@@ -109,7 +110,8 @@ def standard_corpus() -> list[tuple[str, Polytope]]:
                     ("random-d%d-q%d-%d" % (d, den, i), _random_rational(rng, d, den)))
 
     names = [name for name, _ in entries]
-    assert len(names) == len(set(names)), "corpus names must be unique"
+    if len(names) != len(set(names)):
+        raise IdentityViolated("corpus names must be unique")
     return entries
 
 

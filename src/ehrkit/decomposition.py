@@ -219,7 +219,7 @@ class EhrhartReport:
         return find_interior_point(self.polytope)
 
     @cached_property
-    def _cone(self):
+    def cone(self):
         """(BoundaryTriangulation, ConeTriangulation) over the interior point x."""
         P = self.polytope
         return half_open_decompose(triangulate_boundary(P), P, apex=self._interior_point[1])
@@ -230,7 +230,7 @@ class EhrhartReport:
 
     @cached_property
     def hstar_boundary(self) -> GradedPolynomial:
-        return hstar_cells(self._cone[0].simplices, self.q)
+        return hstar_cells(self.cone[0].simplices, self.q)
 
     @cached_property
     def hstar_interior(self) -> GradedPolynomial:
@@ -245,7 +245,7 @@ class EhrhartReport:
         a, b = symmetric_decompose(h, q, ell, d)
         if a != self.hstar_boundary:
             raise IdentityViolated("a(z) must equal the boundary h*-polynomial")
-        if _b_polynomial(self._cone[1], ell) != b:
+        if _b_polynomial(self.cone[1], ell) != b:
             raise IdentityViolated("parallelepiped route disagrees with the algebraic b(z)")
         return DecompositionReport(q=q, ell=ell, lhs=a + b.shift(ell), a=a, b=b,
                                    a_equals_boundary=True, s_degree=s)
@@ -296,7 +296,7 @@ class EhrhartReport:
             items.append(AuditItem("boundary_dominated", False, True,
                                    "ell=%d > q=%d" % (ell, q)))
 
-        unimodular = P.is_lattice and is_unimodular(self._cone[0])
+        unimodular = P.is_lattice and is_unimodular(self.cone[0])
         if unimodular:
             hbd = hb.as_dict()
             chain_ok = all(hbd.get(j, 0) <= hbd.get(j + 1, 0) for j in range(d // 2))

@@ -6,19 +6,32 @@ interval (0,1] on generators opposite missing facets and [0,1) elsewhere.
 The multiset of last coordinates of its lattice points is exactly the h*
 coefficient data.  Lattice points are enumerated through a unimodular
 diagonalization of the generator matrix, which walks exactly det-many
-residues instead of scanning a bounding box.  The cells come from the one
-half-open path of the triangulation module: h* cones over the lexicographically
-smallest vertex of P, boundary h* over the interior point x.
+residues instead of scanning a bounding box.  The walk streams them as an
+odometer over the diagonal: each step adds one precomputed carry column to
+the coefficients and its point to the running point, so a step costs O(n + d)
+and the walk's memory does not grow with det.  A walk of more than
+ENUMERATION_LIMIT residues raises WalkTooLarge before it starts.  The cells
+come from the one half-open path of the triangulation module: h* cones over
+the lexicographically smallest vertex of P, boundary h* over the interior
+point x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, lcm
+from itertools import repeat
+from math import comb, factorial, lcm, prod
+from operator import add, ge, sub
 
-from .errors import DimensionZero, IdentityViolated, NonIntegralGenerator, NotFullDimensional
+from .errors import (
+    ENUMERATION_LIMIT,
+    DimensionZero,
+    IdentityViolated,
+    NonIntegralGenerator,
+    NotFullDimensional,
+    WalkTooLarge,
+)
 from .gradedpoly import GradedPolynomial
 from .geometry import Polytope
 from .linalg import diagonalize, interpolate_polynomial
@@ -40,36 +53,103 @@ def _generator_matrix(S: HalfOpenSimplex, heights):
     return cols
 
 
+def _lattice_point(rows, nums, big):
+    """The point sum_j col_j * nums[j] / big, which must be integral."""
+    point = []
+    for row in rows:
+        total = sum(a * x for a, x in zip(row, nums))
+        if total % big:
+            raise IdentityViolated("residue enumeration produced a non-lattice point")
+        point.append(total // big)
+    return tuple(point)
+
+
 def fpp_lattice_points(S: HalfOpenSimplex, heights):
     """Lattice points of the fundamental parallelepiped with their coefficients.
 
-    Yields (point, alpha_numerators, alpha_denominator); alpha_j =
-    numerators[j] / denominator is the coefficient of generator j, already
-    shifted into (0,1] or [0,1) according to the mask.
+    Returns an iterator of (point, alpha_numerators, alpha_denominator);
+    alpha_j = numerators[j] / denominator is the coefficient of generator j,
+    already shifted into (0,1] or [0,1) according to the mask.  The size
+    limit and the lattice check run when it is called, before any residue.
     """
     cols = _generator_matrix(S, heights)
     rows = list(zip(*cols))  # (ambient+1) x n
     diag, vmat = diagonalize(rows)
-    n = len(cols)
+    size = prod(diag)
+    if size > ENUMERATION_LIMIT:
+        raise WalkTooLarge("parallelepiped has %d residues, more than the limit %d"
+                           % (size, ENUMERATION_LIMIT))
     big = lcm(*diag)
-    steps = [big // s for s in diag]
+    # Residue t (digit i runs over range(diag[i]), the last digit fastest) has
+    # numerators sum_i V[:, i] * t_i * big / diag[i] mod big.  When digit i
+    # advances and every later digit rolls back to zero, they change by the
+    # carry column sum_{k >= i} V[:, k] * big / diag[k] mod big.
+    carries = [()] * len(cols)
+    carry = [0] * len(cols)
+    for i in reversed(range(len(cols))):
+        step = big // diag[i]
+        carry = [(c + vmat[j][i] * step) % big for j, c in enumerate(carry)]
+        carries[i] = tuple(carry)
+    # Every residue is an integer combination of the carry columns, and every
+    # point one of their points and the generators: checking the carries
+    # checks every point of the walk.
+    carry_points = [_lattice_point(rows, c, big) for c in carries]
+    return _odometer(diag, carries, carry_points, cols, S.missing, big)
 
-    out = []
-    for ts in product(*(range(s) for s in diag)):
-        nums = []
-        for j in range(n):
-            val = sum(vmat[j][i] * ts[i] * steps[i] for i in range(n)) % big
-            if S.missing[j] and val == 0:
-                val = big
-            nums.append(val)
-        point = []
-        for row in rows:
-            total = sum(row[j] * nums[j] for j in range(n))
-            if total % big:
-                raise IdentityViolated("residue enumeration produced a non-lattice point")
-            point.append(total // big)
-        out.append((tuple(point), tuple(nums), big))
-    return out
+
+def _odometer(diag, carries, carry_points, cols, missing, big):
+    """Walk the residues as an odometer over diag.
+
+    A step adds one carry column to the numerators and its point to the
+    running point; each numerator that passes its range wraps back by big,
+    which takes its generator off the point.  Numerators opposite a missing
+    facet live in (0, big], the others in [0, big).  A step costs O(n + d)
+    and the walk holds O(n) numbers plus, per digit, one point shift for each
+    wrap pattern met, so its memory does not grow with the residue count.
+    """
+    nums = tuple(big if m else 0 for m in missing)
+    point = _lattice_point(list(zip(*cols)), nums, big)
+    yield point, nums, big
+
+    # numerator j wraps on a carry-i step when it is at least thresholds[i][j]
+    thresholds = [tuple(big + m - c for m, c in zip(missing, carry)) for carry in carries]
+    moves = [{} for _ in diag]  # per digit: wrap pattern -> (point shift, numerator shift)
+
+    def move(i, wrapped):
+        """(point shift, numerator shift) of a carry-i step with these wraps."""
+        shift = carry_points[i]
+        for col, w in zip(cols, wrapped):
+            if w:
+                shift = tuple(map(sub, shift, col))
+        moves[i][wrapped] = step = shift, tuple(
+            c - big if w else c for c, w in zip(carries[i], wrapped))
+        return step
+
+    for i in _advancing_digits(diag):
+        wrapped = tuple(map(ge, nums, thresholds[i]))
+        step = moves[i].get(wrapped) or move(i, wrapped)
+        point = tuple(map(add, point, step[0]))
+        nums = tuple(map(add, nums, step[1]))
+        yield point, nums, big
+
+
+def _advancing_digits(diag):
+    """The digit that advances at each step of an odometer over diag, last digit fastest."""
+    digits = [i for i, s in enumerate(diag) if s > 1]
+    if not digits:
+        return
+    inner, outer = digits[-1], digits[:-1]
+    count = [0] * len(diag)
+    while True:
+        yield from repeat(inner, diag[inner] - 1)
+        for i in reversed(outer):
+            if count[i] < diag[i] - 1:
+                count[i] += 1
+                break
+            count[i] = 0
+        else:
+            return
+        yield i
 
 
 def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:
@@ -86,8 +166,8 @@ def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:
 def hstar_simplex(S: HalfOpenSimplex, q: int) -> GradedPolynomial:
     """Numerator of the simplex Ehrhart series over (1 - z^q)^(#vertices)."""
     counts: dict[int, int] = {}
-    for h in fpp_points(S, [q] * len(S.vertices)):
-        counts[h] = counts.get(h, 0) + 1
+    for point, _, _ in fpp_lattice_points(S, [q] * len(S.vertices)):
+        counts[point[-1]] = counts.get(point[-1], 0) + 1
     return GradedPolynomial.from_dict(counts)
 
 

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the enumeration size limit shared by all modules."""
+
+# Most candidates one enumeration may walk: bounding-box points in the oracle,
+# parallelepiped residues in the pipeline.  Both check it before they start.
+ENUMERATION_LIMIT = 10 ** 8
 
 
 class EhrkitError(Exception):
@@ -65,6 +69,10 @@ class NonIntegralGenerator(EhrkitError):
 
 class BoxTooLarge(EhrkitError):
     """Brute-force scan would exceed the candidate-point guard."""
+
+
+class WalkTooLarge(EhrkitError):
+    """A fundamental parallelepiped has more residues than the enumeration limit."""
 
 
 class TailNonzero(EhrkitError):

@@ -22,6 +22,7 @@ from math import lcm
 
 from .errors import (
     EmptyInput,
+    IdentityViolated,
     MixedDimensions,
     NoLatticePoints,
     NonpositiveScale,
@@ -138,15 +139,16 @@ def _hull_full_dim(points: list[Point], d: int):
                 ridge_map.setdefault(frozenset(verts) - {drop}, []).append(fi)
         horizon = []
         for ridge, incident in ridge_map.items():
-            assert len(incident) == 2, "hull boundary is not a closed pseudomanifold"
+            if len(incident) != 2:
+                raise IdentityViolated("hull boundary is not a closed pseudomanifold")
             if (incident[0] in visible) != (incident[1] in visible):
                 horizon.append(ridge)
         new_facets = [make_facet(sorted(ridge) + [ip]) for ridge in sorted(horizon, key=sorted)]
         facets = [f for fi, f in enumerate(facets) if fi not in visible] + new_facets
 
     merged = sorted({hs for _, hs in facets})
-    for p in points:
-        assert all(hs.slack(p) >= 0 for hs in merged), "hull misses an input point"
+    if any(hs.slack(p) < 0 for p in points for hs in merged):
+        raise IdentityViolated("hull misses an input point")
 
     vertices = []
     for p in points:

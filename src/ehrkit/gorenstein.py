@@ -119,7 +119,6 @@ def gorenstein_index(P: Polytope) -> GorensteinStatus:
             kind = GorensteinKind.NONE
 
     if flag:
-        assert g % q == 0
         return GorensteinStatus(kind, g, shift)
     return GorensteinStatus(kind, None, None)
 

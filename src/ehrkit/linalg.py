@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import IdentityViolated
+
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
@@ -227,7 +229,8 @@ def invert_unimodular(mat):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in inv for x in row), "matrix was not unimodular"
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise IdentityViolated("matrix was not unimodular")
     return [[int(x) for x in row] for row in inv]
 
 

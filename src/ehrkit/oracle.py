@@ -11,11 +11,9 @@ from __future__ import annotations
 from itertools import product
 from math import ceil, floor
 
-from .errors import BoxTooLarge, NotFullDimensional, TailNonzero
+from .errors import ENUMERATION_LIMIT, BoxTooLarge, NotFullDimensional, TailNonzero
 from .geometry import Polytope
 from .gradedpoly import GradedPolynomial
-
-_BOX_GUARD = 10 ** 8
 
 
 def _int_facets(P: Polytope):
@@ -47,7 +45,7 @@ def count_points(P: Polytope, n: int, mode: str = "closed") -> int:
     size = 1
     for lo, hi in zip(lows, highs):
         size *= max(0, hi - lo + 1)
-    if size > _BOX_GUARD:
+    if size > ENUMERATION_LIMIT:
         raise BoxTooLarge("bounding box has %d candidate points" % size)
     if size == 0:
         return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InvalidM, NotFullDimensional
+from .errors import IdentityViolated, InvalidM, NotFullDimensional
 from .geometry import Polytope, as_point, contains, dilate
 from .gradedpoly import GradedPolynomial
 from .ehrhart import hstar_polytope
@@ -29,7 +29,8 @@ def codenominator(P: Polytope) -> int:
     if not P.is_full_dimensional:
         raise NotFullDimensional("codenominator needs a full-dimensional polytope")
     offsets = [abs(hs.offset) for hs in P.facets if hs.offset != 0]
-    assert offsets, "a bounded polytope cannot have all offsets zero"
+    if not offsets:
+        raise IdentityViolated("a bounded polytope cannot have all offsets zero")
     return lcm(*offsets)
 
 
@@ -105,7 +106,8 @@ def rational_series(P: Polytope, refined: bool = False,
         m = scaled.denominator_q
     numerator = _lifted_numerator(scaled, m).regrade(grid)
     d = P.dim
-    assert numerator.degree_key < m * (d + 1) and numerator.is_nonnegative
+    if not (numerator.degree_key < m * (d + 1) and numerator.is_nonnegative):
+        raise IdentityViolated("numerator must be nonnegative of degree below m(d+1)")
     return RationalSeriesReport(r=r, m=m, refined=refined, numerator=numerator,
                                 origin_position=_origin_position(P), decomposition=None)
 
@@ -113,7 +115,7 @@ def rational_series(P: Polytope, refined: bool = False,
 def rational_decompose(P: Polytope) -> RationalSeriesReport:
     """Three-case decomposition of the rational series by origin position.
 
-    interior: the numerator itself is palindromic (asserted).  boundary:
+    interior: the numerator itself is palindromic (checked).  boundary:
     decompose the grid-r numerator with ell taken from the scaled polytope.
     outside: the same on the refined grid 2r.
     """
@@ -124,8 +126,8 @@ def rational_decompose(P: Polytope) -> RationalSeriesReport:
     scaled = dilate(P, Fraction(1, grid))
 
     if position == "interior":
-        assert report.numerator.is_palindromic(), \
-            "origin strictly inside forces a palindromic numerator"
+        if not report.numerator.is_palindromic():
+            raise IdentityViolated("origin strictly inside forces a palindromic numerator")
         return report
 
     ell, _ = find_interior_point(scaled)

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles, and a call counter, used only by the tests.
 
 These deliberately avoid the residue-enumeration kernel: parallelepiped
 points are found by scanning the integer bounding box and solving for the
@@ -6,11 +6,27 @@ generator coefficients, and half-open membership counts go through the
 barycentric definition.  Slow and obviously correct.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
-from ehrkit.linalg import solve_unique
+from ehrkit.linalg import matrix_rank, solve_unique
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of fn through every ehrkit module name bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ehrkit"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def brute_force_fpp(vertices, missing, heights):
@@ -42,6 +58,37 @@ def brute_force_fpp(vertices, missing, heights):
         if ok:
             out.append(candidate[-1])
     return tuple(sorted(out))
+
+
+def brute_force_fpp_points(vertices, missing, heights):
+    """Sorted (point, coefficients) pairs of the parallelepiped, by box scan.
+
+    Picks n coordinates in which the n generators are independent, scans the
+    integer bounding box of the parallelepiped's image there, solves for the
+    coefficients with the integer adjugate and keeps the candidates inside
+    the half-open box whose full point is integral.
+    """
+    gens = [tuple(int(h * c) for c in v) + (int(h),) for h, v in zip(heights, vertices)]
+    n = len(gens)
+    coords = []
+    for c in range(len(gens[0])):
+        if matrix_rank([[g[k] for k in coords + [c]] for g in gens]) > len(coords):
+            coords.append(c)
+    square = [[g[c] for g in gens] for c in coords]  # n x n, invertible
+    inverse = [solve_unique(square, [int(i == j) for i in range(n)]) for j in range(n)]  # columns
+    den = lcm(*(x.denominator for col in inverse for x in col))
+    scaled = [[int(inverse[j][i] * den) for j in range(n)] for i in range(n)]  # alpha * den
+    ranges = [range(sum(min(0, g[c]) for g in gens), sum(max(0, g[c]) for g in gens) + 1)
+              for c in coords]
+    out = []
+    for z in product(*ranges):
+        nums = [sum(a * x for a, x in zip(row, z)) for row in scaled]
+        if not all(0 < a <= den if miss else 0 <= a < den for a, miss in zip(nums, missing)):
+            continue
+        point = [sum(g[c] * a for g, a in zip(gens, nums)) for c in range(len(gens[0]))]
+        if all(x % den == 0 for x in point):
+            out.append((tuple(x // den for x in point), tuple(Fraction(a, den) for a in nums)))
+    return sorted(out)
 
 
 def count_in_scaled_cell(simplex, n):

@@ -8,9 +8,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from ehrkit import decomposition, ehrhart
+from ehrkit import corpus, decomposition, ehrhart, geometry, rational_ehrhart
 from ehrkit.errors import IdentityViolated
-from ehrkit.geometry import build_polytope
+from ehrkit.geometry import Halfspace, Polytope, build_polytope, dilate, project_to_affine_hull
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.triangulation import find_interior_point, half_open_decompose, triangulate_boundary
 
@@ -107,3 +107,74 @@ def test_residues_are_lattice_points(monkeypatch):
     monkeypatch.setattr(ehrhart, "diagonalize", coarse)
     with pytest.raises(IdentityViolated, match="non-lattice point"):
         ehrhart.hstar_polytope(skew)
+
+
+def _flip_halfspace(monkeypatch, k):
+    """Make the hull's k-th new halfspace (1-based) face the wrong way."""
+    real = geometry._make_halfspace
+    made = []
+
+    def flipped(points, centroid):
+        hs = real(points, centroid)
+        made.append(hs)
+        if len(made) == k:
+            return Halfspace(tuple(-a for a in hs.normal), -hs.offset)
+        return hs
+    monkeypatch.setattr(geometry, "_make_halfspace", flipped)
+
+
+def test_hull_misses_a_point(monkeypatch):
+    _flip_halfspace(monkeypatch, 1)
+    with pytest.raises(IdentityViolated, match="misses an input point"):
+        build_polytope([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
+
+
+def test_hull_boundary_is_closed(monkeypatch):
+    # a later point sees the flipped facet apart from the facets it really
+    # sees, so the visible region splits and the new facets share a ridge
+    # three or more times
+    _flip_halfspace(monkeypatch, 6)
+    with pytest.raises(IdentityViolated, match="pseudomanifold"):
+        build_polytope([(-4, -1), (0, -3), (-1, -2), (4, -4), (1, 4), (0, 2), (4, -2), (0, -2)])
+
+
+def test_unimodular_inverse(monkeypatch):
+    real = geometry.diagonalize
+
+    def doubled_u(columns, want_u=False):
+        diag, v, u = real(columns, want_u=True)
+        return diag, v, [[2 * x for x in u[0]]] + u[1:]
+    monkeypatch.setattr(geometry, "diagonalize", doubled_u)
+    with pytest.raises(IdentityViolated, match="not unimodular"):
+        project_to_affine_hull(build_polytope([(0, 0), (1, 1)]))
+
+
+def test_codenominator_offsets(monkeypatch):
+    P = build_polytope([(-1, -1), (2, -1), (-1, 2)])
+    through_origin = tuple(Halfspace(hs.normal, 0) for hs in P.facets)
+    monkeypatch.setattr(Polytope, "facets", property(lambda self: through_origin))
+    with pytest.raises(IdentityViolated, match="offsets zero"):
+        rational_ehrhart.codenominator(P)
+
+
+def test_rational_numerator_nonnegative(monkeypatch):
+    real = rational_ehrhart.hstar_polytope
+    monkeypatch.setattr(rational_ehrhart, "hstar_polytope",
+                        lambda P: real(P) - GP.from_list([2]))
+    with pytest.raises(IdentityViolated, match="nonnegative"):
+        rational_ehrhart.rational_series(skew)
+
+
+def test_rational_interior_palindromic(monkeypatch):
+    real = rational_ehrhart.hstar_polytope
+    monkeypatch.setattr(rational_ehrhart, "hstar_polytope",
+                        lambda P: real(P) + GP.monomial(1))
+    centered = dilate(build_polytope([(-1, -1), (-1, 1), (1, -1), (1, 1)]), F(1, 2))
+    with pytest.raises(IdentityViolated, match="palindromic"):
+        rational_ehrhart.rational_decompose(centered)
+
+
+def test_corpus_names_unique(monkeypatch):
+    monkeypatch.setattr(corpus, "reflexive_triangles", lambda: [("skew-quad", skew)])
+    with pytest.raises(IdentityViolated, match="unique"):
+        corpus.standard_corpus()

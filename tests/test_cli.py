@@ -3,10 +3,14 @@ import json
 import pytest
 
 from ehrkit.cli import run
+from ehrkit.ehrhart import hstar_polytope
 from ehrkit.geometry import polytope_from_json_dict
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import DecompositionReport
 from ehrkit.rational_ehrhart import RationalSeriesReport
+from ehrkit.triangulation import find_interior_point, pick_generic_point
+
+from helpers import count_calls
 
 
 @pytest.fixture
@@ -164,3 +168,18 @@ def test_computation_error_exit_code(capsys):
     # a segment in the plane is not full-dimensional
     assert run(["hstar", "--vertices", "0,0; 1,1"]) == 1
     assert "NotFullDimensional" in capsys.readouterr().err
+
+
+def test_verify_computes_hstar_once_per_polytope(square2_file, p52_file, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, hstar_polytope)
+    assert run(["verify", "-f", square2_file, "-f", p52_file]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+def test_dump_triangulation_reuses_the_cone(square2_file, tmp_path, monkeypatch, capsys):
+    counts = [count_calls(monkeypatch, fn) for fn in (find_interior_point, pick_generic_point)]
+    assert run(["boundary", "-f", square2_file,
+                "--dump-triangulation", str(tmp_path / "tri.json")]) == 0
+    capsys.readouterr()
+    assert [len(calls) for calls in counts] == [1, 1]

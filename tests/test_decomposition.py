@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction as F
 from itertools import product
 
@@ -19,6 +18,8 @@ from ehrkit.decomposition import (
 from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.oracle import count_points
 from ehrkit.triangulation import cell_halfspaces, find_interior_point
+
+from helpers import count_calls
 
 
 
@@ -190,26 +191,11 @@ def test_ehrhart_report_bundle():
     assert rep.audit.all_passed
 
 
-def _count_calls(monkeypatch, fn):
-    """Count the calls of fn through every ehrkit module name bound to it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ehrkit"):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
     """cube-4d: 24 cells over a vertex for h*, 48 over x for the boundary and
     the b-route; one halfspace set per cell, one walk per cell and route."""
     cube = build_polytope(list(product((0, 1), repeat=4)))
-    counts = {fn.__name__: _count_calls(monkeypatch, fn)
+    counts = {fn.__name__: count_calls(monkeypatch, fn)
               for fn in (find_interior_point, fpp_lattice_points, cell_halfspaces)}
     rep = ehrhart_report(cube)
     assert {name: len(calls) for name, calls in counts.items()} == {

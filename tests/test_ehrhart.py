@@ -1,14 +1,16 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from ehrkit.errors import NonIntegralGenerator, NotFullDimensional
+from ehrkit.errors import ENUMERATION_LIMIT, NonIntegralGenerator, NotFullDimensional, WalkTooLarge
 from ehrkit.geometry import build_polytope, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.ehrhart import (
     SeriesForm,
     boundary_series,
     ehrhart_series,
+    fpp_lattice_points,
     fpp_points,
     hstar_boundary,
     hstar_interior,
@@ -75,6 +77,28 @@ def test_fpp_mixed_heights():
     assert fpp_points(S, [1, 2]) == brute_force_fpp(pts((0,), (F(1, 2),)), (False, False), [1, 2])
     with pytest.raises(NonIntegralGenerator):
         fpp_points(S, [1, 1])
+
+
+def test_walk_over_the_limit_raises_before_any_residue():
+    S = HalfOpenSimplex.closed(pts((0,), (ENUMERATION_LIMIT + 1,)))
+    with pytest.raises(WalkTooLarge):
+        next(iter(fpp_lattice_points(S, [1, 1])))
+
+
+def test_walk_memory_does_not_grow_with_det():
+    # det = 316^2 = 99856 residues over two odometer digits; a list of them
+    # would take about 20 MB.  A first untraced walk fills the interpreter's
+    # free lists, so the traced one allocates only what it keeps.
+    S = HalfOpenSimplex((pts((0, 0), (316, 0), (0, 316))), (False, True, False))
+    sum(1 for _ in fpp_lattice_points(S, [1, 1, 1]))
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in fpp_lattice_points(S, [1, 1, 1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walked == 316 ** 2
+    assert peak < 64 * 1024
 
 
 def test_hstar_simplex_examples():

@@ -1,17 +1,23 @@
-"""Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3.
+"""Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
+and over random half-open simplices for the parallelepiped walk.
 
 Examples are derandomized, so every run draws the same polytopes.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehrkit.decomposition import ehrhart_report, inequality_audit, stapledon_report
-from ehrkit.ehrhart import hstar_boundary, hstar_interior, hstar_polytope
+from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_interior, hstar_polytope
+from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope
 from ehrkit.oracle import hstar_from_counts
+from ehrkit.triangulation import HalfOpenSimplex
+
+from helpers import brute_force_fpp_points
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -72,3 +78,38 @@ def test_hstar_invariant_under_lattice_maps(case):
     h = hstar_polytope(P)
     for f in maps:
         assert hstar_polytope(build_polytope([f(v) for v in P.vertices])) == h
+
+
+@st.composite
+def parallelepipeds(draw):
+    """A half-open simplex in R^d, d <= 3, with heights clearing its denominators.
+
+    It has d + 1 vertices (a cone cell: square generator matrix) or d (a
+    boundary cell: d + 1 by d), and heights either a multiple of each vertex's
+    denominator or the b-route's (q, ..., q, ell).
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from((d, d + 1)))
+    dens = draw(st.lists(st.integers(1, 2 if d == 3 else 3), min_size=n, max_size=n))
+    vertices = tuple(tuple(Fraction(draw(st.integers(-den, den)), den) for _ in range(d))
+                     for den in dens)
+    if n > 1 and draw(st.booleans()):
+        q = lcm(*dens[:-1])
+        heights = [q] * (n - 1) + [dens[-1] * draw(st.integers(1, 2))]
+    else:
+        heights = [den * draw(st.integers(1, 2)) for den in dens]
+    missing = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    try:
+        S = HalfOpenSimplex(vertices, missing)
+    except AffinelyDependent:
+        assume(False)
+    return S, heights
+
+
+@settings(PROPERTY, max_examples=150)
+@given(parallelepipeds())
+def test_residue_walk_matches_box_scan(cell):
+    S, heights = cell
+    walked = sorted((point, tuple(Fraction(a, big) for a in nums))
+                    for point, nums, big in fpp_lattice_points(S, heights))
+    assert walked == brute_force_fpp_points(S.vertices, S.missing, heights)
