@@ -26,7 +26,6 @@ from operator import add, ge, sub
 
 from .errors import (
     ENUMERATION_LIMIT,
-    DimensionZero,
     IdentityViolated,
     NonIntegralGenerator,
     NotFullDimensional,
@@ -200,8 +199,6 @@ def hstar_boundary(P: Polytope, apex=None, seed: int = 0) -> GradedPolynomial:
     """Boundary h*-polynomial over (1 - z^q)^d: degree qd, palindromic."""
     if not P.is_full_dimensional:
         raise NotFullDimensional("boundary h* needs a full-dimensional polytope")
-    if P.dim < 1:
-        raise DimensionZero("a point has no boundary series")
     boundary, _ = half_open_decompose(triangulate_boundary(P), P, apex=apex, seed=seed)
     return hstar_cells(boundary.simplices, P.denominator_q)
 

@@ -1,7 +1,9 @@
 """Exception hierarchy and the enumeration size limit shared by all modules."""
 
-# Most candidates one enumeration may walk: bounding-box points in the oracle,
-# parallelepiped residues in the pipeline.  Both check it before they start.
+# Most candidates one enumeration may walk: bounding-box points in the oracle
+# and in the interior-point scans, parallelepiped residues in the pipeline.
+# Full scans check it before they start; the interior point search, which
+# stops at its first hit, counts its candidates against it as it goes.
 ENUMERATION_LIMIT = 10 ** 8
 
 
@@ -55,10 +57,6 @@ class BoundExceeded(EhrkitError):
 
 class NotLatticePolytope(EhrkitError):
     """Operation is defined for lattice polytopes only."""
-
-
-class DimensionZero(EhrkitError):
-    """Boundary operations need dimension at least one."""
 
 
 # -- enumeration kernels ------------------------------------------------------

@@ -5,9 +5,8 @@ enumeration is an incremental beneath-beyond insertion, which is all the
 sophistication needed at desk scale (dimension <= 6, <= 50 vertices).
 
 All types are immutable values; the only mutation anywhere is construct-once
-caches (the facet description here, cell halfspaces of a cone triangulation,
-the fields of an EhrhartReport), which are idempotent and safe to publish
-across threads.
+caches (the facet description here, the fields of an EhrhartReport), which
+are idempotent and safe to publish across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -298,22 +296,6 @@ def dual(P: Polytope) -> Polytope:
         raise OriginNotInterior("dual polytope needs the origin strictly inside")
     duals = [tuple(Fraction(a, hs.offset) for a in hs.normal) for hs in P.facets]
     return build_polytope(duals)
-
-
-def vertices_from_halfspaces(halfspaces, ambient_dim: int) -> tuple[Point, ...]:
-    """Vertex enumeration of a bounded intersection of halfspaces."""
-    verts = set()
-    for combo in combinations(halfspaces, ambient_dim):
-        rows = [hs.normal for hs in combo]
-        try:
-            x = solve_unique(rows, [hs.offset for hs in combo])
-        except ValueError:
-            continue
-        if x is None:
-            continue
-        if all(hs.slack(x) >= 0 for hs in halfspaces):
-            verts.add(x)
-    return tuple(sorted(verts))
 
 
 def project_to_affine_hull(P: Polytope) -> Polytope:

@@ -3,12 +3,13 @@
 One path cuts P into half-open cells: triangulate each facet whose hyperplane
 misses an apex by recursively pulling its lexicographically smallest vertex,
 cone the pieces over the apex, then pick a generic point y and remove from
-every cell the facets whose halfspace excludes y.  That turns the cover into
-a genuine partition with exactly one closed cell, which is what makes
-constant terms add up correctly downstream.  h* uses the lexicographically
-smallest vertex as apex; boundary h* and the b-route use an interior point x,
-over which every facet is pulled and the cells without x partition the
-boundary.
+every cell the facets visible from y: the facet opposite vertex i when y's
+barycentric coordinate i is negative, which one exact solve per cell decides
+(y is generic when no coordinate is zero).  That turns the cover into a
+genuine partition with exactly one closed cell, which is what makes constant
+terms add up correctly downstream.  h* uses the lexicographically smallest
+vertex as apex; boundary h* and the b-route use an interior point x, over
+which every facet is pulled and the cells without x partition the boundary.
 
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from a fixed perturbation schedule that is verified
@@ -19,21 +20,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, prod
 
 from .errors import (
+    ENUMERATION_LIMIT,
     AffinelyDependent,
     BoundExceeded,
+    BoxTooLarge,
     ExhaustedRetries,
     IdentityViolated,
     NotFullDimensional,
     NotGeneric,
     NotLatticePolytope,
 )
-from .geometry import (Halfspace, Point, Polytope, _make_halfspace, as_point, build_polytope,
-                       contains, dilate, format_rational)
+from .geometry import (Halfspace, Point, Polytope, as_point, build_polytope, contains, dilate,
+                       format_rational)
 from .linalg import diagonalize, matrix_rank, solve_unique, vec_add, vec_scale, vec_sub
 
 
@@ -110,11 +112,6 @@ class ConeTriangulation:
     cells: tuple[HalfOpenSimplex, ...]
     parent: Polytope
 
-    @cached_property
-    def _halfspaces(self) -> tuple[list[Halfspace], ...]:
-        """cell_halfspaces of every cell, for the generic point and the masks."""
-        return tuple(cell_halfspaces(cell) for cell in self.cells)
-
 
 def _facet_vertices(P: Polytope, hs: Halfspace) -> tuple[Point, ...]:
     return tuple(v for v in P.vertices if hs.slack(v) == 0)
@@ -162,8 +159,6 @@ def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
     """Closed (d-1)-simplices covering the boundary, using only vertices of P."""
     if not P.is_full_dimensional:
         raise NotFullDimensional("boundary triangulation needs a full-dimensional polytope")
-    if P.dim < 1:
-        raise NotFullDimensional("boundary triangulation needs dimension >= 1")
     return [HalfOpenSimplex.closed(piece) for piece in _pull_facets(P)]
 
 
@@ -178,13 +173,19 @@ def cone_over_boundary(T, P: Polytope, apex) -> ConeTriangulation:
     return ConeTriangulation(apex, cells, P)
 
 
-def cell_halfspaces(S: HalfOpenSimplex) -> list[Halfspace]:
-    """Facet halfspaces of a full-dimensional simplex; entry i is opposite vertex i."""
-    out = []
-    for i, v in enumerate(S.vertices):
-        others = [w for j, w in enumerate(S.vertices) if j != i]
-        out.append(_make_halfspace(others, v))
-    return out
+def _visibility(cone: ConeTriangulation, y: Point):
+    """Per cell, the mask of facets visible from y: True where y's barycentric
+    coordinate is negative.  None when y lies on some cell hyperplane, i.e. a
+    coordinate is zero."""
+    masks = []
+    for cell in cone.cells:
+        if cell.dim != len(y):
+            raise ValueError("cone cells must be full-dimensional simplices")
+        coords = cell.barycentric(y)
+        if 0 in coords:
+            return None
+        masks.append(tuple(c < 0 for c in coords))
+    return masks
 
 
 def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
@@ -203,31 +204,30 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
     if not contains(P, base, "interior"):
         base = vec_scale(Fraction(1, len(P.vertices)),
                          [sum(v[c] for v in P.vertices) for c in range(d)])
-    planes = [hs for cell_planes in Tprime._halfspaces for hs in cell_planes]
     for attempt in range(32):
         eps = Fraction(1, 64 * (seed + 1) * 2 ** attempt)
         offsetv = [Fraction(0)] * d
         for i in range(d):
             offsetv[(i + seed) % d] += eps ** (i + 1)
         y = vec_add(base, offsetv)
-        if contains(P, y, "interior") and all(hs.slack(y) != 0 for hs in planes):
+        if contains(P, y, "interior") and _visibility(Tprime, y) is not None:
             return y
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
 def _apply_visibility(cone: ConeTriangulation, y=None, seed: int = 0) -> ConeTriangulation:
-    """Remove from every cell the facets whose halfspace excludes y (default:
+    """Remove from every cell the facets visible from y (default:
     pick_generic_point).  The facet opposite the apex lies in a facet of P, so
     it is never removed, which lets the masks restrict to the base cells."""
     y = pick_generic_point(cone, seed=seed) if y is None else as_point(y)
+    masks = _visibility(cone, y)
+    if masks is None:
+        raise NotGeneric("point lies on a cell hyperplane")
     cells = []
-    for cell, planes in zip(cone.cells, cone._halfspaces):
-        slacks = [hs.slack(y) for hs in planes]
-        if 0 in slacks:
-            raise NotGeneric("point lies on a cell hyperplane")
-        if slacks[-1] < 0:
+    for cell, mask in zip(cone.cells, masks):
+        if mask[-1]:
             raise IdentityViolated("the facet opposite the apex is visible from y")
-        cells.append(HalfOpenSimplex(cell.vertices, tuple(s < 0 for s in slacks)))
+        cells.append(HalfOpenSimplex(cell.vertices, mask))
     return ConeTriangulation(cone.apex, tuple(cells), cone.parent)
 
 
@@ -256,32 +256,52 @@ def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
     return BoundaryTriangulation(boundary, P), cone
 
 
-def interior_lattice_points(P: Polytope) -> list[tuple[int, ...]]:
-    """All integer points strictly inside P, in lexicographic order."""
+def _box(P: Polytope) -> list[range]:
+    """The integer bounding box of P, one coordinate range per axis."""
+    return [range(ceil(min(v[c] for v in P.vertices)), floor(max(v[c] for v in P.vertices)) + 1)
+            for c in range(P.ambient_dim)]
+
+
+def _box_scan(P: Polytope):
+    """The integer points of P's bounding box, lazily in lexicographic order,
+    each paired with whether it lies strictly inside P."""
     facets = P.facets
-    lows = [ceil(min(v[c] for v in P.vertices)) for c in range(P.ambient_dim)]
-    highs = [floor(max(v[c] for v in P.vertices)) for c in range(P.ambient_dim)]
-    out = []
-    for u in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        if all(hs.slack(u) > 0 for hs in facets):
-            out.append(u)
-    return out
+    for u in product(*_box(P)):
+        yield u, all(hs.slack(u) > 0 for hs in facets)
+
+
+def interior_lattice_points(P: Polytope) -> list[tuple[int, ...]]:
+    """All integer points strictly inside P, in lexicographic order.
+
+    Raises BoxTooLarge before the scan when the bounding box has more than
+    ENUMERATION_LIMIT points.
+    """
+    size = prod(map(len, _box(P)))
+    if size > ENUMERATION_LIMIT:
+        raise BoxTooLarge("bounding box has %d candidate points" % size)
+    return [u for u, inside in _box_scan(P) if inside]
 
 
 def find_interior_point(P: Polytope):
     """Smallest positive integer ell with an interior lattice point in ell*P.
 
     Returns (ell, x) with x = u / ell for the lexicographically smallest such
-    lattice point u.  The search cannot legitimately pass q*(d+1).
+    lattice point u.  The search cannot legitimately pass q*(d+1).  It stops
+    at the first interior point and raises BoxTooLarge once it has visited
+    more than ENUMERATION_LIMIT candidates over all dilates.
     """
     if not P.is_full_dimensional:
         raise NotFullDimensional("interior point search needs a full-dimensional polytope")
     bound = P.denominator_q * (P.dim + 1)
+    visited = 0
     for ell in range(1, bound + 1):
-        pts = interior_lattice_points(dilate(P, ell))
-        if pts:
-            u = pts[0]
-            return ell, tuple(Fraction(c, ell) for c in u)
+        for u, inside in _box_scan(dilate(P, ell)):
+            visited += 1
+            if visited > ENUMERATION_LIMIT:
+                raise BoxTooLarge("interior point search passed %d candidates"
+                                  % ENUMERATION_LIMIT)
+            if inside:
+                return ell, tuple(Fraction(c, ell) for c in u)
     raise BoundExceeded("no interior lattice point up to dilation %d" % bound)
 
 

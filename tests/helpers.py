@@ -3,14 +3,17 @@
 These deliberately avoid the residue-enumeration kernel: parallelepiped
 points are found by scanning the integer bounding box and solving for the
 generator coefficients, and half-open membership counts go through the
-barycentric definition.  Slow and obviously correct.
+barycentric definition.  Visibility masks have a reference of their own,
+the slack signs of each cell's facet halfspaces, and facet descriptions one
+in vertex enumeration.  Slow and obviously correct.
 """
 
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, floor, lcm
 
+from ehrkit.geometry import _make_halfspace
 from ehrkit.linalg import matrix_rank, solve_unique
 
 
@@ -27,6 +30,45 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def cell_halfspaces(S):
+    """Facet halfspaces of a full-dimensional simplex; entry i is opposite vertex i."""
+    out = []
+    for i, v in enumerate(S.vertices):
+        others = [w for j, w in enumerate(S.vertices) if j != i]
+        out.append(_make_halfspace(others, v))
+    return out
+
+
+def slack_masks(cone, y):
+    """Per cell, True where the facet's halfspace excludes y (negative slack).
+
+    Fails when y lies on a cell hyperplane, which no generic point may do.
+    """
+    masks = []
+    for cell in cone.cells:
+        slacks = [hs.slack(y) for hs in cell_halfspaces(cell)]
+        if 0 in slacks:
+            raise AssertionError("y lies on a cell hyperplane")
+        masks.append(tuple(s < 0 for s in slacks))
+    return masks
+
+
+def vertices_from_halfspaces(halfspaces, ambient_dim):
+    """Vertex enumeration of a bounded intersection of halfspaces."""
+    verts = set()
+    for combo in combinations(halfspaces, ambient_dim):
+        rows = [hs.normal for hs in combo]
+        try:
+            x = solve_unique(rows, [hs.offset for hs in combo])
+        except ValueError:
+            continue
+        if x is None:
+            continue
+        if all(hs.slack(x) >= 0 for hs in halfspaces):
+            verts.add(x)
+    return tuple(sorted(verts))
 
 
 def brute_force_fpp(vertices, missing, heights):

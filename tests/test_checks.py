@@ -4,7 +4,9 @@ The checks are raises, not asserts, so these tests pass under ``python -O``
 as well.
 """
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,16 @@ from ehrkit.triangulation import find_interior_point, half_open_decompose, trian
 
 skew = build_polytope([(0, 0), (0, 2), (2, 0), (3, 3)])  # ell = 1, b = 3 + 3z
 square2 = build_polytope([(0, 0), (0, 2), (2, 0), (2, 2)])
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so a check written as one would silently vanish
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(Path(geometry.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    if found:
+        pytest.fail("assert statements in the library: " + ", ".join(found))
 
 
 def test_hstar_constant_term(monkeypatch):

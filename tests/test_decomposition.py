@@ -17,7 +17,7 @@ from ehrkit.decomposition import (
 )
 from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.oracle import count_points
-from ehrkit.triangulation import cell_halfspaces, find_interior_point
+from ehrkit.triangulation import find_interior_point, pick_generic_point
 
 from helpers import count_calls
 
@@ -193,14 +193,14 @@ def test_ehrhart_report_bundle():
 
 def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
     """cube-4d: 24 cells over a vertex for h*, 48 over x for the boundary and
-    the b-route; one halfspace set per cell, one walk per cell and route."""
+    the b-route; one generic point per cone, one walk per cell and route."""
     cube = build_polytope(list(product((0, 1), repeat=4)))
     counts = {fn.__name__: count_calls(monkeypatch, fn)
-              for fn in (find_interior_point, fpp_lattice_points, cell_halfspaces)}
+              for fn in (find_interior_point, fpp_lattice_points, pick_generic_point)}
     rep = ehrhart_report(cube)
     assert {name: len(calls) for name, calls in counts.items()} == {
         "find_interior_point": 1, "fpp_lattice_points": 24 + 48 + 48,
-        "cell_halfspaces": 24 + 48}
+        "pick_generic_point": 2}
     for field in ("q", "d", "ell", "hstar", "hstar_boundary", "hstar_interior",
                   "decomposition", "audit"):
         getattr(rep, field)

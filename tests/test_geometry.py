@@ -21,10 +21,10 @@ from ehrkit.geometry import (
     polytope_from_json_dict,
     project_to_affine_hull,
     translate,
-    vertices_from_halfspaces,
 )
 
 from conftest import CORPUS
+from helpers import vertices_from_halfspaces
 
 
 def pts(*coords):

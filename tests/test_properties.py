@@ -10,14 +10,14 @@ from math import lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ehrkit.decomposition import ehrhart_report, inequality_audit, stapledon_report
+from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit, stapledon_report
 from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope
 from ehrkit.oracle import hstar_from_counts
-from ehrkit.triangulation import HalfOpenSimplex
+from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, pick_generic_point
 
-from helpers import brute_force_fpp_points
+from helpers import brute_force_fpp_points, slack_masks
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -69,6 +69,14 @@ def test_report_fields_match_standalone_entry_points(P):
     assert report.hstar_interior == hstar_interior(P)
     assert report.decomposition == stapledon_report(P)
     assert report.audit == inequality_audit(P)
+
+
+@PROPERTY
+@given(rational_polytopes())
+def test_visibility_masks_are_slack_signs(P):
+    for cone in (half_open_cone(P, P.vertices[0]), EhrhartReport(P).cone[1]):
+        y = pick_generic_point(cone)
+        assert [cell.missing for cell in cone.cells] == slack_masks(cone, y)
 
 
 @PROPERTY

@@ -3,13 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from ehrkit.errors import AffinelyDependent, NotFullDimensional, NotGeneric
+from ehrkit import geometry, triangulation
+from ehrkit.decomposition import EhrhartReport
+from ehrkit.errors import AffinelyDependent, BoxTooLarge, NotFullDimensional, NotGeneric
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.triangulation import (
     BoundaryTriangulation,
     HalfOpenSimplex,
     cone_over_boundary,
     find_interior_point,
+    half_open_cone,
     half_open_decompose,
     interior_lattice_points,
     is_unimodular,
@@ -19,7 +22,7 @@ from ehrkit.triangulation import (
 )
 
 from conftest import CORPUS
-from helpers import count_in_scaled_cell, sample_in_polytope
+from helpers import cell_halfspaces, count_in_scaled_cell, sample_in_polytope, slack_masks
 
 
 def pts(*coords):
@@ -73,6 +76,24 @@ def test_find_interior_point():
     assert find_interior_point(seg_half) == (1, (F(0),))
 
 
+def test_find_interior_point_stops_at_the_first_point(monkeypatch):
+    # (1, 1) is candidate n + 3 of the first dilate; a full scan of its box
+    # would visit about 10^6 candidates
+    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 10 ** 4)
+    big = build_polytope(pts((0, 0), (1000, 0), (0, 1000)))
+    assert find_interior_point(big) == (1, (F(1), F(1)))
+
+
+def test_find_interior_point_counts_candidates_over_all_dilates(monkeypatch):
+    # boxes of 4 and 9 points in dilates 1 and 2, then (1, 1) is the 6th
+    # candidate of dilate 3: 19 in total
+    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 19)
+    assert find_interior_point(triangle) == (3, (F(1, 3), F(1, 3)))
+    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 18)
+    with pytest.raises(BoxTooLarge):
+        find_interior_point(triangle)
+
+
 def test_half_open_decompose_square():
     T = triangulate_boundary(square2)
     boundary, cone = half_open_decompose(T, square2)
@@ -94,6 +115,23 @@ def test_half_open_decompose_segment():
     T = triangulate_boundary(seg_half)
     boundary, _ = half_open_decompose(T, seg_half)
     assert sorted(s.missing_count for s in boundary.simplices) == [0, 1]
+
+
+def test_half_open_decompose_rejects_low_dimensional_cells():
+    T = [HalfOpenSimplex.closed(pts((0, 0)))]
+    with pytest.raises(ValueError, match="full-dimensional"):
+        half_open_decompose(T, square2, apex=(1, 1))
+
+
+def test_masks_are_slack_signs_over_corpus():
+    """Barycentric-sign masks equal the halfspace-slack masks at the same y,
+    for the cone over the lex-min vertex and for the report's cone over x."""
+    for _, P in CORPUS:
+        if not P.is_full_dimensional:
+            continue
+        for cone in (half_open_cone(P, P.vertices[0]), EhrhartReport(P).cone[1]):
+            y = pick_generic_point(cone)
+            assert [cell.missing for cell in cone.cells] == slack_masks(cone, y)
 
 
 def test_half_open_decompose_rejects_nongeneric_y():
@@ -121,7 +159,6 @@ def test_figure_configuration_with_split_edge():
 
 
 def test_pick_generic_point_is_generic():
-    from ehrkit.triangulation import cell_halfspaces
     T = triangulate_boundary(square2)
     cone = cone_over_boundary(T, square2, (1, 1))
     y = pick_generic_point(cone)
@@ -157,6 +194,21 @@ def test_boundary_triangulation_invariant():
 def test_interior_lattice_points():
     assert interior_lattice_points(dilate(triangle, 3)) == [(1, 1)]
     assert interior_lattice_points(square2) == [(1, 1)]
+
+
+def test_interior_lattice_points_checks_the_box_first(monkeypatch):
+    big = build_polytope(pts((0, 0), (20, 0), (0, 20)))  # a box of 441 points
+    assert len(big.facets) == 3  # built before slack is counted
+    slacks = []
+    real = geometry.Halfspace.slack
+    monkeypatch.setattr(geometry.Halfspace, "slack",
+                        lambda hs, x: slacks.append(x) or real(hs, x))
+    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 440)
+    with pytest.raises(BoxTooLarge, match="441"):
+        interior_lattice_points(big)
+    assert slacks == []
+    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 441)
+    assert len(interior_lattice_points(big)) == 19 * 18 // 2
 
 
 @pytest.mark.parametrize("name,P", [
