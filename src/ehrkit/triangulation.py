@@ -1,15 +1,19 @@
 """Half-open triangulations: facet pulling, coning and visibility.
 
 One path cuts P into half-open cells: triangulate each facet whose hyperplane
-misses an apex by recursively pulling its lexicographically smallest vertex,
-cone the pieces over the apex, then pick a generic point y and remove from
-every cell the facets visible from y: the facet opposite vertex i when y's
-barycentric coordinate i is negative, which one exact solve per cell decides
-(y is generic when no coordinate is zero).  That turns the cover into a
-genuine partition with exactly one closed cell, which is what makes constant
-terms add up correctly downstream.  h* uses the lexicographically smallest
-vertex as apex; boundary h* and the b-route use an interior point x, over
-which every facet is pulled and the cells without x partition the boundary.
+misses an apex by pulling, cone the pieces over the apex, then pick a generic
+point y and remove from every cell the facets visible from y: the facet
+opposite vertex i when y's barycentric coordinate i is negative, which one
+exact solve per cell decides (y is generic when no coordinate is zero).  That
+turns the cover into a genuine partition with exactly one closed cell, which
+is what makes constant terms add up correctly downstream.  h* uses the
+lexicographically smallest vertex as apex; boundary h* and the b-route use an
+interior point x, over which every facet is pulled and the cells without x
+partition the boundary.
+
+Pulling works on the face lattice that the hull's vertex-facet incidence
+already gives: every face, at every level of the recursion, is coned from its
+lexicographically smallest vertex, and no face is charted or re-hulled.
 
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from a fixed perturbation schedule that is verified
@@ -34,8 +38,9 @@ from .errors import (
     NotGeneric,
     NotLatticePolytope,
 )
-from .geometry import (Halfspace, Point, Polytope, as_point, build_polytope, contains, dilate,
-                       format_rational)
+# build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
+from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
+                       dilate, format_rational)
 from .linalg import diagonalize, matrix_rank, solve_unique, vec_add, vec_scale, vec_sub
 
 
@@ -113,46 +118,27 @@ class ConeTriangulation:
     parent: Polytope
 
 
-def _facet_vertices(P: Polytope, hs: Halfspace) -> tuple[Point, ...]:
-    return tuple(v for v in P.vertices if hs.slack(v) == 0)
-
-
-def _chart(points):
-    """Exact coordinates of the points in a chart of their affine hull."""
-    base = points[0]
-    basis = []
-    for p in points[1:]:
-        trial = basis + [vec_sub(p, base)]
-        if matrix_rank(trial) == len(trial):
-            basis.append(vec_sub(p, base))
-    columns = list(zip(*basis))
-    return [solve_unique(columns, vec_sub(p, base)) for p in points], len(basis)
-
-
-def _pull_triangulate(points) -> list[tuple[Point, ...]]:
-    """Pulling triangulation of conv(points): recursively cone the lex-min vertex
-    over the facets that do not contain it.  Returns lex-sorted vertex tuples."""
-    points = sorted(points)
-    charted, k = _chart(points)
-    if k == 0:
-        return [(points[0],)]
-    if len(points) == k + 1:
-        return [tuple(points)]
-    sub = build_polytope(charted)
-    chart_of = dict(zip(charted, points))
-    apex = min(sub.vertices)
-    return sorted(tuple(sorted(chart_of[c] for c in piece + (apex,)))
-                  for piece in _pull_facets(sub, apex))
-
-
 def _pull_facets(P: Polytope, apex=None) -> list[tuple[Point, ...]]:
     """Pulling triangulations of the facets of P whose hyperplane misses apex
-    (every facet when apex is None), as sorted vertex tuples in sorted order."""
-    pieces = []
-    for hs in P.facets:
-        if apex is None or hs.slack(apex) != 0:
-            pieces.extend(_pull_triangulate(_facet_vertices(P, hs)))
-    return sorted(pieces)
+    (every facet when apex is None), as sorted vertex tuples in sorted order.
+
+    A face is its vertex set, read off the hull's vertex-facet incidence: the
+    facets of a face are the maximal sets among its proper intersections with
+    the facets of P.  Pulling a face cones its lexicographically smallest
+    vertex over the pulled facets of the face that miss it."""
+    incidence = [frozenset(v for v in P.vertices if hs.slack(v) == 0) for hs in P.facets]
+
+    def pull(face):
+        if len(face) == 1:
+            return [tuple(face)]
+        meets = {face & F for F in incidence} - {face}
+        low = min(face)
+        return [tuple(sorted(piece + (low,)))
+                for G in meets if low not in G and not any(G < H for H in meets)
+                for piece in pull(G)]
+
+    return sorted(piece for hs, F in zip(P.facets, incidence)
+                  if apex is None or hs.slack(apex) != 0 for piece in pull(F))
 
 
 def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
@@ -196,11 +182,16 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
     the coordinate directions; genericity is verified exactly and the step is
     halved up to 32 times.
     """
-    P = Tprime.parent
-    if not Tprime.cells:
+    return _generic_point(Tprime, seed)[0]
+
+
+def _generic_point(cone: ConeTriangulation, seed: int):
+    """pick_generic_point's y together with its visibility masks."""
+    P = cone.parent
+    if not cone.cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
-    base = Tprime.apex
+    base = cone.apex
     if not contains(P, base, "interior"):
         base = vec_scale(Fraction(1, len(P.vertices)),
                          [sum(v[c] for v in P.vertices) for c in range(d)])
@@ -210,19 +201,21 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
         for i in range(d):
             offsetv[(i + seed) % d] += eps ** (i + 1)
         y = vec_add(base, offsetv)
-        if contains(P, y, "interior") and _visibility(Tprime, y) is not None:
-            return y
+        if contains(P, y, "interior") and (masks := _visibility(cone, y)) is not None:
+            return y, masks
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
 def _apply_visibility(cone: ConeTriangulation, y=None, seed: int = 0) -> ConeTriangulation:
     """Remove from every cell the facets visible from y (default:
-    pick_generic_point).  The facet opposite the apex lies in a facet of P, so
-    it is never removed, which lets the masks restrict to the base cells."""
-    y = pick_generic_point(cone, seed=seed) if y is None else as_point(y)
-    masks = _visibility(cone, y)
-    if masks is None:
-        raise NotGeneric("point lies on a cell hyperplane")
+    pick_generic_point's).  The facet opposite the apex lies in a facet of P,
+    so it is never removed, which lets the masks restrict to the base cells."""
+    if y is None:
+        y, masks = _generic_point(cone, seed)
+    else:
+        masks = _visibility(cone, as_point(y))
+        if masks is None:
+            raise NotGeneric("point lies on a cell hyperplane")
     cells = []
     for cell, mask in zip(cone.cells, masks):
         if mask[-1]:

@@ -5,16 +5,20 @@ points are found by scanning the integer bounding box and solving for the
 generator coefficients, and half-open membership counts go through the
 barycentric definition.  Visibility masks have a reference of their own,
 the slack signs of each cell's facet halfspaces, and facet descriptions one
-in vertex enumeration.  Slow and obviously correct.
+in vertex enumeration.  The pulling rule is checked face by face from the
+facet inequalities, and volumes by coning boundary pieces over a point.
+Slow and obviously correct.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, lcm
+from math import ceil, factorial, floor, lcm
 
 from ehrkit.geometry import _make_halfspace
-from ehrkit.linalg import matrix_rank, solve_unique
+from ehrkit.linalg import determinant, matrix_rank, solve_unique, vec_sub
+from ehrkit.triangulation import half_open_cone, triangulate_boundary
 
 
 def count_calls(monkeypatch, fn):
@@ -53,6 +57,48 @@ def slack_masks(cone, y):
             raise AssertionError("y lies on a cell hyperplane")
         masks.append(tuple(s < 0 for s in slacks))
     return masks
+
+
+def pulling_violations(P, pieces):
+    """The pieces, each a sorted vertex tuple, that break the pulling rule.
+
+    A pulled piece is a chain of faces of P: each suffix piece[k:] starts with
+    the lexicographically smallest vertex of the smallest face of P that
+    contains it, found here as the vertices tight on every facet tight on the
+    suffix.
+    """
+    bad = []
+    for piece in pieces:
+        for k in range(len(piece)):
+            tight = [hs for hs in P.facets if all(hs.slack(v) == 0 for v in piece[k:])]
+            face = [v for v in P.vertices if all(hs.slack(v) == 0 for hs in tight)]
+            if min(face) != piece[k]:
+                bad.append(piece)
+                break
+    return bad
+
+
+def check_pulled_pieces(P):
+    """Fails unless the boundary pieces of P follow the pulling rule and every
+    face of codimension one in a piece lies in exactly two pieces, and the
+    bases of the cells over the lex-min vertex follow the rule too.  Returns
+    the boundary pieces."""
+    pieces = [S.vertices for S in triangulate_boundary(P)]
+    assert pulling_violations(P, pieces) == []
+    ridges = Counter(ridge for piece in pieces for ridge in combinations(piece, len(piece) - 1))
+    assert set(ridges.values()) == {2}
+    cone = half_open_cone(P, P.vertices[0])
+    assert pulling_violations(P, [cell.vertices[:-1] for cell in cone.cells]) == []
+    return pieces
+
+
+def cone_volume(P, pieces):
+    """Volume of P from boundary pieces that tile its boundary, each coned over
+    the vertex centroid."""
+    n = len(P.vertices)
+    centre = [sum(v[c] for v in P.vertices) / n for c in range(P.ambient_dim)]
+    total = sum(abs(determinant([vec_sub(v, centre) for v in piece])) for piece in pieces)
+    return total / factorial(P.ambient_dim)
 
 
 def vertices_from_halfspaces(halfspaces, ambient_dim):

@@ -8,7 +8,7 @@ from ehrkit.geometry import polytope_from_json_dict
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import DecompositionReport
 from ehrkit.rational_ehrhart import RationalSeriesReport
-from ehrkit.triangulation import find_interior_point, pick_generic_point
+from ehrkit.triangulation import _generic_point, find_interior_point
 
 from helpers import count_calls
 
@@ -178,7 +178,7 @@ def test_verify_computes_hstar_once_per_polytope(square2_file, p52_file, monkeyp
 
 
 def test_dump_triangulation_reuses_the_cone(square2_file, tmp_path, monkeypatch, capsys):
-    counts = [count_calls(monkeypatch, fn) for fn in (find_interior_point, pick_generic_point)]
+    counts = [count_calls(monkeypatch, fn) for fn in (find_interior_point, _generic_point)]
     assert run(["boundary", "-f", square2_file,
                 "--dump-triangulation", str(tmp_path / "tri.json")]) == 0
     capsys.readouterr()

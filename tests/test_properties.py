@@ -1,11 +1,12 @@
 """Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
-and over random half-open simplices for the parallelepiped walk.
+with an oracle-free metamorphic check in d = 4, 5, q <= 2, and over random
+half-open simplices for the parallelepiped walk.
 
 Examples are derandomized, so every run draws the same polytopes.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from ehrkit.geometry import build_polytope
 from ehrkit.oracle import hstar_from_counts
 from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, pick_generic_point
 
-from helpers import brute_force_fpp_points, slack_masks
+from helpers import brute_force_fpp_points, check_pulled_pieces, cone_volume, slack_masks
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -86,6 +87,51 @@ def test_hstar_invariant_under_lattice_maps(case):
     h = hstar_polytope(P)
     for f in maps:
         assert hstar_polytope(build_polytope([f(v) for v in P.vertices])) == h
+
+
+@PROPERTY
+@given(rational_polytopes())
+def test_pieces_follow_the_pulling_rule(P):
+    check_pulled_pieces(P)
+
+
+@st.composite
+def polytopes_and_unimodular_images(draw):
+    """A polytope with d = 4, 5, q <= 2 and d + 1 to d + 2 vertices, and its
+    image under a random unimodular map (a signed permutation times unit row
+    operations) plus an integer translation."""
+    d = draw(st.integers(4, 5))
+    q = draw(st.integers(1, 2))
+    coordinate = st.integers(-q, q).map(lambda n: Fraction(n, q))
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 2))
+    P = build_polytope(points)
+    assume(P.dim == d)
+    order = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
+    M = [[signs[i] if j == order[i] else 0 for j in range(d)] for i in range(d)]
+    index = st.integers(0, d - 1)
+    for i, j, k in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    shift = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    image = [tuple(sum(a * c for a, c in zip(row, v)) + t for row, t in zip(M, shift))
+             for v in P.vertices]
+    return P, build_polytope(image)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(polytopes_and_unimodular_images())
+def test_metamorphic_in_dimensions_four_and_five(case):
+    """No oracle: h* is invariant under the lattice map, boundary h* is
+    palindromic of degree qd, and h*(1) = d! q^(d+1) vol (what `volume`
+    reads) matches the volume of the boundary pieces coned over a point."""
+    P, image = case
+    q, d = P.denominator_q, P.dim
+    pieces = check_pulled_pieces(P)
+    h = hstar_polytope(P)
+    assert hstar_polytope(image) == h
+    assert hstar_boundary(P).is_palindromic(q * d)
+    assert h.evaluate_at_one() == factorial(d) * q ** (d + 1) * cone_volume(P, pieces)
 
 
 @st.composite

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 from ehrkit import geometry, triangulation
-from ehrkit.decomposition import EhrhartReport
+from ehrkit.decomposition import EhrhartReport, ehrhart_report
 from ehrkit.errors import AffinelyDependent, BoxTooLarge, NotFullDimensional, NotGeneric
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.triangulation import (
@@ -22,7 +23,14 @@ from ehrkit.triangulation import (
 )
 
 from conftest import CORPUS
-from helpers import cell_halfspaces, count_in_scaled_cell, sample_in_polytope, slack_masks
+from helpers import (
+    cell_halfspaces,
+    check_pulled_pieces,
+    count_calls,
+    count_in_scaled_cell,
+    sample_in_polytope,
+    slack_masks,
+)
 
 
 def pts(*coords):
@@ -33,6 +41,9 @@ square2 = build_polytope(pts((0, 0), (0, 2), (2, 0), (2, 2)))
 triangle = build_polytope(pts((0, 0), (1, 0), (0, 1)))
 cube = build_polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 seg_half = build_polytope([(F(-1, 2),), (F(1, 2),)])
+# Its facet -4y - 3z <= 2 has four vertices; both pieces there must hold the
+# lex-min one, (-2, 1, -2).
+five_vertex = build_polytope(pts((-2, 1, -2), (-1, -2, 2), (1, 2, 2), (2, -2, 2), (2, 1, -2)))
 
 
 def test_triangulate_boundary_counts():
@@ -50,6 +61,24 @@ def test_triangulate_boundary_uses_only_vertices():
         for S in triangulate_boundary(P):
             assert all(v in P.vertices for v in S.vertices)
             assert S.is_closed and S.dim == P.dim - 1
+
+
+def test_pieces_follow_the_pulling_rule():
+    """Boundary pieces, and the bases of the cells over the lex-min vertex,
+    hold the lex-min vertex of every face in their pulling chain, and the
+    boundary pieces close up."""
+    for P in [P for _, P in CORPUS if P.is_full_dimensional] + [five_vertex]:
+        check_pulled_pieces(P)
+
+
+def test_pulling_builds_no_hull(monkeypatch):
+    """Faces come from the hull's vertex-facet incidence, never from a new hull."""
+    cube4 = build_polytope(list(product((0, 1), repeat=4)))
+    calls = count_calls(monkeypatch, build_polytope)
+    triangulate_boundary(cube4)
+    assert len(calls) == 0
+    ehrhart_report(cube4)
+    assert len(calls) == 0
 
 
 def test_pyramid_mask_rule():
