@@ -15,7 +15,6 @@ from .geometry import (
     contains,
     dilate,
     dual,
-    facet_description,
     project_to_affine_hull,
     translate,
 )

@@ -1,7 +1,8 @@
 """Exact rational polytopes: vertices, facets, containment, dilation, duality.
 
 Points are tuples of Fraction; every predicate is decided exactly.  Facet
-enumeration is an incremental beneath-beyond insertion, which is all the
+enumeration is an incremental beneath-beyond insertion on the points scaled
+to integers, with fraction-free (Bareiss) facet normals: all the
 sophistication needed at desk scale (dimension <= 6, <= 50 vertices).
 
 All types are immutable values; the only mutation anywhere is construct-once
@@ -28,9 +29,11 @@ from .errors import (
     OriginNotInterior,
 )
 from .linalg import (
+    _int_normal,
+    _int_rank,
+    _scaled,
     diagonalize,
     dot,
-    hyperplane_through,
     invert_unimodular,
     matrix_rank,
     primitive_row,
@@ -84,76 +87,88 @@ class Halfspace:
         return {"normal": [str(a) for a in self.normal], "offset": str(self.offset)}
 
 
-def _make_halfspace(points: list[Point], inside: Point) -> Halfspace:
-    """Halfspace through the given d points, oriented to contain `inside` strictly."""
-    normal, offset = hyperplane_through(points)
-    side = dot(normal, inside) - offset
+def _halfspaces(rows) -> tuple[Halfspace, ...]:
+    """Sorted halfspaces normal . x <= offset from rational rows (*normal, offset)."""
+    return tuple(sorted(Halfspace(r[:-1], r[-1]) for r in map(primitive_row, rows)))
+
+
+def _facet_plane(rows, inside, weight):
+    """Primitive integer (normal, offset) of the hyperplane through the d
+    integer points `rows`, oriented so that normal . inside < weight * offset."""
+    base = rows[0]
+    normal = _int_normal([vec_sub(r, base) for r in rows[1:]], len(base))
+    offset = dot(normal, base)
+    side = dot(normal, inside) - weight * offset
     if side == 0:
         raise ValueError("orientation reference lies on the hyperplane")
     if side > 0:
         normal, offset = tuple(-a for a in normal), -offset
-    return Halfspace(normal, offset)
+    return normal, offset
+
+
+def _affine_basis(ints, k):
+    """Indices of up to k + 1 affinely independent integer points, from ints[0] on."""
+    basis = [0]
+    for i in range(1, len(ints)):
+        if len(basis) == k + 1:
+            break
+        if _int_rank([vec_sub(ints[j], ints[0]) for j in basis[1:] + [i]]) == len(basis):
+            basis.append(i)
+    return basis
 
 
 def _hull_full_dim(points: list[Point], d: int):
     """Beneath-beyond hull of points affinely spanning R^d.
 
     Returns (vertices, facets): the extreme points (lex sorted) and the
-    irredundant gcd-normalized facet list (lex sorted).  Coplanar simplicial
-    pieces produced during insertion are merged by supporting hyperplane at
-    the end, and extreme points are recognized by their tight facet normals
-    having full rank.
+    irredundant gcd-normalized facet list (lex sorted).  It runs on the points
+    times L, the lcm of their denominators, and keeps its ridge map across
+    insertions; each ridge of a new facet must lie in exactly two facets.
+    Coplanar simplicial pieces are merged by supporting hyperplane at the
+    end, extreme points are recognized by their tight facet normals having
+    full rank, and the offsets are divided back by L.
     """
-    # greedy affinely independent start simplex
-    simplex = [0]
-    for i in range(1, len(points)):
-        trial = simplex + [i]
-        if matrix_rank([vec_sub(points[j], points[trial[0]]) for j in trial[1:]]) == len(trial) - 1:
-            simplex.append(i)
-        if len(simplex) == d + 1:
-            break
+    scale, ints = _scaled(points)
+    simplex = _affine_basis(ints, d)
     if len(simplex) != d + 1:
         raise ValueError("points do not span the ambient space")
+    inside = tuple(sum(ints[i][c] for i in simplex) for c in range(d))  # (d+1) * centroid
 
-    centroid = vec_scale(Fraction(1, d + 1),
-                         [sum(points[i][c] for i in simplex) for c in range(d)])
+    facets = []  # (vertex ids, normal, offset); None once a later point sees it
+    ridges: dict[tuple, list[int]] = {}  # ridge -> the facets through it
 
-    def make_facet(vert_ids):
-        hs = _make_halfspace([points[i] for i in vert_ids], centroid)
-        return (tuple(sorted(vert_ids)), hs)
+    def add_facet(ids):
+        facets.append((ids, *_facet_plane([ints[i] for i in ids], inside, d + 1)))
+        for k in range(d):
+            ridges.setdefault(ids[:k] + ids[k + 1:], []).append(len(facets) - 1)
+        return ids
 
-    facets = [make_facet([j for j in simplex if j != i]) for i in simplex]
-
-    for ip in range(len(points)):
+    for i in simplex:
+        add_facet(tuple(j for j in simplex if j != i))
+    for ip, p in enumerate(ints):
         if ip in simplex:
             continue
-        p = points[ip]
-        visible = {fi for fi, (_, hs) in enumerate(facets) if hs.slack(p) < 0}
-        if not visible:
-            continue
-        ridge_map: dict[frozenset, list[int]] = {}
-        for fi, (verts, _) in enumerate(facets):
-            for drop in verts:
-                ridge_map.setdefault(frozenset(verts) - {drop}, []).append(fi)
+        visible = {fi for fi, f in enumerate(facets) if f and dot(f[1], p) > f[2]}
         horizon = []
-        for ridge, incident in ridge_map.items():
-            if len(incident) != 2:
+        for fi in visible:
+            ids = facets[fi][0]
+            facets[fi] = None
+            for ridge in (ids[:k] + ids[k + 1:] for k in range(d)):
+                ridges[ridge].remove(fi)
+                if ridges[ridge] and ridges[ridge][0] not in visible:
+                    horizon.append(ridge)
+        for ids in [add_facet(tuple(sorted(ridge + (ip,)))) for ridge in sorted(horizon)]:
+            if any(len(ridges[ids[:k] + ids[k + 1:]]) != 2 for k in range(d)):
                 raise IdentityViolated("hull boundary is not a closed pseudomanifold")
-            if (incident[0] in visible) != (incident[1] in visible):
-                horizon.append(ridge)
-        new_facets = [make_facet(sorted(ridge) + [ip]) for ridge in sorted(horizon, key=sorted)]
-        facets = [f for fi, f in enumerate(facets) if fi not in visible] + new_facets
 
-    merged = sorted({hs for _, hs in facets})
-    if any(hs.slack(p) < 0 for p in points for hs in merged):
+    planes = sorted({f[1:] for f in facets if f})
+    slacks = [[offset - dot(normal, w) for normal, offset in planes] for w in ints]
+    if any(s < 0 for row in slacks for s in row):
         raise IdentityViolated("hull misses an input point")
-
-    vertices = []
-    for p in points:
-        tight = [hs.normal for hs in merged if hs.slack(p) == 0]
-        if len(tight) >= d and matrix_rank(tight) == d:
-            vertices.append(p)
-    return tuple(sorted(vertices)), tuple(merged)
+    vertices = [p for p, row in zip(points, slacks)
+                if _int_rank([n for (n, _), s in zip(planes, row) if s == 0]) == d]
+    return (tuple(sorted(vertices)),
+            _halfspaces(normal + (Fraction(offset, scale),) for normal, offset in planes))
 
 
 @dataclass(frozen=True)
@@ -221,26 +236,14 @@ def build_polytope(points) -> Polytope:
         poly.__dict__["facets"] = facets  # hull byproduct; identical to lazy result
         return poly
     else:
-        basis = [0]
-        for i in range(1, len(pts)):
-            trial = basis + [i]
-            if matrix_rank([vec_sub(pts[j], pts[0]) for j in trial[1:]]) == len(trial) - 1:
-                basis.append(i)
-            if len(basis) == dim + 1:
-                break
-        chart_rows = [vec_sub(pts[j], pts[basis[0]]) for j in basis[1:]]
-        columns = list(zip(*chart_rows))
-        charted = [solve_unique(columns, vec_sub(p, pts[basis[0]])) for p in pts]
+        basis = _affine_basis(_scaled(pts)[1], dim)
+        columns = list(zip(*(vec_sub(pts[j], pts[0]) for j in basis[1:])))
+        charted = [solve_unique(columns, vec_sub(p, pts[0])) for p in pts]
         chart_verts, _ = _hull_full_dim(charted, dim)
         keep = set(chart_verts)
         verts = tuple(sorted(p for p, c in zip(pts, charted) if c in keep))
 
     return Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
-
-
-def facet_description(P: Polytope) -> tuple[Halfspace, ...]:
-    """Irredundant gcd-normalized halfspaces of a full-dimensional polytope."""
-    return P.facets
 
 
 def contains(P: Polytope, x, mode: str = "closed") -> bool:
@@ -266,11 +269,7 @@ def dilate(P: Polytope, t) -> Polytope:
     verts = tuple(sorted(vec_scale(t, v) for v in P.vertices))
     out = Polytope(verts, P.ambient_dim, P.dim, lcm(*(point_denominator(v) for v in verts)))
     if "facets" in P.__dict__ and P.is_full_dimensional:
-        scaled = []
-        for hs in P.facets:
-            row = primitive_row(list(hs.normal) + [t * hs.offset])
-            scaled.append(Halfspace(row[:-1], row[-1]))
-        out.__dict__["facets"] = tuple(sorted(scaled))
+        out.__dict__["facets"] = _halfspaces(hs.normal + (t * hs.offset,) for hs in P.facets)
     return out
 
 
@@ -281,11 +280,8 @@ def translate(P: Polytope, v) -> Polytope:
     verts = tuple(sorted(vec_add(p, v) for p in P.vertices))
     out = Polytope(verts, P.ambient_dim, P.dim, lcm(*(point_denominator(p) for p in verts)))
     if "facets" in P.__dict__ and P.is_full_dimensional:
-        moved = []
-        for hs in P.facets:
-            row = primitive_row(list(hs.normal) + [hs.offset + dot(hs.normal, v)])
-            moved.append(Halfspace(row[:-1], row[-1]))
-        out.__dict__["facets"] = tuple(sorted(moved))
+        out.__dict__["facets"] = _halfspaces(hs.normal + (hs.offset + dot(hs.normal, v),)
+                                             for hs in P.facets)
     return out
 
 
@@ -316,10 +312,7 @@ def project_to_affine_hull(P: Polytope) -> Polytope:
     for v in P.vertices:
         den = point_denominator(v)
         homog.append(tuple(int(c * den) for c in v) + (den,))
-    basis = [homog[0]]
-    for row in homog[1:]:
-        if matrix_rank(basis + [row]) > len(basis):
-            basis.append(row)
+    basis = [homog[i] for i in _affine_basis(_scaled(P.vertices)[1], P.dim)]
     r = len(basis)  # == dim + 1
 
     columns = [list(col) for col in zip(*basis)]  # (d+1) x r, full column rank

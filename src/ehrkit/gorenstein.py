@@ -34,7 +34,7 @@ from .errors import (
     NotLatticePolytope,
     OriginNotInterior,
 )
-from .geometry import Polytope, as_point, contains, dilate, translate
+from .geometry import Polytope, as_point, contains, dilate
 from .gradedpoly import GradedPolynomial
 from .decomposition import EhrhartReport
 from .triangulation import find_interior_point, interior_lattice_points

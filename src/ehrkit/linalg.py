@@ -1,7 +1,9 @@
 """Small exact linear algebra over rationals and integers.
 
-Everything is sized for polytope work in ambient dimension <= 7 or so; plain
-Gaussian elimination over Fraction is exact and fast enough at that scale.
+Everything is sized for polytope work in ambient dimension <= 7 or so.  Ranks
+and facet normals come from fraction-free (Bareiss) elimination of integer
+rows, rational rows being scaled to integers first; solving runs plain
+Gaussian elimination over Fraction, exact and fast enough at that scale.
 """
 
 from __future__ import annotations
@@ -29,25 +31,7 @@ def vec_scale(c, a):
 
 
 def matrix_rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for i in range(rank + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return _int_rank(_scaled(list(rows))[1])
 
 
 def determinant(rows) -> Fraction:
@@ -122,27 +106,54 @@ def primitive_row(values) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def hyperplane_through(points):
-    """Primitive integer (normal, offset) with normal . p == offset for d points in R^d.
+def _scaled(points):
+    """(L, the points times L as integer tuples), L the lcm of their denominators."""
+    # a set keeps lcm's argument tuple short; long tuples of many sizes fill CPython's free lists
+    scale = lcm(*{c.denominator for p in points for c in p})
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
 
-    The points must affinely span a hyperplane; the normal is the generalized
-    cross product of their edge vectors, jointly normalized with the offset so
-    that gcd(normal entries, offset) == 1.
+
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, and the
+    column of each row's pivot.  Every entry is a minor of the input, so each
+    division is exact; the last pivot is, up to sign, the pivot minor."""
+    m = [list(row) for row in rows]
+    pivots, prev = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        top, pv = m[r], m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], top)]
+        pivots.append(c)
+        prev = pv
+    return m, pivots
+
+
+def _int_rank(rows) -> int:
+    return len(_echelon(rows)[1])
+
+
+def _int_normal(rows, d):
+    """Primitive integer normal to d-1 linearly independent integer rows in Z^d.
+
+    Back substitution in the fraction-free echelon form, with the free
+    coordinate set to the last pivot, gives the cofactor vector up to sign,
+    so every division is exact.  Raises ValueError for dependent rows.
     """
-    d = len(points[0])
-    if len(points) != d:
-        raise ValueError("need exactly d points for a hyperplane in R^d")
-    edges = [vec_sub(p, points[0]) for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in edges]
-        cof = determinant(minor)
-        normal.append(cof if j % 2 == 0 else -cof)
-    if all(x == 0 for x in normal):
-        raise ValueError("points are affinely dependent")
-    offset = dot(normal, points[0])
-    row = primitive_row(list(normal) + [offset])
-    return row[:-1], row[-1]
+    m, pivots = _echelon(rows)
+    if len(m) != d - 1 or len(pivots) != d - 1:
+        raise ValueError("need d-1 independent rows in dimension d")
+    x = [0] * d
+    x[next(c for c in range(d) if c not in pivots)] = m[-1][pivots[-1]] if m else 1
+    for row, c in reversed(list(zip(m, pivots))):
+        x[c] = -dot(row, x) // row[c]
+    g = gcd(*x)
+    return tuple(a // g for a in x)
 
 
 def diagonalize(rows, want_u=False):
@@ -217,21 +228,10 @@ def diagonalize(rows, want_u=False):
 def invert_unimodular(mat):
     """Exact inverse of a unimodular integer matrix, returned with int entries."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in inv for x in row):
+    columns = [solve_unique(mat, [int(i == j) for i in range(n)]) for j in range(n)]
+    if any(x.denominator != 1 for col in columns for x in col):
         raise IdentityViolated("matrix was not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return [[int(col[i]) for col in columns] for i in range(n)]
 
 
 def interpolate_polynomial(xs, ys):

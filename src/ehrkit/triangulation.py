@@ -41,7 +41,8 @@ from .errors import (
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
 from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
                        dilate, format_rational)
-from .linalg import diagonalize, matrix_rank, solve_unique, vec_add, vec_scale, vec_sub
+from .linalg import (_int_rank, _scaled, diagonalize, dot, solve_unique, vec_add, vec_scale,
+                     vec_sub)
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class HalfOpenSimplex:
     def __post_init__(self):
         if len(self.vertices) != len(self.missing):
             raise ValueError("mask length must equal vertex count")
-        edges = [vec_sub(v, self.vertices[0]) for v in self.vertices[1:]]
-        if matrix_rank(edges) != len(self.vertices) - 1:
+        _, rows = _scaled(self.vertices)
+        if _int_rank([vec_sub(r, rows[0]) for r in rows[1:]]) != len(rows) - 1:
             raise AffinelyDependent("simplex vertices are affinely dependent")
 
     @staticmethod
@@ -118,27 +119,38 @@ class ConeTriangulation:
     parent: Polytope
 
 
+def _pull_face(face, incidence, pulled):
+    """Pulling triangulation of a face, given as its vertex set: the lex-min
+    vertex coned over the pulled facets of the face that miss it.  The facets
+    of a face are its maximal proper intersections with the sets in
+    `incidence`; `pulled` memoizes the faces already pulled."""
+    if len(face) == 1:
+        return [tuple(face)]
+    meets = {face & F for F in incidence} - {face}
+    low = min(face)
+    pieces = []
+    for G in meets:
+        if low not in G and not any(G < H for H in meets):
+            if G not in pulled:
+                pulled[G] = _pull_face(G, incidence, pulled)
+            pieces += [(low,) + piece for piece in pulled[G]]  # low precedes all of G
+    return pieces
+
+
 def _pull_facets(P: Polytope, apex=None) -> list[tuple[Point, ...]]:
     """Pulling triangulations of the facets of P whose hyperplane misses apex
     (every facet when apex is None), as sorted vertex tuples in sorted order.
 
-    A face is its vertex set, read off the hull's vertex-facet incidence: the
-    facets of a face are the maximal sets among its proper intersections with
-    the facets of P.  Pulling a face cones its lexicographically smallest
-    vertex over the pulled facets of the face that miss it."""
-    incidence = [frozenset(v for v in P.vertices if hs.slack(v) == 0) for hs in P.facets]
-
-    def pull(face):
-        if len(face) == 1:
-            return [tuple(face)]
-        meets = {face & F for F in incidence} - {face}
-        low = min(face)
-        return [tuple(sorted(piece + (low,)))
-                for G in meets if low not in G and not any(G < H for H in meets)
-                for piece in pull(G)]
-
+    A face is its vertex set, read off the hull's vertex-facet incidence,
+    which integer arithmetic decides: normal . (q v) == q offset with q the
+    denominator of P.  Each face is pulled once per call."""
+    q, scaled = _scaled(P.vertices)
+    incidence = [frozenset(v for v, w in zip(P.vertices, scaled)
+                           if dot(hs.normal, w) == q * hs.offset) for hs in P.facets]
+    pulled = {}
     return sorted(piece for hs, F in zip(P.facets, incidence)
-                  if apex is None or hs.slack(apex) != 0 for piece in pull(F))
+                  if apex is None or hs.slack(apex) != 0
+                  for piece in _pull_face(F, incidence, pulled))
 
 
 def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
@@ -314,11 +326,7 @@ def is_unimodular(T, parent: Polytope | None = None) -> bool:
         raise NotLatticePolytope("unimodularity is defined for lattice polytopes")
     for S in simplices:
         rows = [tuple(int(c) for c in v) + (1,) for v in S.vertices]
-        diag, _ = diagonalize(list(zip(*rows)))  # columns = homogenized vertices
-        vol = 1
-        for s in diag:
-            vol *= s
-        if vol != 1:
+        if prod(diagonalize(list(zip(*rows)))[0]) != 1:  # columns = homogenized vertices
             return False
     return True
 

@@ -4,8 +4,9 @@ These deliberately avoid the residue-enumeration kernel: parallelepiped
 points are found by scanning the integer bounding box and solving for the
 generator coefficients, and half-open membership counts go through the
 barycentric definition.  Visibility masks have a reference of their own,
-the slack signs of each cell's facet halfspaces, and facet descriptions one
-in vertex enumeration.  The pulling rule is checked face by face from the
+the slack signs of each cell's facet halfspaces, facet descriptions one in
+vertex enumeration, and the hull one that tries every Fraction hyperplane
+through d of the points.  The pulling rule is checked face by face from the
 facet inequalities, and volumes by coning boundary pieces over a point.
 Slow and obviously correct.
 """
@@ -16,8 +17,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, factorial, floor, lcm
 
-from ehrkit.geometry import _make_halfspace
-from ehrkit.linalg import determinant, matrix_rank, solve_unique, vec_sub
+from ehrkit.geometry import Halfspace, as_point
+from ehrkit.linalg import determinant, dot, matrix_rank, primitive_row, solve_unique, vec_sub
 from ehrkit.triangulation import half_open_cone, triangulate_boundary
 
 
@@ -34,6 +35,77 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def hyperplane_through(points):
+    """Primitive integer (normal, offset) with normal . p == offset for d points in R^d.
+
+    The normal is the generalized cross product of the edge vectors, d
+    Fraction cofactor determinants, jointly normalized with the offset so
+    that gcd(normal entries, offset) == 1.
+    """
+    d = len(points[0])
+    if len(points) != d:
+        raise ValueError("need exactly d points for a hyperplane in R^d")
+    edges = [vec_sub(p, points[0]) for p in points[1:]]
+    normal = []
+    for j in range(d):
+        cof = determinant([[row[c] for c in range(d) if c != j] for row in edges])
+        normal.append(cof if j % 2 == 0 else -cof)
+    if all(x == 0 for x in normal):
+        raise ValueError("points are affinely dependent")
+    row = primitive_row(normal + [dot(normal, points[0])])
+    return row[:-1], row[-1]
+
+
+def _make_halfspace(points, inside):
+    """Halfspace through the given d points, oriented to contain `inside` strictly."""
+    normal, offset = hyperplane_through(points)
+    side = dot(normal, inside) - offset
+    if side == 0:
+        raise ValueError("orientation reference lies on the hyperplane")
+    if side > 0:
+        normal, offset = tuple(-a for a in normal), -offset
+    return Halfspace(normal, offset)
+
+
+def brute_force_hull(points):
+    """(vertices, facets) of a full-dimensional hull, as sorted tuples.
+
+    The facets are every halfspace through d affinely independent input
+    points that has all the points on its side, and the vertices the points
+    whose tight facet normals have rank d.
+    """
+    pts = sorted({as_point(p) for p in points})
+    d = len(pts[0])
+    centre = tuple(sum(p[c] for p in pts) / len(pts) for c in range(d))
+    facets = set()
+    for combo in combinations(pts, d):
+        try:  # dependent points, or a plane through the centre, which supports no facet
+            hs = _make_halfspace(list(combo), centre)
+        except ValueError:
+            continue
+        if all(hs.slack(p) >= 0 for p in pts):
+            facets.add(hs)
+    vertices = [p for p in pts
+                if fraction_rank([hs.normal for hs in facets if hs.slack(p) == 0]) == d]
+    return tuple(vertices), tuple(sorted(facets))
 
 
 def cell_halfspaces(S):

@@ -122,17 +122,17 @@ def test_residues_are_lattice_points(monkeypatch):
 
 
 def _flip_halfspace(monkeypatch, k):
-    """Make the hull's k-th new halfspace (1-based) face the wrong way."""
-    real = geometry._make_halfspace
+    """Make the hull's k-th new facet plane (1-based) face the wrong way."""
+    real = geometry._facet_plane
     made = []
 
-    def flipped(points, centroid):
-        hs = real(points, centroid)
-        made.append(hs)
+    def flipped(rows, inside, weight):
+        normal, offset = real(rows, inside, weight)
+        made.append(normal)
         if len(made) == k:
-            return Halfspace(tuple(-a for a in hs.normal), -hs.offset)
-        return hs
-    monkeypatch.setattr(geometry, "_make_halfspace", flipped)
+            return tuple(-a for a in normal), -offset
+        return normal, offset
+    monkeypatch.setattr(geometry, "_facet_plane", flipped)
 
 
 def test_hull_misses_a_point(monkeypatch):

@@ -16,7 +16,6 @@ from ehrkit.geometry import (
     contains,
     dilate,
     dual,
-    facet_description,
     parse_rational,
     polytope_from_json_dict,
     project_to_affine_hull,
@@ -74,7 +73,7 @@ def test_degenerate_inputs_allowed_as_objects():
     seg = build_polytope(pts((0, 0), (1, 1), (2, 2)))
     assert seg.dim == 1 and seg.vertices == ((F(0), F(0)), (F(2), F(2)))
     with pytest.raises(NotFullDimensional):
-        facet_description(point)
+        point.facets
 
 
 def test_facets_wide_triangle():
@@ -100,7 +99,7 @@ def test_facets_sorted_and_normalized():
     for _, P in CORPUS:
         if not P.is_full_dimensional:
             continue
-        facets = facet_description(P)
+        facets = P.facets
         assert list(facets) == sorted(facets)
         for hs in facets:
             from math import gcd
@@ -113,7 +112,7 @@ def test_facets_sorted_and_normalized():
 def test_facet_description_rejects_lower_dimensional():
     seg = build_polytope(pts((0, 0), (1, 1)))
     with pytest.raises(NotFullDimensional):
-        facet_description(seg)
+        seg.facets
 
 
 def test_contains():

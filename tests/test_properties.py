@@ -1,11 +1,13 @@
 """Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
-with an oracle-free metamorphic check in d = 4, 5, q <= 2, and over random
-half-open simplices for the parallelepiped walk.
+with an oracle-free metamorphic check in d = 4, 5, q <= 2, over random point
+sets in d <= 4 for the hull, and over random half-open simplices for the
+parallelepiped walk.
 
 Examples are derandomized, so every run draws the same polytopes.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 
 from hypothesis import assume, given, settings
@@ -15,10 +17,12 @@ from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit
 from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope
+from ehrkit.linalg import _int_normal, _int_rank, matrix_rank
 from ehrkit.oracle import hstar_from_counts
 from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, pick_generic_point
 
-from helpers import brute_force_fpp_points, check_pulled_pieces, cone_volume, slack_masks
+from helpers import (brute_force_fpp_points, brute_force_hull, check_pulled_pieces, cone_volume,
+                     fraction_rank, hyperplane_through, slack_masks)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -132,6 +136,54 @@ def test_metamorphic_in_dimensions_four_and_five(case):
     assert hstar_polytope(image) == h
     assert hstar_boundary(P).is_palindromic(q * d)
     assert h.evaluate_at_one() == factorial(d) * q ** (d + 1) * cone_volume(P, pieces)
+
+
+@st.composite
+def redundant_point_sets(draw):
+    """Rational points spanning R^d, d <= 4, q <= 3, with redundant ones: the
+    midpoints of some pairs and, for d <= 3, possibly the cube [-1, 1]^d with
+    its facet centres and its centre, which holds every other point."""
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 3))
+    coordinate = st.integers(-q, q).map(lambda n: Fraction(n, q))
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=3))
+    points += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in pairs]
+    if d <= 3 and draw(st.booleans()):
+        points += list(product((-1, 1), repeat=d)) + [(0,) * d]
+        points += [tuple(s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    assume(build_polytope(points).dim == d)
+    return points
+
+
+@PROPERTY
+@given(redundant_point_sets())
+def test_hull_matches_brute_force(points):
+    P = build_polytope(points)
+    assert (P.vertices, P.facets) == brute_force_hull(points)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 7 by 7, many of them rank-deficient: each row is
+    a small combination of at most as many random rows as the matrix has."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.integers(-4, 4)
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=rows))
+    weights = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)),
+                            min_size=rows, max_size=rows))
+    return [[sum(w * b[c] for w, b in zip(ws, base)) for c in range(cols)] for ws in weights]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(integer_matrices())
+def test_integer_elimination_matches_fractions(rows):
+    assert matrix_rank(rows) == _int_rank(rows) == fraction_rank(rows)
+    d = len(rows[0])
+    if len(rows) == d - 1 and fraction_rank(rows) == d - 1:
+        points = [(Fraction(0),) * d] + [tuple(map(Fraction, row)) for row in rows]
+        normal = hyperplane_through(points)[0]
+        assert _int_normal(rows, d) in (normal, tuple(-a for a in normal))
 
 
 @st.composite

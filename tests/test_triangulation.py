@@ -81,6 +81,15 @@ def test_pulling_builds_no_hull(monkeypatch):
     assert len(calls) == 0
 
 
+def test_each_face_is_pulled_once(monkeypatch):
+    """The boundary of the 5-cube reaches 111 distinct faces, each pulled once."""
+    cube5 = build_polytope(list(product((0, 1), repeat=5)))
+    expected = triangulate_boundary(cube5)
+    calls = count_calls(monkeypatch, triangulation._pull_face)
+    assert triangulate_boundary(cube5) == expected
+    assert len(calls) == len({face for face, *_ in calls}) == 111
+
+
 def test_pyramid_mask_rule():
     base = HalfOpenSimplex.closed(pts((0, 0), (1, 0)))
     cone = pyramid((0, 1), base)
