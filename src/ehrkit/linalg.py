@@ -2,8 +2,8 @@
 
 Everything is sized for polytope work in ambient dimension <= 7 or so.  Ranks
 and facet normals come from fraction-free (Bareiss) elimination of integer
-rows, rational rows being scaled to integers first; solving runs plain
-Gaussian elimination over Fraction, exact and fast enough at that scale.
+rows, rational rows being scaled to integers first; determinants and unique
+solutions read the same elimination, so no row operation runs over Fraction.
 """
 
 from __future__ import annotations
@@ -35,72 +35,36 @@ def matrix_rank(rows) -> int:
 
 
 def determinant(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    scale, ints = _scaled(rows)
+    m, pivots, swaps = _echelon(ints)
+    if len(pivots) < len(ints):
+        return Fraction(0)
+    return Fraction((-1) ** swaps * (m[-1][pivots[-1]] if pivots else 1), scale ** len(ints))
 
 
 def solve_unique(rows, rhs):
     """Solve A x = b exactly for the unique solution.
 
     A may be overdetermined.  Returns None when inconsistent; raises
-    ValueError when the solution space has positive dimension.
+    ValueError when the solution is not unique or b's length is not A's row
+    count.  x is read off the kernel vector of the integer-scaled (A | b).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    if len(rhs) != len(rows):
+        raise ValueError("need one right-hand side per row")
+    n = len(rows[0]) if rows else 0
+    m, pivots, _ = _echelon(_scaled([list(row) + [b] for row, b in zip(rows, rhs)])[1])
+    if pivots and pivots[-1] == n:
+        return None
     if len(pivots) != n:
         raise ValueError("solution is not unique")
-    x = [Fraction(0)] * n
-    for row, c in enumerate(pivots):
-        x[c] = aug[row][n]
-    return tuple(x)
+    kernel = _kernel(m, pivots, n + 1)
+    return tuple(Fraction(-k, kernel[n]) for k in kernel[:n])
 
 
 def primitive_row(values) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, preserving direction."""
-    fracs = [Fraction(v) for v in values]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = _scaled([values])[1][0]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
@@ -114,24 +78,38 @@ def _scaled(points):
 
 
 def _echelon(rows):
-    """Fraction-free (Bareiss) row echelon form of an integer matrix, and the
-    column of each row's pivot.  Every entry is a minor of the input, so each
-    division is exact; the last pivot is, up to sign, the pivot minor."""
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, the
+    column of each row's pivot and the number of row swaps.  Every entry is a
+    minor of the input, so each division is exact; the last pivot is, up to
+    the sign of the swaps, the pivot minor."""
     m = [list(row) for row in rows]
-    pivots, prev = [], 1
+    pivots, prev, swaps = [], 1, 0
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        swaps += pivot != r
         top, pv = m[r], m[r][c]
         for i in range(r + 1, len(m)):
             f = m[i][c]
             m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], top)]
         pivots.append(c)
         prev = pv
-    return m, pivots
+    return m, pivots, swaps
+
+
+def _kernel(m, pivots, d):
+    """Integer kernel vector of an echelon form with d - 1 pivots in d columns:
+    back substitution with the free coordinate set to the last pivot gives the
+    cofactor vector of the pivot rows up to sign, so every division is exact."""
+    x = [0] * d
+    free = next(c for c in range(d) if c not in pivots)
+    x[free] = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for row, c in reversed(list(zip(m, pivots))):
+        x[c] = -dot(row, x) // row[c]
+    return x
 
 
 def _int_rank(rows) -> int:
@@ -141,17 +119,12 @@ def _int_rank(rows) -> int:
 def _int_normal(rows, d):
     """Primitive integer normal to d-1 linearly independent integer rows in Z^d.
 
-    Back substitution in the fraction-free echelon form, with the free
-    coordinate set to the last pivot, gives the cofactor vector up to sign,
-    so every division is exact.  Raises ValueError for dependent rows.
+    Raises ValueError for dependent rows.
     """
-    m, pivots = _echelon(rows)
+    m, pivots, _ = _echelon(rows)
     if len(m) != d - 1 or len(pivots) != d - 1:
         raise ValueError("need d-1 independent rows in dimension d")
-    x = [0] * d
-    x[next(c for c in range(d) if c not in pivots)] = m[-1][pivots[-1]] if m else 1
-    for row, c in reversed(list(zip(m, pivots))):
-        x[c] = -dot(row, x) // row[c]
+    x = _kernel(m, pivots, d)
     g = gcd(*x)
     return tuple(a // g for a in x)
 

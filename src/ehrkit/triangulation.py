@@ -34,6 +34,7 @@ from .errors import (
     BoxTooLarge,
     ExhaustedRetries,
     IdentityViolated,
+    MixedDimensions,
     NotFullDimensional,
     NotGeneric,
     NotLatticePolytope,
@@ -82,6 +83,8 @@ class HalfOpenSimplex:
 
     def barycentric(self, x: Point):
         """Barycentric coordinates of x, or None when x is off the affine span."""
+        if len(x) != len(self.vertices[0]):
+            raise MixedDimensions("query point has wrong dimension")
         rows = [list(v) + [1] for v in self.vertices]
         columns = list(zip(*rows))
         return solve_unique(columns, list(x) + [1])

@@ -8,7 +8,9 @@ the slack signs of each cell's facet halfspaces, facet descriptions one in
 vertex enumeration, and the hull one that tries every Fraction hyperplane
 through d of the points.  The pulling rule is checked face by face from the
 facet inequalities, and volumes by coning boundary pieces over a point.
-Slow and obviously correct.
+Ranks, determinants and exact solves run Gaussian elimination over Fraction,
+sharing no code with the library's fraction-free elimination.  Slow and
+obviously correct.
 """
 
 import sys
@@ -18,7 +20,7 @@ from itertools import combinations, product
 from math import ceil, factorial, floor, lcm
 
 from ehrkit.geometry import Halfspace, as_point
-from ehrkit.linalg import determinant, dot, matrix_rank, primitive_row, solve_unique, vec_sub
+from ehrkit.linalg import dot, primitive_row, vec_sub
 from ehrkit.triangulation import half_open_cone, triangulate_boundary
 
 
@@ -53,6 +55,65 @@ def fraction_rank(rows):
     return rank
 
 
+def fraction_determinant(rows):
+    """Determinant by Gaussian elimination over Fraction."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def fraction_solve(rows, rhs):
+    """The unique solution of A x = b by Gauss-Jordan elimination over Fraction.
+
+    None when inconsistent, checked first; ValueError when not unique.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    if len(pivots) != n:
+        raise ValueError("solution is not unique")
+    x = [Fraction(0)] * n
+    for row, c in enumerate(pivots):
+        x[c] = aug[row][n]
+    return tuple(x)
+
+
 def hyperplane_through(points):
     """Primitive integer (normal, offset) with normal . p == offset for d points in R^d.
 
@@ -66,7 +127,7 @@ def hyperplane_through(points):
     edges = [vec_sub(p, points[0]) for p in points[1:]]
     normal = []
     for j in range(d):
-        cof = determinant([[row[c] for c in range(d) if c != j] for row in edges])
+        cof = fraction_determinant([[row[c] for c in range(d) if c != j] for row in edges])
         normal.append(cof if j % 2 == 0 else -cof)
     if all(x == 0 for x in normal):
         raise ValueError("points are affinely dependent")
@@ -169,7 +230,7 @@ def cone_volume(P, pieces):
     the vertex centroid."""
     n = len(P.vertices)
     centre = [sum(v[c] for v in P.vertices) / n for c in range(P.ambient_dim)]
-    total = sum(abs(determinant([vec_sub(v, centre) for v in piece])) for piece in pieces)
+    total = sum(abs(fraction_determinant([vec_sub(v, centre) for v in piece])) for piece in pieces)
     return total / factorial(P.ambient_dim)
 
 
@@ -179,7 +240,7 @@ def vertices_from_halfspaces(halfspaces, ambient_dim):
     for combo in combinations(halfspaces, ambient_dim):
         rows = [hs.normal for hs in combo]
         try:
-            x = solve_unique(rows, [hs.offset for hs in combo])
+            x = fraction_solve(rows, [hs.offset for hs in combo])
         except ValueError:
             continue
         if x is None:
@@ -204,7 +265,7 @@ def brute_force_fpp(vertices, missing, heights):
     out = []
     for candidate in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
         try:
-            alphas = solve_unique(columns, candidate)
+            alphas = fraction_solve(columns, candidate)
         except ValueError:
             raise AssertionError("generators must be linearly independent")
         if alphas is None:
@@ -232,10 +293,10 @@ def brute_force_fpp_points(vertices, missing, heights):
     n = len(gens)
     coords = []
     for c in range(len(gens[0])):
-        if matrix_rank([[g[k] for k in coords + [c]] for g in gens]) > len(coords):
+        if fraction_rank([[g[k] for k in coords + [c]] for g in gens]) > len(coords):
             coords.append(c)
     square = [[g[c] for g in gens] for c in coords]  # n x n, invertible
-    inverse = [solve_unique(square, [int(i == j) for i in range(n)]) for j in range(n)]  # columns
+    inverse = [fraction_solve(square, [int(i == j) for i in range(n)]) for j in range(n)]  # columns
     den = lcm(*(x.denominator for col in inverse for x in col))
     scaled = [[int(inverse[j][i] * den) for j in range(n)] for i in range(n)]  # alpha * den
     ranges = [range(sum(min(0, g[c]) for g in gens), sum(max(0, g[c]) for g in gens) + 1)
@@ -261,7 +322,7 @@ def count_in_scaled_cell(simplex, n):
     columns = list(zip(*rows))
     count = 0
     for candidate in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        coords = solve_unique(columns, list(candidate) + [1])
+        coords = fraction_solve(columns, list(candidate) + [1])
         if coords is None:
             continue
         if all(c > 0 if miss else c >= 0

@@ -21,6 +21,7 @@ from ehrkit.geometry import (
     project_to_affine_hull,
     translate,
 )
+from ehrkit.linalg import solve_unique
 
 from conftest import CORPUS
 from helpers import vertices_from_halfspaces
@@ -124,6 +125,12 @@ def test_contains():
     assert contains(tri, (F(1, 3), F(1, 3)), "interior")
     with pytest.raises(MixedDimensions):
         contains(box, (0, 0, 0))
+
+
+def test_solve_unique_rejects_mismatched_rhs():
+    for rhs in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_unique([[1, 0], [0, 1]], rhs)
 
 
 def test_vertex_membership_over_corpus():

@@ -17,12 +17,13 @@ from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit
 from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope
-from ehrkit.linalg import _int_normal, _int_rank, matrix_rank
+from ehrkit.linalg import _int_normal, _int_rank, determinant, dot, matrix_rank, solve_unique
 from ehrkit.oracle import hstar_from_counts
 from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, pick_generic_point
 
 from helpers import (brute_force_fpp_points, brute_force_hull, check_pulled_pieces, cone_volume,
-                     fraction_rank, hyperplane_through, slack_masks)
+                     fraction_determinant, fraction_rank, fraction_solve, hyperplane_through,
+                     slack_masks)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -175,15 +176,39 @@ def integer_matrices(draw):
     return [[sum(w * b[c] for w, b in zip(ws, base)) for c in range(cols)] for ws in weights]
 
 
+def _solve_outcome(solve, rows, rhs):
+    try:
+        return solve(rows, rhs)
+    except ValueError:
+        return "not unique"
+
+
 @settings(PROPERTY, max_examples=300)
-@given(integer_matrices())
-def test_integer_elimination_matches_fractions(rows):
+@given(integer_matrices(), st.data())
+def test_integer_elimination_matches_fractions(rows, data):
     assert matrix_rank(rows) == _int_rank(rows) == fraction_rank(rows)
     d = len(rows[0])
     if len(rows) == d - 1 and fraction_rank(rows) == d - 1:
         points = [(Fraction(0),) * d] + [tuple(map(Fraction, row)) for row in rows]
         normal = hyperplane_through(points)[0]
         assert _int_normal(rows, d) in (normal, tuple(-a for a in normal))
+    # Row and column denominators up to 8 mix the entries' denominators and keep
+    # the rank; b = A x0 is consistent, a free b is inconsistent unless A has full row rank.
+    row_dens = data.draw(st.lists(st.integers(1, 8), min_size=len(rows), max_size=len(rows)))
+    col_dens = data.draw(st.lists(st.integers(1, 8), min_size=d, max_size=d))
+    a = [[Fraction(x, r * c) for x, c in zip(row, col_dens)] for row, r in zip(rows, row_dens)]
+    entry = st.fractions(-4, 4, max_denominator=8)
+    if data.draw(st.booleans()):
+        x0 = data.draw(st.lists(entry, min_size=d, max_size=d))
+        rhs = [dot(row, x0) for row in a]
+    else:
+        rhs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    assert _solve_outcome(solve_unique, a, rhs) == _solve_outcome(fraction_solve, a, rhs)
+    # zeroing entries of the leading square block makes row swaps common
+    k = min(len(rows), d)
+    zeros = data.draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    square = [[0 if zeros[i * k + j] else a[i][j] for j in range(k)] for i in range(k)]
+    assert determinant(square) == fraction_determinant(square)
 
 
 @st.composite

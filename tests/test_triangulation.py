@@ -6,7 +6,8 @@ import pytest
 
 from ehrkit import geometry, triangulation
 from ehrkit.decomposition import EhrhartReport, ehrhart_report
-from ehrkit.errors import AffinelyDependent, BoxTooLarge, NotFullDimensional, NotGeneric
+from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotFullDimensional,
+                           NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.triangulation import (
     BoundaryTriangulation,
@@ -103,6 +104,13 @@ def test_pyramid_mask_rule():
 
     with pytest.raises(AffinelyDependent):
         pyramid((F(1, 2), F(0)), base)
+
+
+def test_simplex_membership_rejects_wrong_dimension():
+    tri = HalfOpenSimplex.closed(pts((0, 0), (1, 0), (0, 1)))
+    for x in ((0, 0, 5), (0,)):
+        with pytest.raises(MixedDimensions):
+            tri.contains(x)
 
 
 def test_find_interior_point():
