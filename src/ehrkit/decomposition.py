@@ -22,16 +22,16 @@ from math import comb
 from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
 from .geometry import Point, Polytope, as_point, build_polytope, point_denominator
 from .gradedpoly import GradedPolynomial
-from .ehrhart import QuasiCoefficients, fpp_lattice_points, hstar_cells, hstar_polytope
+from .ehrhart import QuasiCoefficients, _hstar, fpp_lattice_points, hstar_cells
 from .triangulation import (
     ConeTriangulation,
     HalfOpenSimplex,
+    _decompose,
+    _half_open,
+    _pull_facets,
     find_interior_point,
     half_open_cone,
-    half_open_decompose,
     is_unimodular,
-    pyramid,
-    triangulate_boundary,
 )
 
 
@@ -121,8 +121,7 @@ def pyramid_b_polynomial(P: Polytope, ell: int, x: Point) -> GradedPolynomial:
     at heights >= ell by minimality of ell; their height multiset, shifted
     down by ell, sums to b(z).
     """
-    _, cone = half_open_decompose(triangulate_boundary(P), P, apex=x)
-    return _b_polynomial(cone, ell)
+    return _b_polynomial(_half_open(P, _pull_facets(P), x), ell)
 
 
 def stapledon_report(P: Polytope) -> DecompositionReport:
@@ -153,11 +152,10 @@ def pyramid_hstar_compare(P: Polytope, x):
     h_base = hstar_cells(cells, q)
     h_pyr = GradedPolynomial.zero()
     for cell in cells:
-        lifted = HalfOpenSimplex(tuple(v + (Fraction(0),) for v in cell.vertices),
-                                 cell.missing)
-        cone = pyramid(x, lifted)
+        cone = HalfOpenSimplex(tuple(v + (Fraction(0),) for v in cell.vertices) + (x,),
+                               cell.missing + (False,))
         counts: dict[int, int] = {}
-        for point, _, _ in fpp_lattice_points(cone, [q] * len(lifted.vertices) + [r]):
+        for point, _, _ in fpp_lattice_points(cone, [q] * len(cell.vertices) + [r]):
             counts[point[-1]] = counts.get(point[-1], 0) + 1
         h_pyr = h_pyr + GradedPolynomial.from_dict(counts)
     leq = h_pyr.dominates(h_base)
@@ -196,8 +194,9 @@ class EhrhartReport:
     """h* data, decomposition and audit of one full-dimensional polytope.
 
     Each field is computed on first read and at most once.  The fields share
-    h*, the interior point (ell, x) and the half-open cone over x, which feeds
-    the boundary h*, the b-route and the unimodularity test.
+    h*, the interior point (ell, x), one pulling triangulation of the boundary
+    and the half-open cone over x, which feeds the boundary h*, the b-route
+    and the unimodularity test.  The cone for h* is cut from the same pull.
     """
 
     polytope: Polytope
@@ -219,14 +218,22 @@ class EhrhartReport:
         return find_interior_point(self.polytope)
 
     @cached_property
+    def _pieces(self):
+        return _pull_facets(self.polytope)
+
+    @cached_property
     def cone(self):
         """(BoundaryTriangulation, ConeTriangulation) over the interior point x."""
-        P = self.polytope
-        return half_open_decompose(triangulate_boundary(P), P, apex=self._interior_point[1])
+        return _decompose(self.polytope, self._pieces, apex=self._interior_point[1])
 
     @cached_property
     def hstar(self) -> GradedPolynomial:
-        return hstar_polytope(self.polytope)
+        P = self.polytope
+        v = P.vertices[0]
+        # Pulling cones every face from its lex-min vertex, and v is the
+        # lex-min vertex of every face holding it: a piece holds v exactly
+        # when its facet does, so these are the pieces of _pull_facets(P, v).
+        return _hstar(_half_open(P, [piece for piece in self._pieces if v not in piece], v))
 
     @cached_property
     def hstar_boundary(self) -> GradedPolynomial:

@@ -24,17 +24,11 @@ from itertools import repeat
 from math import comb, factorial, lcm, prod
 from operator import add, ge, sub
 
-from .errors import (
-    ENUMERATION_LIMIT,
-    IdentityViolated,
-    NonIntegralGenerator,
-    NotFullDimensional,
-    WalkTooLarge,
-)
+from .errors import ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator, WalkTooLarge
 from .gradedpoly import GradedPolynomial
 from .geometry import Polytope
 from .linalg import diagonalize, interpolate_polynomial
-from .triangulation import HalfOpenSimplex, half_open_cone, half_open_decompose, triangulate_boundary
+from .triangulation import HalfOpenSimplex, _decompose, _pull_facets, half_open_cone
 
 
 def _generator_matrix(S: HalfOpenSimplex, heights):
@@ -186,10 +180,14 @@ def hstar_cells(cells, q: int) -> GradedPolynomial:
 
 def hstar_polytope(P: Polytope, seed: int = 0) -> GradedPolynomial:
     """h*-polynomial: numerator of the Ehrhart series over (1 - z^q)^(d+1)."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("h* needs a full-dimensional polytope")
+    return _hstar(half_open_cone(P, P.vertices[0], seed=seed))
+
+
+def _hstar(cone) -> GradedPolynomial:
+    """h* from the half-open cone of P over one of its vertices."""
+    P = cone.parent
     q = P.denominator_q
-    total = hstar_cells(half_open_cone(P, P.vertices[0], seed=seed).cells, q)
+    total = hstar_cells(cone.cells, q)
     if total.degree_key >= q * (P.dim + 1):
         raise IdentityViolated("deg h* = %d is not below q(d+1)" % total.degree_key)
     return total
@@ -197,16 +195,12 @@ def hstar_polytope(P: Polytope, seed: int = 0) -> GradedPolynomial:
 
 def hstar_boundary(P: Polytope, apex=None, seed: int = 0) -> GradedPolynomial:
     """Boundary h*-polynomial over (1 - z^q)^d: degree qd, palindromic."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("boundary h* needs a full-dimensional polytope")
-    boundary, _ = half_open_decompose(triangulate_boundary(P), P, apex=apex, seed=seed)
+    boundary, _ = _decompose(P, _pull_facets(P), apex=apex, seed=seed)
     return hstar_cells(boundary.simplices, P.denominator_q)
 
 
 def hstar_interior(P: Polytope) -> GradedPolynomial:
     """h* of the open polytope: the reversal of h*_P in degree q(d+1)."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("interior h* needs a full-dimensional polytope")
     return hstar_polytope(P).reverse(P.denominator_q * (P.dim + 1))
 
 

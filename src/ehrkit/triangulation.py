@@ -9,7 +9,10 @@ turns the cover into a genuine partition with exactly one closed cell, which
 is what makes constant terms add up correctly downstream.  h* uses the
 lexicographically smallest vertex as apex; boundary h* and the b-route use an
 interior point x, over which every facet is pulled and the cells without x
-partition the boundary.
+partition the boundary.  The pulled pieces stay vertex tuples until their
+masks are known, so each cell is built once, with its final mask, and each
+boundary cell once from its cone cell; a report pulls the boundary once and
+cuts both of its cones from that one pull.
 
 Pulling works on the face lattice that the hull's vertex-facet incidence
 already gives: every face, at every level of the recursion, is coned from its
@@ -35,7 +38,6 @@ from .errors import (
     ExhaustedRetries,
     IdentityViolated,
     MixedDimensions,
-    NotFullDimensional,
     NotGeneric,
     NotLatticePolytope,
 )
@@ -60,6 +62,8 @@ class HalfOpenSimplex:
     def __post_init__(self):
         if len(self.vertices) != len(self.missing):
             raise ValueError("mask length must equal vertex count")
+        if len({len(v) for v in self.vertices}) > 1:
+            raise MixedDimensions("simplex vertices have different dimensions")
         _, rows = _scaled(self.vertices)
         if _int_rank([vec_sub(r, rows[0]) for r in rows[1:]]) != len(rows) - 1:
             raise AffinelyDependent("simplex vertices are affinely dependent")
@@ -83,11 +87,7 @@ class HalfOpenSimplex:
 
     def barycentric(self, x: Point):
         """Barycentric coordinates of x, or None when x is off the affine span."""
-        if len(x) != len(self.vertices[0]):
-            raise MixedDimensions("query point has wrong dimension")
-        rows = [list(v) + [1] for v in self.vertices]
-        columns = list(zip(*rows))
-        return solve_unique(columns, list(x) + [1])
+        return _barycentric(self.vertices, x)
 
     def contains(self, x) -> bool:
         """Half-open membership: lambda_i >= 0, strictly so on missing facets."""
@@ -100,6 +100,15 @@ class HalfOpenSimplex:
     def to_json_dict(self, pool: dict[Point, int]) -> dict:
         return {"vertices": [pool[v] for v in self.vertices],
                 "missing": list(self.missing)}
+
+
+def _barycentric(vertices, x: Point):
+    """Barycentric coordinates of x, or None when x is off the affine span
+    of vertices; ValueError when dependent vertices span x."""
+    if len(x) != len(vertices[0]):
+        raise MixedDimensions("query point has wrong dimension")
+    columns = list(zip(*(tuple(v) + (1,) for v in vertices)))
+    return solve_unique(columns, tuple(x) + (1,))
 
 
 @dataclass(frozen=True)
@@ -158,8 +167,6 @@ def _pull_facets(P: Polytope, apex=None) -> list[tuple[Point, ...]]:
 
 def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
     """Closed (d-1)-simplices covering the boundary, using only vertices of P."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("boundary triangulation needs a full-dimensional polytope")
     return [HalfOpenSimplex.closed(piece) for piece in _pull_facets(P)]
 
 
@@ -168,21 +175,20 @@ def pyramid(x, S: HalfOpenSimplex) -> HalfOpenSimplex:
     return HalfOpenSimplex(S.vertices + (as_point(x),), S.missing + (False,))
 
 
-def cone_over_boundary(T, P: Polytope, apex) -> ConeTriangulation:
-    apex = as_point(apex)
-    cells = tuple(pyramid(apex, S) for S in T)
-    return ConeTriangulation(apex, cells, P)
-
-
-def _visibility(cone: ConeTriangulation, y: Point):
-    """Per cell, the mask of facets visible from y: True where y's barycentric
-    coordinate is negative.  None when y lies on some cell hyperplane, i.e. a
-    coordinate is zero."""
+def _visibility(cells, y: Point):
+    """Per cell, given as its vertex tuple, the mask of facets visible from y:
+    True where y's barycentric coordinate is negative.  None when y lies on
+    some cell hyperplane, i.e. a coordinate is zero."""
     masks = []
-    for cell in cone.cells:
-        if cell.dim != len(y):
+    for cell in cells:
+        if len(cell) != len(y) + 1:
             raise ValueError("cone cells must be full-dimensional simplices")
-        coords = cell.barycentric(y)
+        try:
+            coords = _barycentric(cell, y)
+        except ValueError:  # dependent vertices whose span holds y
+            coords = None
+        if coords is None:  # the system is square, so only a degenerate cell fails
+            raise AffinelyDependent("cone cell vertices are affinely dependent")
         if 0 in coords:
             return None
         masks.append(tuple(c < 0 for c in coords))
@@ -197,16 +203,17 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
     the coordinate directions; genericity is verified exactly and the step is
     halved up to 32 times.
     """
-    return _generic_point(Tprime, seed)[0]
+    cells = [cell.vertices for cell in Tprime.cells]
+    return _generic_point(Tprime.parent, Tprime.apex, cells, seed)[0]
 
 
-def _generic_point(cone: ConeTriangulation, seed: int):
-    """pick_generic_point's y together with its visibility masks."""
-    P = cone.parent
-    if not cone.cells:
+def _generic_point(P: Polytope, apex: Point, cells, seed: int):
+    """pick_generic_point's y for the cells (vertex tuples) of a cone over
+    apex, together with their visibility masks."""
+    if not cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
-    base = cone.apex
+    base = apex
     if not contains(P, base, "interior"):
         base = vec_scale(Fraction(1, len(P.vertices)),
                          [sum(v[c] for v in P.vertices) for c in range(d)])
@@ -216,35 +223,43 @@ def _generic_point(cone: ConeTriangulation, seed: int):
         for i in range(d):
             offsetv[(i + seed) % d] += eps ** (i + 1)
         y = vec_add(base, offsetv)
-        if contains(P, y, "interior") and (masks := _visibility(cone, y)) is not None:
+        if contains(P, y, "interior") and (masks := _visibility(cells, y)) is not None:
             return y, masks
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
-def _apply_visibility(cone: ConeTriangulation, y=None, seed: int = 0) -> ConeTriangulation:
-    """Remove from every cell the facets visible from y (default:
-    pick_generic_point's).  The facet opposite the apex lies in a facet of P,
-    so it is never removed, which lets the masks restrict to the base cells."""
+def _half_open(P: Polytope, pieces, apex, y=None, seed: int = 0) -> ConeTriangulation:
+    """The pieces (vertex tuples) coned over apex, each cell built once with
+    the facets visible from y (default: pick_generic_point's) removed."""
+    apex = as_point(apex)
+    cells = [piece + (apex,) for piece in pieces]
     if y is None:
-        y, masks = _generic_point(cone, seed)
+        y, masks = _generic_point(P, apex, cells, seed)
     else:
-        masks = _visibility(cone, as_point(y))
+        masks = _visibility(cells, as_point(y))
         if masks is None:
             raise NotGeneric("point lies on a cell hyperplane")
-    cells = []
-    for cell, mask in zip(cone.cells, masks):
-        if mask[-1]:
-            raise IdentityViolated("the facet opposite the apex is visible from y")
-        cells.append(HalfOpenSimplex(cell.vertices, mask))
-    return ConeTriangulation(cone.apex, tuple(cells), cone.parent)
+    if any(mask[-1] for mask in masks):
+        raise IdentityViolated("the facet opposite the apex is visible from y")
+    return ConeTriangulation(apex, tuple(map(HalfOpenSimplex, cells, masks)), P)
+
+
+def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0):
+    """half_open_decompose of the boundary pieces given as vertex tuples.  The
+    facet opposite the apex lies in a facet of P and is never removed, so
+    each cone cell's mask restricts to its boundary cell."""
+    if apex is None:
+        apex = find_interior_point(P)[1]
+    cone = _half_open(P, pieces, apex, y, seed)
+    boundary = tuple(
+        HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1]) for cell in cone.cells)
+    return BoundaryTriangulation(boundary, P), cone
 
 
 def half_open_cone(P: Polytope, apex, seed: int = 0) -> ConeTriangulation:
     """Half-open d-simplices partitioning P: the facets whose hyperplane misses
     the point apex of P are pulled, coned over it and masked by visibility."""
-    apex = as_point(apex)
-    T = [HalfOpenSimplex.closed(piece) for piece in _pull_facets(P, apex)]
-    return _apply_visibility(cone_over_boundary(T, P, apex), seed=seed)
+    return _half_open(P, _pull_facets(P, as_point(apex)), apex, seed=seed)
 
 
 def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
@@ -256,12 +271,7 @@ def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
     removed, and the masks are restricted back to the boundary cells.  Returns
     (BoundaryTriangulation, ConeTriangulation).
     """
-    if apex is None:
-        apex = find_interior_point(P)[1]
-    cone = _apply_visibility(cone_over_boundary(T, P, apex), y, seed)
-    boundary = tuple(
-        HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1]) for cell in cone.cells)
-    return BoundaryTriangulation(boundary, P), cone
+    return _decompose(P, [S.vertices for S in T], apex, y, seed)
 
 
 def _box(P: Polytope) -> list[range]:
@@ -298,8 +308,6 @@ def find_interior_point(P: Polytope):
     at the first interior point and raises BoxTooLarge once it has visited
     more than ENUMERATION_LIMIT candidates over all dilates.
     """
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("interior point search needs a full-dimensional polytope")
     bound = P.denominator_q * (P.dim + 1)
     visited = 0
     for ell in range(1, bound + 1):
@@ -313,21 +321,11 @@ def find_interior_point(P: Polytope):
     raise BoundExceeded("no interior lattice point up to dilation %d" % bound)
 
 
-def is_unimodular(T, parent: Polytope | None = None) -> bool:
-    """True when every boundary simplex has normalized volume one.
-
-    T may be a BoundaryTriangulation or a plain list of simplices together
-    with the parent polytope (masks are irrelevant to volumes).
-    """
-    if isinstance(T, BoundaryTriangulation):
-        simplices, parent = T.simplices, T.parent
-    else:
-        simplices = tuple(T)
-        if parent is None:
-            raise ValueError("parent polytope required for a bare simplex list")
-    if not parent.is_lattice:
+def is_unimodular(T: BoundaryTriangulation) -> bool:
+    """True when every boundary simplex has normalized volume one."""
+    if not T.parent.is_lattice:
         raise NotLatticePolytope("unimodularity is defined for lattice polytopes")
-    for S in simplices:
+    for S in T.simplices:
         rows = [tuple(int(c) for c in v) + (1,) for v in S.vertices]
         if prod(diagonalize(list(zip(*rows)))[0]) != 1:  # columns = homogenized vertices
             return False

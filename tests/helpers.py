@@ -21,7 +21,7 @@ from math import ceil, factorial, floor, lcm
 
 from ehrkit.geometry import Halfspace, as_point
 from ehrkit.linalg import dot, primitive_row, vec_sub
-from ehrkit.triangulation import half_open_cone, triangulate_boundary
+from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, triangulate_boundary
 
 
 def count_calls(monkeypatch, fn):
@@ -37,6 +37,14 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_constructions(monkeypatch):
+    """Record every HalfOpenSimplex built from now on."""
+    built = []
+    real = HalfOpenSimplex.__post_init__
+    monkeypatch.setattr(HalfOpenSimplex, "__post_init__", lambda S: built.append(S) or real(S))
+    return built
 
 
 def fraction_rank(rows):

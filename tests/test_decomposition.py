@@ -15,11 +15,11 @@ from ehrkit.decomposition import (
     stapledon_report,
     symmetric_decompose,
 )
-from ehrkit.ehrhart import fpp_lattice_points
+from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_polytope
 from ehrkit.oracle import count_points
-from ehrkit.triangulation import HalfOpenSimplex, _generic_point, find_interior_point
+from ehrkit.triangulation import _barycentric, _generic_point, find_interior_point
 
-from helpers import count_calls
+from helpers import count_calls, count_constructions
 
 
 
@@ -194,19 +194,21 @@ def test_ehrhart_report_bundle():
 def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
     """cube-4d: 24 cells over a vertex for h*, 48 over x for the boundary and
     the b-route; one generic point per cone, one barycentric solve per cell,
-    one walk per cell and route."""
+    one walk per cell and route, and each cell and boundary cell built once."""
     cube = build_polytope(list(product((0, 1), repeat=4)))
+    built = count_constructions(monkeypatch)
+    hstar_polytope(cube)
+    assert len(built) == 24
+    hstar_boundary(cube)
+    assert len(built) == 24 + 96
+    built.clear()
     counts = {fn.__name__: count_calls(monkeypatch, fn)
-              for fn in (find_interior_point, fpp_lattice_points, _generic_point)}
-    solves = []
-    barycentric = HalfOpenSimplex.barycentric
-    monkeypatch.setattr(HalfOpenSimplex, "barycentric",
-                        lambda S, x: solves.append(S) or barycentric(S, x))
+              for fn in (find_interior_point, fpp_lattice_points, _generic_point, _barycentric)}
     rep = ehrhart_report(cube)
     assert {name: len(calls) for name, calls in counts.items()} == {
         "find_interior_point": 1, "fpp_lattice_points": 24 + 48 + 48,
-        "_generic_point": 2}
-    assert len(solves) == 24 + 48
+        "_generic_point": 2, "_barycentric": 24 + 48}
+    assert len(built) == 24 + 48 + 48
     for field in ("q", "d", "ell", "hstar", "hstar_boundary", "hstar_interior",
                   "decomposition", "audit"):
         getattr(rep, field)

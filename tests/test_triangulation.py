@@ -6,13 +6,13 @@ import pytest
 
 from ehrkit import geometry, triangulation
 from ehrkit.decomposition import EhrhartReport, ehrhart_report
+from ehrkit.ehrhart import hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotFullDimensional,
                            NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.triangulation import (
     BoundaryTriangulation,
     HalfOpenSimplex,
-    cone_over_boundary,
     find_interior_point,
     half_open_cone,
     half_open_decompose,
@@ -28,6 +28,7 @@ from helpers import (
     cell_halfspaces,
     check_pulled_pieces,
     count_calls,
+    count_constructions,
     count_in_scaled_cell,
     sample_in_polytope,
     slack_masks,
@@ -83,12 +84,19 @@ def test_pulling_builds_no_hull(monkeypatch):
 
 
 def test_each_face_is_pulled_once(monkeypatch):
-    """The boundary of the 5-cube reaches 111 distinct faces, each pulled once."""
+    """The boundary of the 5-cube reaches 111 distinct faces, each pulled once,
+    also by a whole report, which builds each of its 120 cells over a vertex,
+    240 cells over x and 240 boundary cells once."""
     cube5 = build_polytope(list(product((0, 1), repeat=5)))
     expected = triangulate_boundary(cube5)
     calls = count_calls(monkeypatch, triangulation._pull_face)
     assert triangulate_boundary(cube5) == expected
     assert len(calls) == len({face for face, *_ in calls}) == 111
+    calls.clear()
+    built = count_constructions(monkeypatch)
+    ehrhart_report(cube5)
+    assert len(calls) == len({face for face, *_ in calls}) == 111
+    assert len(built) == 120 + 240 + 240
 
 
 def test_pyramid_mask_rule():
@@ -111,6 +119,20 @@ def test_simplex_membership_rejects_wrong_dimension():
     for x in ((0, 0, 5), (0,)):
         with pytest.raises(MixedDimensions):
             tri.contains(x)
+
+
+def test_simplex_rejects_mixed_dimensions():
+    for vertices in (pts((0, 0), (1, 0), (0, 1, 7)), pts((0, 0), (1,))):
+        with pytest.raises(MixedDimensions):
+            HalfOpenSimplex.closed(vertices)
+
+
+@pytest.mark.parametrize("fn", [hstar_polytope, hstar_boundary, hstar_interior,
+                                triangulate_boundary, find_interior_point],
+                         ids=lambda fn: fn.__name__)
+def test_needs_full_dimension(fn):
+    with pytest.raises(NotFullDimensional):
+        fn(build_polytope(pts((0, 0), (1, 1))))
 
 
 def test_find_interior_point():
@@ -169,6 +191,12 @@ def test_half_open_decompose_rejects_low_dimensional_cells():
         half_open_decompose(T, square2, apex=(1, 1))
 
 
+def test_half_open_decompose_rejects_degenerate_cells():
+    # the apex (0, 1) lies on the boundary edge from (0, 0) to (0, 2)
+    with pytest.raises(AffinelyDependent):
+        half_open_decompose(triangulate_boundary(square2), square2, apex=(0, 1))
+
+
 def test_masks_are_slack_signs_over_corpus():
     """Barycentric-sign masks equal the halfspace-slack masks at the same y,
     for the cone over the lex-min vertex and for the report's cone over x."""
@@ -205,8 +233,7 @@ def test_figure_configuration_with_split_edge():
 
 
 def test_pick_generic_point_is_generic():
-    T = triangulate_boundary(square2)
-    cone = cone_over_boundary(T, square2, (1, 1))
+    cone = half_open_cone(square2, (1, 1))
     y = pick_generic_point(cone)
     assert contains(square2, y, "interior")
     for cell in cone.cells:
@@ -225,11 +252,11 @@ def test_exactly_one_closed_over_corpus():
 
 def test_is_unimodular():
     sq1 = build_polytope(pts((0, 0), (0, 1), (1, 0), (1, 1)))
-    assert is_unimodular(triangulate_boundary(sq1), sq1)
+    assert is_unimodular(half_open_decompose(triangulate_boundary(sq1), sq1)[0])
     tri2 = build_polytope(pts((0, 0), (2, 0), (0, 2)))
-    assert not is_unimodular(triangulate_boundary(tri2), tri2)
+    assert not is_unimodular(half_open_decompose(triangulate_boundary(tri2), tri2)[0])
     box = build_polytope(pts((-1, -1), (-1, 1), (1, -1), (1, 1)))
-    assert not is_unimodular(triangulate_boundary(box), box)
+    assert not is_unimodular(half_open_decompose(triangulate_boundary(box), box)[0])
 
 
 def test_boundary_triangulation_invariant():
