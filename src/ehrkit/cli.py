@@ -177,6 +177,8 @@ def _cmd_gorenstein(args) -> int:
 
 
 def _cmd_rational(args) -> int:
+    if args.decompose and (args.refined or args.m is not None):
+        raise UsageError("--decompose picks its own grid and m; drop --refined and --m")
     P = _load_input(args)
     if args.decompose:
         report = rational_decompose(P)

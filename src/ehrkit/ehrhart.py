@@ -38,11 +38,11 @@ def _generator_matrix(S: HalfOpenSimplex, heights):
     for h, v in zip(heights, S.vertices):
         if h < 1:
             raise ValueError("heights must be positive integers")
-        col = [h * c for c in v] + [Fraction(h)]
-        if any(Fraction(c).denominator != 1 for c in col):
+        # vertices are in lowest terms, so h clears c exactly when c.denominator divides h
+        if any(h % c.denominator for c in v):
             raise NonIntegralGenerator(
                 "height %d does not clear the denominators of vertex %s" % (h, (v,)))
-        cols.append([int(c) for c in col])
+        cols.append([h // c.denominator * c.numerator for c in v] + [h])
     return cols
 
 

@@ -79,8 +79,6 @@ def is_reflexive(P: Polytope):
 
 def is_rational_reflexive(P: Polytope) -> bool:
     """True when every gcd-normalized facet reads normal . x <= 1."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("rational reflexivity needs a full-dimensional polytope")
     origin = as_point([0] * P.ambient_dim)
     if not contains(P, origin, "interior"):
         raise OriginNotInterior("rational reflexivity needs the origin strictly inside")
@@ -89,8 +87,6 @@ def is_rational_reflexive(P: Polytope) -> bool:
 
 def gorenstein_index(P: Polytope) -> GorensteinStatus:
     """Classify P; the only possible Gorenstein index is g = q * ell(qP)."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("classification needs a full-dimensional polytope")
     q = P.denominator_q
     lattice_model = dilate(P, q)
     ell_lattice, _ = find_interior_point(lattice_model)

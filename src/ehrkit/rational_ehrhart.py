@@ -2,32 +2,30 @@
 
 The codenominator r is the lcm of the nonzero offsets in the gcd-normalized
 facet description.  Counting along dilation steps 1/r (or 1/2r for the
-refined series) is ordinary Ehrhart theory for the scaled polytope (1/r)P, so
-the numerator here is its h*-polynomial re-expressed with uniform height m
-and exponents regraded by 1/r.  The three-way decomposition follows the
-position of the origin: strictly inside forces palindromicity, on the
-boundary decomposes the grid-r numerator, outside switches to the refined
-grid 2r.
+refined series) is ordinary Ehrhart theory for the scaled polytope
+S = (1/r)P, so the series is read off one EhrhartReport of S: the numerator
+is h*_S re-expressed with uniform height m and exponents regraded by 1/r,
+and the decomposition a + z^ell b is Stapledon's decomposition of S, with
+a = h*_boundary(S) and b cross-checked by the parallelepiped route.  Which
+grid is decomposed follows the position of the origin: on the boundary the
+grid r, outside the refined grid 2r.  Strictly inside, ell(S) = 1, so the
+numerator is a itself and must be palindromic (checked), and b = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .errors import IdentityViolated, InvalidM, NotFullDimensional
+from .errors import IdentityViolated, InvalidM
 from .geometry import Polytope, as_point, contains, dilate
 from .gradedpoly import GradedPolynomial
-from .ehrhart import hstar_polytope
-from .decomposition import symmetric_decompose
-from .triangulation import find_interior_point
+from .decomposition import EhrhartReport
 
 
 def codenominator(P: Polytope) -> int:
     """lcm of the nonzero facet offsets; at least one offset is nonzero."""
-    if not P.is_full_dimensional:
-        raise NotFullDimensional("codenominator needs a full-dimensional polytope")
     offsets = [abs(hs.offset) for hs in P.facets if hs.offset != 0]
     if not offsets:
         raise IdentityViolated("a bounded polytope cannot have all offsets zero")
@@ -79,17 +77,32 @@ def _origin_position(P: Polytope) -> str:
     return "outside"
 
 
-def _lifted_numerator(scaled: Polytope, m: int) -> GradedPolynomial:
+def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
     """h* of the scaled polytope re-expressed over (1 - z^m)^(d+1)."""
-    q = scaled.denominator_q
-    if m % q != 0:
+    q = scaled.q
+    if m < 1 or m % q != 0:
         raise InvalidM("m = %d does not make the scaled polytope a lattice polytope "
-                       "(needs a multiple of %d)" % (m, q))
-    h = hstar_polytope(scaled)
+                       "(needs a positive multiple of %d)" % (m, q))
+    h = scaled.hstar
     lift = GradedPolynomial.from_dict({q * i: 1 for i in range(m // q)})
-    for _ in range(scaled.dim + 1):
+    for _ in range(scaled.d + 1):
         h = h * lift
     return h
+
+
+def _series(P: Polytope, refined: bool, m: int | None):
+    """The series report of P on its grid and the EhrhartReport of the scaled polytope."""
+    r = codenominator(P)
+    grid = 2 * r if refined else r
+    scaled = EhrhartReport(dilate(P, Fraction(1, grid)))
+    if m is None:
+        m = scaled.q
+    numerator = _lifted_numerator(scaled, m).regrade(grid)
+    if not (numerator.degree_key < m * (P.dim + 1) and numerator.is_nonnegative):
+        raise IdentityViolated("numerator must be nonnegative of degree below m(d+1)")
+    report = RationalSeriesReport(r=r, m=m, refined=refined, numerator=numerator,
+                                  origin_position=_origin_position(P), decomposition=None)
+    return report, scaled
 
 
 def rational_series(P: Polytope, refined: bool = False,
@@ -99,42 +112,22 @@ def rational_series(P: Polytope, refined: bool = False,
     m must make (m/r)P -- refined: (m/(2r))P -- a lattice polytope and defaults
     to the minimal such value; the numerator depends on it, so it is recorded.
     """
-    r = codenominator(P)
-    grid = 2 * r if refined else r
-    scaled = dilate(P, Fraction(1, grid))
-    if m is None:
-        m = scaled.denominator_q
-    numerator = _lifted_numerator(scaled, m).regrade(grid)
-    d = P.dim
-    if not (numerator.degree_key < m * (d + 1) and numerator.is_nonnegative):
-        raise IdentityViolated("numerator must be nonnegative of degree below m(d+1)")
-    return RationalSeriesReport(r=r, m=m, refined=refined, numerator=numerator,
-                                origin_position=_origin_position(P), decomposition=None)
+    return _series(P, refined, m)[0]
 
 
 def rational_decompose(P: Polytope) -> RationalSeriesReport:
     """Three-case decomposition of the rational series by origin position.
 
-    interior: the numerator itself is palindromic (checked).  boundary:
-    decompose the grid-r numerator with ell taken from the scaled polytope.
-    outside: the same on the refined grid 2r.
+    interior: the numerator itself is palindromic (checked).  boundary: the
+    decomposition of the scaled polytope (1/r)P, regraded by 1/r.  outside:
+    the same on the refined grid 2r.
     """
     position = _origin_position(P)
-    refined = position == "outside"
-    report = rational_series(P, refined=refined)
-    grid = 2 * report.r if refined else report.r
-    scaled = dilate(P, Fraction(1, grid))
-
+    report, scaled = _series(P, position == "outside", None)
     if position == "interior":
         if not report.numerator.is_palindromic():
             raise IdentityViolated("origin strictly inside forces a palindromic numerator")
         return report
-
-    ell, _ = find_interior_point(scaled)
-    plain = GradedPolynomial(1, report.numerator.coeffs)  # same keys, integer grid
-    a, b = symmetric_decompose(plain, report.m, ell, P.dim)
-    decomposition = (a.regrade(grid), b.regrade(grid), ell)
-    return RationalSeriesReport(r=report.r, m=report.m, refined=refined,
-                                numerator=report.numerator,
-                                origin_position=position,
-                                decomposition=decomposition)
+    grid = 2 * report.r if report.refined else report.r
+    dec = scaled.decomposition
+    return replace(report, decomposition=(dec.a.regrade(grid), dec.b.regrade(grid), dec.ell))

@@ -170,20 +170,40 @@ def test_codenominator_offsets(monkeypatch):
 
 
 def test_rational_numerator_nonnegative(monkeypatch):
-    real = rational_ehrhart.hstar_polytope
-    monkeypatch.setattr(rational_ehrhart, "hstar_polytope",
-                        lambda P: real(P) - GP.from_list([2]))
+    real = decomposition._hstar
+    monkeypatch.setattr(decomposition, "_hstar", lambda cone: real(cone) - GP.from_list([2]))
     with pytest.raises(IdentityViolated, match="nonnegative"):
         rational_ehrhart.rational_series(skew)
 
 
 def test_rational_interior_palindromic(monkeypatch):
-    real = rational_ehrhart.hstar_polytope
-    monkeypatch.setattr(rational_ehrhart, "hstar_polytope",
-                        lambda P: real(P) + GP.monomial(1))
+    real = decomposition._hstar
+    monkeypatch.setattr(decomposition, "_hstar", lambda cone: real(cone) + GP.monomial(1))
     centered = dilate(build_polytope([(-1, -1), (-1, 1), (1, -1), (1, 1)]), F(1, 2))
     with pytest.raises(IdentityViolated, match="palindromic"):
         rational_ehrhart.rational_decompose(centered)
+
+
+def test_rational_a_equals_boundary(monkeypatch):
+    # the origin is a vertex of skew, so the grid-r decomposition of (1/r)skew runs
+    real = decomposition.symmetric_decompose
+
+    def wrong_a(*args):
+        a, b = real(*args)
+        return a + GP.monomial(1), b
+    monkeypatch.setattr(decomposition, "symmetric_decompose", wrong_a)
+    with pytest.raises(IdentityViolated, match="boundary h"):
+        rational_ehrhart.rational_decompose(skew)
+
+
+def test_rational_b_routes_agree(monkeypatch):
+    # the origin lies outside, so the refined grid-2r decomposition runs
+    real = decomposition._b_polynomial
+    monkeypatch.setattr(decomposition, "_b_polynomial",
+                        lambda cone, ell: real(cone, ell) + GP.one())
+    outside = build_polytope([(1, 1), (1, 2), (2, 1), (2, 2)])
+    with pytest.raises(IdentityViolated, match="algebraic b"):
+        rational_ehrhart.rational_decompose(outside)
 
 
 def test_corpus_names_unique(monkeypatch):

@@ -58,6 +58,14 @@ def test_rational_decompose_flags(p52_file, capsys):
     assert "origin: boundary (refined grid)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--refined"], ["--m", "4"], ["--refined", "--m", "4"]])
+def test_rational_decompose_rejects_grid_flags(p52_file, capsys, extra):
+    # --decompose chooses the grid and m itself, so it must not drop these silently
+    assert run(["rational", "-f", p52_file, "--decompose"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
 def test_boundary_and_interior(capsys):
     assert run(["boundary", "--vertices", "0,0; 0,2; 2,0; 3,3"]) == 0
     assert "h*_boundary = 1 + 4*z + z^2" in capsys.readouterr().out

@@ -52,6 +52,12 @@ def test_rational_series_invalid_m():
         rational_series(wide, m=3)  # (3/2)P is not a lattice polytope
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_rational_series_rejects_nonpositive_m(m):
+    with pytest.raises(InvalidM):
+        rational_series(wide, m=m)
+
+
 def test_rational_decompose_worked_example():
     rep = rational_decompose(wide)
     assert rep.origin_position == "boundary" and not rep.refined

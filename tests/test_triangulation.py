@@ -10,6 +10,8 @@ from ehrkit.ehrhart import hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotFullDimensional,
                            NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
+from ehrkit.gorenstein import gorenstein_index, is_rational_reflexive
+from ehrkit.rational_ehrhart import codenominator
 from ehrkit.triangulation import (
     BoundaryTriangulation,
     HalfOpenSimplex,
@@ -128,7 +130,8 @@ def test_simplex_rejects_mixed_dimensions():
 
 
 @pytest.mark.parametrize("fn", [hstar_polytope, hstar_boundary, hstar_interior,
-                                triangulate_boundary, find_interior_point],
+                                triangulate_boundary, find_interior_point,
+                                is_rational_reflexive, gorenstein_index, codenominator],
                          ids=lambda fn: fn.__name__)
 def test_needs_full_dimension(fn):
     with pytest.raises(NotFullDimensional):
