@@ -30,29 +30,24 @@ from .triangulation import (
     pyramid,
     triangulate_boundary,
 )
-from .ehrhart import (
-    QuasiCoefficients,
-    SeriesForm,
-    boundary_series,
-    ehrhart_series,
-    fpp_points,
-    hstar_boundary,
-    hstar_interior,
-    hstar_polytope,
-    hstar_simplex,
-    quasi_coefficients,
-    volume,
-)
+from .ehrhart import QuasiCoefficients, SeriesForm, fpp_points, hstar_simplex
 from .oracle import count_points, hstar_from_counts
 from .decomposition import (
     DecompositionReport,
     EhrhartReport,
     InequalityAudit,
+    boundary_series,
     ehrhart_report,
+    ehrhart_series,
+    hstar_boundary,
+    hstar_interior,
+    hstar_polytope,
     inequality_audit,
     pyramid_hstar_compare,
+    quasi_coefficients,
     stapledon_report,
     symmetric_decompose,
+    volume,
 )
 from .gorenstein import (
     GorensteinKind,

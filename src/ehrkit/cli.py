@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import EhrkitError
+from .errors import EhrkitError, EmptyInput, InvalidM, MixedDimensions
 from .geometry import (
     Polytope,
     build_polytope,
@@ -20,7 +20,6 @@ from .geometry import (
     parse_rational,
     project_to_affine_hull,
 )
-from .ehrhart import hstar_boundary, hstar_interior, hstar_polytope
 from .decomposition import EhrhartReport
 from .gorenstein import verify_gorenstein_identities
 from .rational_ehrhart import rational_decompose, rational_series
@@ -53,7 +52,7 @@ def _parse_vertices(text: str):
 def _load_file(path: str) -> Polytope:
     try:
         return load_polytope(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, EmptyInput, MixedDimensions) as exc:
         raise UsageError("-f: %s" % exc) from exc
 
 
@@ -63,7 +62,10 @@ def _load_input(args) -> Polytope:
     if args.file:
         P = _load_file(args.file)
     elif args.vertices:
-        P = build_polytope(_parse_vertices(args.vertices))
+        try:
+            P = build_polytope(_parse_vertices(args.vertices))
+        except MixedDimensions as exc:
+            raise UsageError("--vertices: %s" % exc) from exc
     else:
         raise UsageError("an input polytope is required: -f FILE or --vertices \"...\"")
     if getattr(args, "project", False) and not P.is_full_dimensional:
@@ -84,8 +86,11 @@ def _dump_triangulation(args, analysis: EhrhartReport) -> None:
     if not getattr(args, "dump_triangulation", None):
         return
     _, cone = analysis.cone
-    with open(args.dump_triangulation, "w", encoding="utf-8") as fh:
-        json.dump({"schema": SCHEMA, **triangulation_to_json_dict(cone)}, fh, indent=2)
+    try:
+        with open(args.dump_triangulation, "w", encoding="utf-8") as fh:
+            json.dump({"schema": SCHEMA, **triangulation_to_json_dict(cone)}, fh, indent=2)
+    except OSError as exc:
+        raise UsageError("--dump-triangulation: %s" % exc) from exc
 
 
 # -- subcommand implementations --------------------------------------------------
@@ -104,33 +109,19 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_hstar(args) -> int:
+# subcommand -> (EhrhartReport field and JSON key, text label)
+POLYNOMIALS = {"hstar": ("hstar", "h*"), "boundary": ("hstar_boundary", "h*_boundary"),
+               "interior": ("hstar_interior", "h*_interior")}
+
+
+def _cmd_polynomial(args) -> int:
     P = _load_input(args)
+    field, label = POLYNOMIALS[args.command]
     analysis = EhrhartReport(P)
-    h = analysis.hstar
+    h = getattr(analysis, field)
     _dump_triangulation(args, analysis)
-    _emit(args, P, {"hstar": h.to_json_dict(), "q": str(P.denominator_q), "d": str(P.dim)},
-          ["h* = %s (q=%d, d=%d)" % (h.text(), P.denominator_q, P.dim)])
-    return 0
-
-
-def _cmd_boundary(args) -> int:
-    P = _load_input(args)
-    analysis = EhrhartReport(P)
-    h = analysis.hstar_boundary
-    _dump_triangulation(args, analysis)
-    _emit(args, P, {"hstar_boundary": h.to_json_dict(), "q": str(P.denominator_q),
-                    "d": str(P.dim)},
-          ["h*_boundary = %s (q=%d, d=%d)" % (h.text(), P.denominator_q, P.dim)])
-    return 0
-
-
-def _cmd_interior(args) -> int:
-    P = _load_input(args)
-    h = hstar_interior(P)
-    _emit(args, P, {"hstar_interior": h.to_json_dict(), "q": str(P.denominator_q),
-                    "d": str(P.dim)},
-          ["h*_interior = %s (q=%d, d=%d)" % (h.text(), P.denominator_q, P.dim)])
+    _emit(args, P, {field: h.to_json_dict(), "q": str(P.denominator_q), "d": str(P.dim)},
+          ["%s = %s (q=%d, d=%d)" % (label, h.text(), P.denominator_q, P.dim)])
     return 0
 
 
@@ -183,7 +174,10 @@ def _cmd_rational(args) -> int:
     if args.decompose:
         report = rational_decompose(P)
     else:
-        report = rational_series(P, refined=args.refined, m=args.m)
+        try:
+            report = rational_series(P, refined=args.refined, m=args.m)
+        except InvalidM as exc:
+            raise UsageError("--m: %s" % exc) from exc
     lines = ["r=%d, m=%d, h̃ = %s" % (report.r, report.m, report.numerator.text()),
              "origin: %s%s" % (report.origin_position,
                                " (refined grid)" if report.refined else "")]
@@ -205,11 +199,10 @@ def _cmd_verify(args) -> int:
     rows = []
     for name, P in entries:
         try:
-            h = hstar_polytope(P)
-            ok = (h == hstar_from_counts(P, "closed")
-                  and hstar_boundary(P) == hstar_from_counts(P, "boundary")
-                  and h.reverse(P.denominator_q * (P.dim + 1))
-                  == hstar_from_counts(P, "interior"))
+            report = EhrhartReport(P)
+            ok = (report.hstar == hstar_from_counts(P, "closed")
+                  and report.hstar_boundary == hstar_from_counts(P, "boundary")
+                  and report.hstar_interior == hstar_from_counts(P, "interior"))
         except EhrkitError as exc:
             ok = False
             rows.append((name, "ERROR: %s" % exc))
@@ -242,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(lattice-preserving)")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    for name, fn in [("info", _cmd_info), ("hstar", _cmd_hstar),
-                     ("boundary", _cmd_boundary), ("interior", _cmd_interior),
+    for name, fn in [("info", _cmd_info), ("hstar", _cmd_polynomial),
+                     ("boundary", _cmd_polynomial), ("interior", _cmd_polynomial),
                      ("decompose", _cmd_decompose), ("gorenstein", _cmd_gorenstein)]:
         p = sub.add_parser(name)
         add_input(p)

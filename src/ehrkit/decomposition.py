@@ -1,4 +1,10 @@
-"""Symmetric decomposition of h*, the inequality audit, and the per-polytope analysis.
+"""The per-polytope analysis, its views, and the symmetric decomposition of h*.
+
+EhrhartReport is the analysis of one polytope, computing each artifact once.
+Every per-polytope entry point is a view of it: hstar_polytope,
+hstar_boundary, hstar_interior, the series forms, the quasipolynomial and the
+volume read one field, and stapledon_report, inequality_audit and
+ehrhart_report read the decomposition and the audit.
 
 Writing (1 + ... + z^(ell-1))/(1 + ... + z^(q-1)) * h*_P as a(z) + z^ell b(z)
 with both parts palindromic has a unique solution; here a is recovered in
@@ -7,9 +13,6 @@ independent computations.  Both read the one half-open triangulation path
 with an interior apex x of dilation denominator ell: the cells without x give
 the boundary h*-polynomial, and the cells at heights (q, ..., q, ell) give b.
 h* itself comes from the same path with a vertex as apex.
-
-EhrhartReport is the analysis of one polytope, computing each artifact once;
-stapledon_report, inequality_audit and ehrhart_report are views of it.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, factorial
 
 from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
-from .geometry import Point, Polytope, as_point, build_polytope, point_denominator
+from .geometry import Polytope, as_point, build_polytope, point_denominator
 from .gradedpoly import GradedPolynomial
-from .ehrhart import QuasiCoefficients, _hstar, fpp_lattice_points, hstar_cells
+from .ehrhart import QuasiCoefficients, SeriesForm, _hstar, fpp_lattice_points, hstar_cells
 from .triangulation import (
     ConeTriangulation,
     HalfOpenSimplex,
@@ -113,17 +116,6 @@ def _b_polynomial(cone: ConeTriangulation, ell: int) -> GradedPolynomial:
     return GradedPolynomial.from_dict(counts)
 
 
-def pyramid_b_polynomial(P: Polytope, ell: int, x: Point) -> GradedPolynomial:
-    """b(z) recomputed cell by cell from parallelepiped points with beta > 0.
-
-    Walks the half-open cells coned over x (denominator ell) with heights
-    (q, ..., q, ell).  The lattice points with positive apex coefficient sit
-    at heights >= ell by minimality of ell; their height multiset, shifted
-    down by ell, sums to b(z).
-    """
-    return _b_polynomial(_half_open(P, _pull_facets(P), x), ell)
-
-
 def stapledon_report(P: Polytope) -> DecompositionReport:
     """Full symmetric-decomposition bundle with both b-routes cross-checked."""
     return EhrhartReport(P).decomposition
@@ -194,9 +186,10 @@ class EhrhartReport:
     """h* data, decomposition and audit of one full-dimensional polytope.
 
     Each field is computed on first read and at most once.  The fields share
-    h*, the interior point (ell, x), one pulling triangulation of the boundary
-    and the half-open cone over x, which feeds the boundary h*, the b-route
-    and the unimodularity test.  The cone for h* is cut from the same pull.
+    h*, the interior point (ell, x), and the half-open cone over x, which
+    feeds the boundary h*, the b-route and the unimodularity test.  Both
+    cones pull their facets through one memo, so each face is pulled once
+    per report, and h* read alone pulls only the facets that miss its vertex.
     """
 
     polytope: Polytope
@@ -218,22 +211,22 @@ class EhrhartReport:
         return find_interior_point(self.polytope)
 
     @cached_property
-    def _pieces(self):
-        return _pull_facets(self.polytope)
+    def _pulled(self):
+        """The pull memo of both cones: face -> its pulled pieces."""
+        return {}
 
     @cached_property
     def cone(self):
         """(BoundaryTriangulation, ConeTriangulation) over the interior point x."""
-        return _decompose(self.polytope, self._pieces, apex=self._interior_point[1])
+        pieces = _pull_facets(self.polytope, pulled=self._pulled)
+        return _decompose(self.polytope, pieces, apex=self._interior_point[1])
 
     @cached_property
     def hstar(self) -> GradedPolynomial:
+        """h* from the half-open cone over the lexicographically smallest vertex."""
         P = self.polytope
         v = P.vertices[0]
-        # Pulling cones every face from its lex-min vertex, and v is the
-        # lex-min vertex of every face holding it: a piece holds v exactly
-        # when its facet does, so these are the pieces of _pull_facets(P, v).
-        return _hstar(_half_open(P, [piece for piece in self._pieces if v not in piece], v))
+        return _hstar(_half_open(P, _pull_facets(P, v, self._pulled), v))
 
     @cached_property
     def hstar_boundary(self) -> GradedPolynomial:
@@ -340,3 +333,37 @@ def ehrhart_report(P: Polytope) -> EhrhartReport:
     for name in ("hstar_interior", "decomposition", "audit"):
         getattr(report, name)
     return report
+
+
+def hstar_polytope(P: Polytope) -> GradedPolynomial:
+    """h*-polynomial: numerator of the Ehrhart series over (1 - z^q)^(d+1)."""
+    return EhrhartReport(P).hstar
+
+
+def hstar_boundary(P: Polytope) -> GradedPolynomial:
+    """Boundary h*-polynomial over (1 - z^q)^d: degree qd, palindromic."""
+    return EhrhartReport(P).hstar_boundary
+
+
+def hstar_interior(P: Polytope) -> GradedPolynomial:
+    """h* of the open polytope: the reversal of h*_P in degree q(d+1)."""
+    return EhrhartReport(P).hstar_interior
+
+
+def ehrhart_series(P: Polytope) -> SeriesForm:
+    return SeriesForm(hstar_polytope(P), Fraction(P.denominator_q), P.dim + 1)
+
+
+def boundary_series(P: Polytope) -> SeriesForm:
+    return SeriesForm(hstar_boundary(P), Fraction(P.denominator_q), P.dim)
+
+
+def quasi_coefficients(P: Polytope) -> QuasiCoefficients:
+    """Interpolate the counting quasipolynomial per residue class mod q."""
+    return QuasiCoefficients.from_hstar(hstar_polytope(P), P.denominator_q, P.dim)
+
+
+def volume(P: Polytope) -> Fraction:
+    """Euclidean volume of a full-dimensional polytope, via h*(1)."""
+    q, d = P.denominator_q, P.dim
+    return Fraction(hstar_polytope(P).evaluate_at_one(), factorial(d) * q ** (d + 1))

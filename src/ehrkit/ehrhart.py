@@ -1,4 +1,4 @@
-"""Core engine: fundamental-parallelepiped enumeration and h*-polynomials.
+"""Core engine: fundamental-parallelepiped enumeration and h*-polynomials of cells.
 
 A half-open simplex with vertices v_j and heights h_j homogenizes to the cone
 generated by (h_j v_j, h_j); its fundamental parallelepiped uses coefficient
@@ -10,10 +10,12 @@ residues instead of scanning a bounding box.  The walk streams them as an
 odometer over the diagonal: each step adds one precomputed carry column to
 the coefficients and its point to the running point, so a step costs O(n + d)
 and the walk's memory does not grow with det.  A walk of more than
-ENUMERATION_LIMIT residues raises WalkTooLarge before it starts.  The cells
-come from the one half-open path of the triangulation module: h* cones over
-the lexicographically smallest vertex of P, boundary h* over the interior
-point x.
+ENUMERATION_LIMIT residues raises WalkTooLarge before it starts.
+
+This module sums cells into h*-polynomials and keeps the series and
+quasipolynomial forms; it knows nothing of how a polytope is cut into cells.
+The per-polytope entry points (hstar_polytope, hstar_boundary, ...) are
+views of one EhrhartReport in the decomposition module.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from operator import add, ge, sub
 
 from .errors import ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator, WalkTooLarge
 from .gradedpoly import GradedPolynomial
-from .geometry import Polytope
 from .linalg import diagonalize, interpolate_polynomial
-from .triangulation import HalfOpenSimplex, _decompose, _pull_facets, half_open_cone
+from .triangulation import HalfOpenSimplex
 
 
 def _generator_matrix(S: HalfOpenSimplex, heights):
@@ -178,11 +179,6 @@ def hstar_cells(cells, q: int) -> GradedPolynomial:
     return total
 
 
-def hstar_polytope(P: Polytope, seed: int = 0) -> GradedPolynomial:
-    """h*-polynomial: numerator of the Ehrhart series over (1 - z^q)^(d+1)."""
-    return _hstar(half_open_cone(P, P.vertices[0], seed=seed))
-
-
 def _hstar(cone) -> GradedPolynomial:
     """h* from the half-open cone of P over one of its vertices."""
     P = cone.parent
@@ -191,17 +187,6 @@ def _hstar(cone) -> GradedPolynomial:
     if total.degree_key >= q * (P.dim + 1):
         raise IdentityViolated("deg h* = %d is not below q(d+1)" % total.degree_key)
     return total
-
-
-def hstar_boundary(P: Polytope, apex=None, seed: int = 0) -> GradedPolynomial:
-    """Boundary h*-polynomial over (1 - z^q)^d: degree qd, palindromic."""
-    boundary, _ = _decompose(P, _pull_facets(P), apex=apex, seed=seed)
-    return hstar_cells(boundary.simplices, P.denominator_q)
-
-
-def hstar_interior(P: Polytope) -> GradedPolynomial:
-    """h* of the open polytope: the reversal of h*_P in degree q(d+1)."""
-    return hstar_polytope(P).reverse(P.denominator_q * (P.dim + 1))
 
 
 @dataclass(frozen=True)
@@ -230,14 +215,6 @@ class SeriesForm:
                 j += 1
             out.append(total)
         return out
-
-
-def ehrhart_series(P: Polytope) -> SeriesForm:
-    return SeriesForm(hstar_polytope(P), Fraction(P.denominator_q), P.dim + 1)
-
-
-def boundary_series(P: Polytope) -> SeriesForm:
-    return SeriesForm(hstar_boundary(P), Fraction(P.denominator_q), P.dim)
 
 
 @dataclass(frozen=True)
@@ -286,15 +263,3 @@ def _minimal_period(values: list[Fraction]) -> tuple[Fraction, ...]:
         if q % p == 0 and all(values[i] == values[i % p] for i in range(q)):
             return tuple(values[:p])
     return tuple(values)
-
-
-def quasi_coefficients(P: Polytope) -> QuasiCoefficients:
-    """Interpolate the counting quasipolynomial per residue class mod q."""
-    return QuasiCoefficients.from_hstar(hstar_polytope(P), P.denominator_q, P.dim)
-
-
-def volume(P: Polytope) -> Fraction:
-    """Euclidean volume of a full-dimensional polytope, via h*(1)."""
-    h = hstar_polytope(P)
-    q, d = P.denominator_q, P.dim
-    return Fraction(h.evaluate_at_one(), factorial(d) * q ** (d + 1))

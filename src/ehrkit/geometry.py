@@ -177,7 +177,8 @@ class Polytope:
 
     vertices are lexicographically sorted and irredundant; denominator_q is
     the least positive integer q with q * (every vertex) integral.  The facet
-    description is computed on demand and only for full-dimensional polytopes.
+    description and the vertex-facet incidence are computed on demand and
+    only for full-dimensional polytopes.
     """
 
     vertices: tuple[Point, ...]
@@ -193,6 +194,14 @@ class Polytope:
                 "project to the affine hull first" % (self.dim, self.ambient_dim))
         _, facets = _hull_full_dim(list(self.vertices), self.ambient_dim)
         return facets
+
+    @cached_property
+    def _incidence(self) -> tuple[frozenset[Point], ...]:
+        """The vertex set of each facet, decided in integers: normal . (q v)
+        == q offset with q the denominator of P."""
+        q, scaled = _scaled(self.vertices)
+        return tuple(frozenset(v for v, w in zip(self.vertices, scaled)
+                               if dot(hs.normal, w) == q * hs.offset) for hs in self.facets)
 
     @property
     def is_lattice(self) -> bool:

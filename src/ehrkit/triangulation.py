@@ -11,8 +11,8 @@ lexicographically smallest vertex as apex; boundary h* and the b-route use an
 interior point x, over which every facet is pulled and the cells without x
 partition the boundary.  The pulled pieces stay vertex tuples until their
 masks are known, so each cell is built once, with its final mask, and each
-boundary cell once from its cone cell; a report pulls the boundary once and
-cuts both of its cones from that one pull.
+boundary cell once from its cone cell; a report pulls both of its cones
+through one memo, so it pulls each face once.
 
 Pulling works on the face lattice that the hull's vertex-facet incidence
 already gives: every face, at every level of the recursion, is coned from its
@@ -44,7 +44,7 @@ from .errors import (
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
 from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
                        dilate, format_rational)
-from .linalg import (_int_rank, _scaled, diagonalize, dot, solve_unique, vec_add, vec_scale,
+from .linalg import (_int_rank, _scaled, diagonalize, solve_unique, vec_add, vec_scale,
                      vec_sub)
 
 
@@ -149,20 +149,23 @@ def _pull_face(face, incidence, pulled):
     return pieces
 
 
-def _pull_facets(P: Polytope, apex=None) -> list[tuple[Point, ...]]:
+def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[Point, ...]]:
     """Pulling triangulations of the facets of P whose hyperplane misses apex
     (every facet when apex is None), as sorted vertex tuples in sorted order.
 
-    A face is its vertex set, read off the hull's vertex-facet incidence,
-    which integer arithmetic decides: normal . (q v) == q offset with q the
-    denominator of P.  Each face is pulled once per call."""
-    q, scaled = _scaled(P.vertices)
-    incidence = [frozenset(v for v, w in zip(P.vertices, scaled)
-                           if dot(hs.normal, w) == q * hs.offset) for hs in P.facets]
-    pulled = {}
-    return sorted(piece for hs, F in zip(P.facets, incidence)
-                  if apex is None or hs.slack(apex) != 0
-                  for piece in _pull_face(F, incidence, pulled))
+    A face is its vertex set, read off the vertex-facet incidence of P.  Each
+    face, facets included, is pulled once per memo `pulled` (a fresh one per
+    call by default), so a second call through the same memo pulls only the
+    faces the first did not reach."""
+    pulled = {} if pulled is None else pulled
+    pieces = []
+    for hs, F in zip(P.facets, P._incidence):
+        # a facet holding apex as a vertex meets it, with no slack to compute
+        if apex is None or (apex not in F and hs.slack(apex) != 0):
+            if F not in pulled:
+                pulled[F] = _pull_face(F, P._incidence, pulled)
+            pieces += pulled[F]
+    return sorted(pieces)
 
 
 def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:

@@ -8,7 +8,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from ehrkit.corpus import standard_corpus  # noqa: E402
-from ehrkit.ehrhart import hstar_boundary, hstar_interior, hstar_polytope  # noqa: E402
+from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope  # noqa: E402
 from ehrkit.oracle import hstar_from_counts  # noqa: E402
 
 CORPUS = standard_corpus()

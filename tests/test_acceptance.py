@@ -11,11 +11,11 @@ from itertools import product
 
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
-from ehrkit.ehrhart import hstar_boundary, hstar_polytope
-from ehrkit.decomposition import inequality_audit, stapledon_report
+from ehrkit.decomposition import hstar_boundary, hstar_polytope, inequality_audit, stapledon_report
+from ehrkit.ehrhart import hstar_cells
 from ehrkit.gorenstein import gorenstein_index, is_reflexive, verify_gorenstein_identities
 from ehrkit.rational_ehrhart import codenominator, rational_decompose, rational_series
-from ehrkit.triangulation import half_open_decompose, triangulate_boundary
+from ehrkit.triangulation import half_open_cone, half_open_decompose, triangulate_boundary
 
 from conftest import CORPUS, bundle_for
 
@@ -129,8 +129,11 @@ def test_criterion_6_invariant_suite():
                     ("half-wide", dilate(build_polytope(pts((0, 0), (0, 2), (5, 2))), F(1, 2))),
                     ("cube", build_polytope([(x, y, z) for x in (0, 1)
                                              for y in (0, 1) for z in (0, 1)]))]:
-        ok = ok and len({hstar_boundary(P, seed=s) for s in range(3)}) == 1
-        ok = ok and len({hstar_polytope(P, seed=s) for s in range(3)}) == 1
+        T, q = triangulate_boundary(P), P.denominator_q
+        ok = ok and len({hstar_cells(half_open_decompose(T, P, seed=s)[0].simplices, q)
+                         for s in range(3)} | {hstar_boundary(P)}) == 1
+        ok = ok and len({hstar_cells(half_open_cone(P, P.vertices[0], seed=s).cells, q)
+                         for s in range(3)} | {hstar_polytope(P)}) == 1
     _report(6, "palindromicity, reciprocity, boundary difference identity, "
                "positivity chain, missing-face bounds, seed invariance", ok)
 

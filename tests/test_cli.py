@@ -3,10 +3,10 @@ import json
 import pytest
 
 from ehrkit.cli import run
-from ehrkit.ehrhart import hstar_polytope
+from ehrkit.ehrhart import _hstar
 from ehrkit.geometry import polytope_from_json_dict
 from ehrkit.gradedpoly import GradedPolynomial as GP
-from ehrkit.decomposition import DecompositionReport
+from ehrkit.decomposition import DecompositionReport, EhrhartReport
 from ehrkit.rational_ehrhart import RationalSeriesReport
 from ehrkit.triangulation import _generic_point, find_interior_point
 
@@ -179,10 +179,37 @@ def test_computation_error_exit_code(capsys):
 
 
 def test_verify_computes_hstar_once_per_polytope(square2_file, p52_file, monkeypatch, capsys):
-    calls = count_calls(monkeypatch, hstar_polytope)
+    reports = count_calls(monkeypatch, EhrhartReport)
+    hstars = count_calls(monkeypatch, _hstar)
     assert run(["verify", "-f", square2_file, "-f", p52_file]) == 0
     capsys.readouterr()
-    assert len(calls) == 2
+    assert len(reports) == len(hstars) == 2
+
+
+def test_bad_m_is_a_usage_error(capsys):
+    for m in ("3", "0"):
+        assert run(["rational", "--vertices", "0; 1/2", "--m", m]) == 2
+        assert capsys.readouterr().err.startswith("usage error: --m: ")
+
+
+def test_malformed_vertex_data_is_a_usage_error(tmp_path, capsys):
+    for k, rows in enumerate(([], [["0", "0"], ["1"]])):
+        path = tmp_path / ("bad%d.json" % k)
+        path.write_text(json.dumps({"vertices": rows}))
+        for argv in (["hstar", "-f", str(path)], ["verify", "-f", str(path)]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err.startswith("usage error: -f: ")
+    assert run(["hstar", "--vertices", "0,0; 1"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --vertices: ")
+
+
+def test_dump_triangulation_to_unwritable_path(square2_file, tmp_path, capsys):
+    for command in ("hstar", "boundary"):
+        assert run([command, "-f", square2_file, "--dump-triangulation",
+                    str(tmp_path / "missing" / "tri.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --dump-triangulation: ")
+        assert captured.out == ""
 
 
 def test_dump_triangulation_reuses_the_cone(square2_file, tmp_path, monkeypatch, capsys):

@@ -8,14 +8,17 @@ from ehrkit.geometry import build_polytope
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import (
     DecompositionReport,
+    EhrhartReport,
+    _b_polynomial,
     ehrhart_report,
+    hstar_boundary,
+    hstar_polytope,
     inequality_audit,
-    pyramid_b_polynomial,
     pyramid_hstar_compare,
     stapledon_report,
     symmetric_decompose,
 )
-from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_polytope
+from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.oracle import count_points
 from ehrkit.triangulation import _barycentric, _generic_point, find_interior_point
 
@@ -98,8 +101,8 @@ def test_decomposition_suite(corpus_bundle):
 
 def test_pyramid_b_values_sit_at_ell_or_higher():
     skew = build_polytope(pts((0, 0), (0, 2), (2, 0), (3, 3)))
-    ell, x = find_interior_point(skew)
-    b = pyramid_b_polynomial(skew, ell, x)
+    ell, _ = find_interior_point(skew)
+    b = _b_polynomial(EhrhartReport(skew).cone[1], ell)
     assert b == GP.from_list([3, 3])  # independent route for the worked skew quad
 
 

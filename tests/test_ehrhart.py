@@ -6,20 +6,18 @@ import pytest
 from ehrkit.errors import ENUMERATION_LIMIT, NonIntegralGenerator, NotFullDimensional, WalkTooLarge
 from ehrkit.geometry import build_polytope, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
-from ehrkit.ehrhart import (
-    SeriesForm,
+from ehrkit.decomposition import (
     boundary_series,
     ehrhart_series,
-    fpp_lattice_points,
-    fpp_points,
     hstar_boundary,
     hstar_interior,
     hstar_polytope,
-    hstar_simplex,
     quasi_coefficients,
     volume,
 )
-from ehrkit.triangulation import HalfOpenSimplex, half_open_decompose, triangulate_boundary
+from ehrkit.ehrhart import SeriesForm, fpp_lattice_points, fpp_points, hstar_cells, hstar_simplex
+from ehrkit.triangulation import (HalfOpenSimplex, half_open_cone, half_open_decompose,
+                                  triangulate_boundary)
 from ehrkit.oracle import count_points, hstar_from_counts
 
 from conftest import bundle_for
@@ -219,11 +217,13 @@ def test_apex_and_seed_invariance():
          [(F(1, 2), F(1, 2), F(1, 2)), (F(1, 3), F(1, 4), F(1, 5)), (F(2, 3), F(1, 2), F(1, 3))]),
     ]
     for P, apexes in cases:
-        boundary_values = {hstar_boundary(P, apex=a, seed=s)
+        T, q = triangulate_boundary(P), P.denominator_q
+        boundary_values = {hstar_cells(half_open_decompose(T, P, apex=a, seed=s)[0].simplices, q)
                            for s in range(3) for a in apexes}
-        assert len(boundary_values) == 1
-        hstar_values = {hstar_polytope(P, seed=s) for s in range(3)}
-        assert len(hstar_values) == 1
+        assert boundary_values == {hstar_boundary(P)}
+        hstar_values = {hstar_cells(half_open_cone(P, P.vertices[0], seed=s).cells, q)
+                        for s in range(3)}
+        assert hstar_values == {hstar_polytope(P)}
 
 
 def test_monotonicity_and_boundary_failure():

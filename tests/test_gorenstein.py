@@ -12,7 +12,8 @@ from ehrkit.gorenstein import (
     is_reflexive,
     verify_gorenstein_identities,
 )
-from ehrkit.ehrhart import fpp_points, hstar_boundary, hstar_polytope
+from ehrkit.decomposition import hstar_boundary, hstar_polytope
+from ehrkit.ehrhart import fpp_points
 from ehrkit.triangulation import (
     find_interior_point,
     half_open_decompose,

@@ -57,7 +57,7 @@ def test_oracle_matches_pipeline(corpus_bundle):
 def test_fuzz_pipeline_vs_oracle():
     """Seeded random polytopes, including degenerate inputs, agree with the oracle."""
     import random
-    from ehrkit.ehrhart import hstar_boundary, hstar_interior, hstar_polytope
+    from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope
 
     rng = random.Random(424242)
     checked = 0

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit, stapledon_report
-from ehrkit.ehrhart import fpp_lattice_points, hstar_boundary, hstar_interior, hstar_polytope
+from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope
+from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope
 from ehrkit.linalg import _int_normal, _int_rank, determinant, dot, matrix_rank, solve_unique

@@ -5,7 +5,8 @@ import pytest
 from ehrkit.errors import InvalidM
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
-from ehrkit.ehrhart import SeriesForm, hstar_boundary, hstar_polytope
+from ehrkit.decomposition import hstar_boundary, hstar_polytope
+from ehrkit.ehrhart import SeriesForm
 from ehrkit.oracle import count_points
 from ehrkit.rational_ehrhart import (
     RationalSeriesReport,

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from ehrkit import geometry, triangulation
-from ehrkit.decomposition import EhrhartReport, ehrhart_report
-from ehrkit.ehrhart import hstar_boundary, hstar_interior, hstar_polytope
+from ehrkit.decomposition import (EhrhartReport, ehrhart_report, hstar_boundary, hstar_interior,
+                                  hstar_polytope)
 from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotFullDimensional,
                            NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
@@ -88,7 +88,8 @@ def test_pulling_builds_no_hull(monkeypatch):
 def test_each_face_is_pulled_once(monkeypatch):
     """The boundary of the 5-cube reaches 111 distinct faces, each pulled once,
     also by a whole report, which builds each of its 120 cells over a vertex,
-    240 cells over x and 240 boundary cells once."""
+    240 cells over x and 240 boundary cells once.  h* alone pulls only the 31
+    faces of the five facets that miss the origin."""
     cube5 = build_polytope(list(product((0, 1), repeat=5)))
     expected = triangulate_boundary(cube5)
     calls = count_calls(monkeypatch, triangulation._pull_face)
@@ -99,6 +100,10 @@ def test_each_face_is_pulled_once(monkeypatch):
     ehrhart_report(cube5)
     assert len(calls) == len({face for face, *_ in calls}) == 111
     assert len(built) == 120 + 240 + 240
+    for read_hstar in (hstar_polytope, lambda P: EhrhartReport(P).hstar):
+        calls.clear()
+        read_hstar(cube5)
+        assert len(calls) == len({face for face, *_ in calls}) == 31
 
 
 def test_pyramid_mask_rule():
