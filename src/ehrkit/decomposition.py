@@ -34,7 +34,6 @@ from .triangulation import (
     _pull_facets,
     find_interior_point,
     half_open_cone,
-    is_unimodular,
 )
 
 
@@ -187,7 +186,8 @@ class EhrhartReport:
 
     Each field is computed on first read and at most once.  The fields share
     h*, the interior point (ell, x), and the half-open cone over x, which
-    feeds the boundary h*, the b-route and the unimodularity test.  Both
+    feeds the boundary h* and the b-route; the audit's unimodularity test
+    compares boundary h*(1), the residue count, with the cell count.  Both
     cones pull their facets through one memo, so each face is pulled once
     per report, and h* read alone pulls only the facets that miss its vertex.
     """
@@ -296,7 +296,8 @@ class EhrhartReport:
             items.append(AuditItem("boundary_dominated", False, True,
                                    "ell=%d > q=%d" % (ell, q)))
 
-        unimodular = P.is_lattice and is_unimodular(self.cone[0])
+        # each boundary cell holds |det| >= 1 residues and hb(1) is their sum
+        unimodular = P.is_lattice and hb.evaluate_at_one() == len(self.cone[0].simplices)
         if unimodular:
             hbd = hb.as_dict()
             chain_ok = all(hbd.get(j, 0) <= hbd.get(j + 1, 0) for j in range(d // 2))

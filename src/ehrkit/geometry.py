@@ -79,9 +79,10 @@ class Halfspace:
     normal: tuple[int, ...]
     offset: int
 
-    def slack(self, x: Point) -> Fraction:
-        """offset - normal . x; nonnegative on the polytope, zero on the facet."""
-        return Fraction(self.offset) - dot(self.normal, x)
+    def slack(self, x):
+        """offset - normal . x, an int for an integer point x and a Fraction
+        otherwise; nonnegative on the polytope, zero on the facet."""
+        return self.offset - dot(self.normal, x)
 
     def to_json_dict(self) -> dict:
         return {"normal": [str(a) for a in self.normal], "offset": str(self.offset)}
@@ -359,12 +360,14 @@ def polytope_from_json_dict(data) -> Polytope:
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("polytope JSON needs a 'vertices' key")
     rows = data["vertices"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("'vertices' must be a list of coordinate lists")
     points = []
     for row in rows:
         coords = []
         for entry in row:
-            if isinstance(entry, float):
-                raise ValueError("floats are not accepted; use 'p/q' strings")
+            if isinstance(entry, (bool, float)):
+                raise ValueError("floats and booleans are not accepted; use 'p/q' strings")
             coords.append(parse_rational(entry))
         points.append(coords)
     return build_polytope(points)

@@ -5,9 +5,13 @@ interior lattice point to the origin makes every gcd-normalized facet offset
 equal to one.  A rational polytope with the origin strictly inside is
 rational reflexive exactly when all its facet offsets are one already.  P is
 (rational) g-Gorenstein when gP is an integral translate of a reflexive
-polytope; since tQ with Q = qP lattice has nondecreasing interior counts and
-a reflexive dilate carries exactly one interior lattice point, the only
-candidate is g = q * ell(qP).
+polytope.  With each facet of P written n . x <= c, n primitive, gP + t is
+reflexive exactly when q divides g (gP is a lattice polytope), t is integral
+and g c + n . t = 1 on every facet (Batyrev's facet characterization).  That
+linear system in (g, t) has at most one solution, since the facets of a
+bounded full-dimensional polytope neither all pass through one point nor
+have normals in one hyperplane; so classification is one exact solve and
+enumerates no lattice points.
 
 The identity suite: writing ell for the minimal dilation of P itself with an
 interior lattice point,
@@ -20,24 +24,21 @@ interior lattice point,
 The last line is the b(z) = 0 statement of the symmetric decomposition; g and
 ell(P) agree for lattice polytopes but can differ for rational ones (the
 segment [0, 2/3] has g = 3, ell = 2), which is why the rational identity is
-phrased through ell.
+phrased through ell.  The lattice check g = ell compares the solve with the
+report's interior-point search, two independent routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd
 
-from .errors import (
-    IdentityViolated,
-    NotFullDimensional,
-    NotLatticePolytope,
-    OriginNotInterior,
-)
-from .geometry import Polytope, as_point, contains, dilate
+from .errors import IdentityViolated, NotFullDimensional, NotLatticePolytope, OriginNotInterior
+from .geometry import Polytope, as_point, contains
 from .gradedpoly import GradedPolynomial
 from .decomposition import EhrhartReport
-from .triangulation import find_interior_point, interior_lattice_points
+from .linalg import solve_unique
 
 
 class GorensteinKind(Enum):
@@ -64,17 +65,31 @@ class GorensteinStatus:
         return out
 
 
+def _reflexive_translate(P: Polytope):
+    """The unique (g, t) with gP + t reflexive, or None when there is none.
+
+    A facet normal . x <= offset of P is n . x <= c with k = gcd(normal),
+    n = normal / k and c = offset / k, so g c + n . t = 1 reads
+    g offset + normal . t = k; (g, t) must be integral with q dividing g.
+    """
+    rows = [(hs.offset,) + hs.normal for hs in P.facets]
+    solution = solve_unique(rows, [gcd(*hs.normal) for hs in P.facets])
+    if solution is None or any(x.denominator != 1 for x in solution):
+        return None
+    g, *t = map(int, solution)
+    return (g, tuple(t)) if g % P.denominator_q == 0 else None
+
+
 def is_reflexive(P: Polytope):
     """(flag, translation) -- translation is the integer shift making offsets one."""
     if not P.is_full_dimensional:
         raise NotFullDimensional("reflexivity needs a full-dimensional polytope")
     if not P.is_lattice:
         raise NotLatticePolytope("reflexivity is defined for lattice polytopes")
-    for u in interior_lattice_points(P):
-        if all(hs.offset - sum(a * c for a, c in zip(hs.normal, u)) == 1
-               for hs in P.facets):
-            return True, tuple(-c for c in u)
-    return False, None
+    found = _reflexive_translate(P)
+    if found is None or found[0] != 1:
+        return False, None
+    return True, found[1]
 
 
 def is_rational_reflexive(P: Polytope) -> bool:
@@ -86,37 +101,23 @@ def is_rational_reflexive(P: Polytope) -> bool:
 
 
 def gorenstein_index(P: Polytope) -> GorensteinStatus:
-    """Classify P; the only possible Gorenstein index is g = q * ell(qP)."""
-    q = P.denominator_q
-    lattice_model = dilate(P, q)
-    ell_lattice, _ = find_interior_point(lattice_model)
-    g = q * ell_lattice
-    candidate = dilate(P, g)
-    flag, shift = is_reflexive(candidate)
+    """Classify P by the unique g and integral translate t with gP + t
+    reflexive.
 
-    rational_reflexive = False
-    origin = as_point([0] * P.ambient_dim)
-    if q > 1 and contains(P, origin, "interior"):
-        rational_reflexive = is_rational_reflexive(P)
-
-    if q == 1:
-        if flag and g == 1:
-            kind = GorensteinKind.REFLEXIVE
-        elif flag:
-            kind = GorensteinKind.GORENSTEIN
-        else:
-            kind = GorensteinKind.NONE
+    One exact solve on the facets finds them or shows there are none; g is
+    then a multiple of q.  Offsets all equal to one put the origin strictly
+    inside, so they make a rational P rational reflexive.
+    """
+    found = _reflexive_translate(P)
+    if not P.is_lattice and all(hs.offset == 1 for hs in P.facets):
+        kind = GorensteinKind.RATIONAL_REFLEXIVE
+    elif found is None:
+        kind = GorensteinKind.NONE
+    elif P.is_lattice:
+        kind = GorensteinKind.REFLEXIVE if found[0] == 1 else GorensteinKind.GORENSTEIN
     else:
-        if rational_reflexive:
-            kind = GorensteinKind.RATIONAL_REFLEXIVE
-        elif flag:
-            kind = GorensteinKind.RATIONAL_GORENSTEIN
-        else:
-            kind = GorensteinKind.NONE
-
-    if flag:
-        return GorensteinStatus(kind, g, shift)
-    return GorensteinStatus(kind, None, None)
+        kind = GorensteinKind.RATIONAL_GORENSTEIN
+    return GorensteinStatus(kind, *(found or (None, None)))
 
 
 @dataclass(frozen=True)

@@ -39,13 +39,11 @@ from .errors import (
     IdentityViolated,
     MixedDimensions,
     NotGeneric,
-    NotLatticePolytope,
 )
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
 from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
                        dilate, format_rational)
-from .linalg import (_int_rank, _scaled, diagonalize, solve_unique, vec_add, vec_scale,
-                     vec_sub)
+from .linalg import _int_rank, _scaled, solve_unique, vec_add, vec_scale, vec_sub
 
 
 @dataclass(frozen=True)
@@ -322,17 +320,6 @@ def find_interior_point(P: Polytope):
             if inside:
                 return ell, tuple(Fraction(c, ell) for c in u)
     raise BoundExceeded("no interior lattice point up to dilation %d" % bound)
-
-
-def is_unimodular(T: BoundaryTriangulation) -> bool:
-    """True when every boundary simplex has normalized volume one."""
-    if not T.parent.is_lattice:
-        raise NotLatticePolytope("unimodularity is defined for lattice polytopes")
-    for S in T.simplices:
-        rows = [tuple(int(c) for c in v) + (1,) for v in S.vertices]
-        if prod(diagonalize(list(zip(*rows)))[0]) != 1:  # columns = homogenized vertices
-            return False
-    return True
 
 
 def triangulation_to_json_dict(cone: ConeTriangulation) -> dict:

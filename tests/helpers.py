@@ -9,8 +9,10 @@ vertex enumeration, and the hull one that tries every Fraction hyperplane
 through d of the points.  The pulling rule is checked face by face from the
 facet inequalities, and volumes by coning boundary pieces over a point.
 Ranks, determinants and exact solves run Gaussian elimination over Fraction,
-sharing no code with the library's fraction-free elimination.  Slow and
-obviously correct.
+sharing no code with the library's fraction-free elimination, and
+reflexivity is found by scanning the bounding box for an interior lattice
+point at which every facet offset is one, not by the library's facet solve.
+Slow and obviously correct.
 """
 
 import sys
@@ -21,7 +23,8 @@ from math import ceil, factorial, floor, lcm
 
 from ehrkit.geometry import Halfspace, as_point
 from ehrkit.linalg import dot, primitive_row, vec_sub
-from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, triangulate_boundary
+from ehrkit.triangulation import (HalfOpenSimplex, half_open_cone, interior_lattice_points,
+                                  triangulate_boundary)
 
 
 def count_calls(monkeypatch, fn):
@@ -337,6 +340,16 @@ def count_in_scaled_cell(simplex, n):
                for c, miss in zip(coords, simplex.missing)):
             count += 1
     return count
+
+
+def scan_reflexive(P):
+    """Reflexivity of a lattice polytope by scanning its bounding box:
+    (True, -u) for the interior lattice point u at which every facet offset of
+    P - u is one, (False, None) when there is none."""
+    for u in interior_lattice_points(P):
+        if all(hs.slack(u) == 1 for hs in P.facets):
+            return True, tuple(-c for c in u)
+    return False, None
 
 
 def sample_in_polytope(P, rng, count):

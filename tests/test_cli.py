@@ -193,7 +193,8 @@ def test_bad_m_is_a_usage_error(capsys):
 
 
 def test_malformed_vertex_data_is_a_usage_error(tmp_path, capsys):
-    for k, rows in enumerate(([], [["0", "0"], ["1"]])):
+    bad = ([], [["0", "0"], ["1"]], 5, None, [5, 6], [[True, False], [0, 1], [1, 1]])
+    for k, rows in enumerate(bad):
         path = tmp_path / ("bad%d.json" % k)
         path.write_text(json.dumps({"vertices": rows}))
         for argv in (["hstar", "-f", str(path)], ["verify", "-f", str(path)]):

@@ -178,10 +178,17 @@ def test_inequality_audit_over_corpus(corpus_bundle):
 
 
 def test_unimodular_warning_items_present():
+    """The chain applies exactly when the boundary cells are unimodular, which
+    the audit reads off boundary h*(1) against the cell count."""
     sq = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
     audit = inequality_audit(sq)
     chain = next(i for i in audit.items if i.name == "unimodular_chain")
     assert chain.applicable and chain.level == "warning" and chain.passed
+    tri2 = build_polytope(pts((0, 0), (2, 0), (0, 2)))
+    box = build_polytope(pts((-1, -1), (-1, 1), (1, -1), (1, 1)))
+    for P in (tri2, box):
+        chain = next(i for i in inequality_audit(P).items if i.name == "unimodular_chain")
+        assert not chain.applicable
 
 
 def test_ehrhart_report_bundle():

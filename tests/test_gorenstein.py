@@ -5,8 +5,10 @@ import pytest
 from ehrkit.errors import NotLatticePolytope, OriginNotInterior
 from ehrkit.geometry import build_polytope, contains, dilate, translate
 from ehrkit.gradedpoly import GradedPolynomial as GP
+from ehrkit import triangulation
 from ehrkit.gorenstein import (
     GorensteinKind,
+    GorensteinStatus,
     gorenstein_index,
     is_rational_reflexive,
     is_reflexive,
@@ -24,6 +26,7 @@ from ehrkit.triangulation import (
 from ehrkit.corpus import reflexive_triangles
 
 from conftest import CORPUS
+from helpers import scan_reflexive
 
 
 def pts(*coords):
@@ -80,6 +83,10 @@ def test_gorenstein_index_examples():
     skew = build_polytope(pts((0, 0), (0, 2), (2, 0), (3, 3)))
     assert gorenstein_index(skew).kind is GorensteinKind.NONE
 
+    # g = 1, t = (0, 1) solves the facet system, but q = 2 does not divide g
+    half = build_polytope(pts((-1, -2), (0, F(-3, 2)), (3, 3)))
+    assert gorenstein_index(half) == GorensteinStatus(GorensteinKind.NONE, None, None)
+
 
 def test_gorenstein_g_is_multiple_of_q():
     for _, P in CORPUS:
@@ -91,21 +98,45 @@ def test_gorenstein_g_is_multiple_of_q():
 
 
 def test_gorenstein_index_agrees_with_exhaustive_search():
-    """Brute force over g = 1..q(d+1) reproduces the q * ell(qP) candidate."""
+    """A box scan of every lattice dilate gP, g = 1..q(d+1), finds the g and
+    the translate of the facet solve."""
     for name, P in CORPUS:
         if not P.is_full_dimensional:
             continue
         q, d = P.denominator_q, P.dim
-        found = None
+        found = (None, None)
         for g in range(1, q * (d + 1) + 1):
             if g % q:
                 continue  # gP must be a lattice polytope
-            flag, _ = is_reflexive(dilate(P, g))
+            flag, shift = scan_reflexive(dilate(P, g))
             if flag:
-                found = g
+                found = (g, shift)
                 break
         st = gorenstein_index(P)
-        assert st.g == found, (name, st.g, found)
+        assert (st.g, st.translate) == found, (name, st, found)
+        if P.is_lattice:
+            assert is_reflexive(P) == scan_reflexive(P), name
+
+
+def test_classification_enumerates_no_lattice_points(monkeypatch):
+    monkeypatch.setattr(triangulation, "_box_scan",
+                        lambda P: pytest.fail("classification scanned a bounding box"))
+    for name, P in CORPUS:
+        if P.is_full_dimensional:
+            gorenstein_index(P)
+            if P.is_lattice:
+                is_reflexive(P)
+
+
+def test_classification_of_far_dilates():
+    """No box is scanned, so size does not matter: 1000 cross-3d has no
+    reflexive dilate, and cross-3d / 1000 is rational reflexive with g = 1000."""
+    cross = build_polytope([v for i in range(3) for s in (1, -1)
+                            for v in [tuple(s * (i == j) for j in range(3))]])
+    assert gorenstein_index(dilate(cross, 1000)).kind is GorensteinKind.NONE
+    st = gorenstein_index(dilate(cross, F(1, 1000)))
+    assert st.kind is GorensteinKind.RATIONAL_REFLEXIVE
+    assert (st.g, st.translate) == (1000, (0, 0, 0))
 
 
 def test_identity_reflexive_cases():

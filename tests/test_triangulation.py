@@ -19,7 +19,6 @@ from ehrkit.triangulation import (
     half_open_cone,
     half_open_decompose,
     interior_lattice_points,
-    is_unimodular,
     pick_generic_point,
     pyramid,
     triangulate_boundary,
@@ -256,15 +255,6 @@ def test_exactly_one_closed_over_corpus():
         T = triangulate_boundary(P)
         boundary, _ = half_open_decompose(T, P)
         assert sum(1 for s in boundary.simplices if s.is_closed) == 1
-
-
-def test_is_unimodular():
-    sq1 = build_polytope(pts((0, 0), (0, 1), (1, 0), (1, 1)))
-    assert is_unimodular(half_open_decompose(triangulate_boundary(sq1), sq1)[0])
-    tri2 = build_polytope(pts((0, 0), (2, 0), (0, 2)))
-    assert not is_unimodular(half_open_decompose(triangulate_boundary(tri2), tri2)[0])
-    box = build_polytope(pts((-1, -1), (-1, 1), (1, -1), (1, 1)))
-    assert not is_unimodular(half_open_decompose(triangulate_boundary(box), box)[0])
 
 
 def test_boundary_triangulation_invariant():
