@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -11,6 +12,7 @@ from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotF
                            NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.gorenstein import gorenstein_index, is_rational_reflexive
+from ehrkit.linalg import diagonalize
 from ehrkit.rational_ehrhart import codenominator
 from ehrkit.triangulation import (
     BoundaryTriangulation,
@@ -255,6 +257,26 @@ def test_exactly_one_closed_over_corpus():
         T = triangulate_boundary(P)
         boundary, _ = half_open_decompose(T, P)
         assert sum(1 for s in boundary.simplices if s.is_closed) == 1
+
+
+def test_is_unimodular():
+    """Boundary cells are unimodular exactly when boundary h*(1), the residue
+    count, equals the cell count; each cell holds as many residues as the
+    product of the Smith invariants of its homogenized vertices."""
+    sq1 = build_polytope(pts((0, 0), (0, 1), (1, 0), (1, 1)))
+    tri2 = build_polytope(pts((0, 0), (2, 0), (0, 2)))
+    box = build_polytope(pts((-1, -1), (-1, 1), (1, -1), (1, 1)))
+    for P, expected in ((sq1, True), (tri2, False), (box, False)):
+        report = ehrhart_report(P)
+        cells = report.cone[0].simplices
+        index = []
+        for S in cells:
+            rows = [tuple(int(c) for c in v) + (1,) for v in S.vertices]
+            index.append(prod(diagonalize(list(zip(*rows)))[0]))  # columns = homogenized vertices
+        residues = report.hstar_boundary.evaluate_at_one()
+        assert residues == sum(index)
+        assert all(i == 1 for i in index) is expected
+        assert (residues == len(cells)) is expected
 
 
 def test_boundary_triangulation_invariant():
