@@ -33,17 +33,18 @@ from .triangulation import HalfOpenSimplex
 
 
 def _generator_matrix(S: HalfOpenSimplex, heights):
+    """The columns h_j (v_j, 1), read off the cell's homogenized integer
+    columns (L_j v_j, L_j): h_j must be a positive multiple of L_j."""
     if len(heights) != len(S.vertices):
         raise ValueError("need one height per vertex")
     cols = []
-    for h, v in zip(heights, S.vertices):
+    for h, v, col in zip(heights, S.vertices, S._columns):
         if h < 1:
             raise ValueError("heights must be positive integers")
-        # vertices are in lowest terms, so h clears c exactly when c.denominator divides h
-        if any(h % c.denominator for c in v):
+        if h % col[-1]:
             raise NonIntegralGenerator(
                 "height %d does not clear the denominators of vertex %s" % (h, (v,)))
-        cols.append([h // c.denominator * c.numerator for c in v] + [h])
+        cols.append([h // col[-1] * a for a in col])
     return cols
 
 

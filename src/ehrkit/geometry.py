@@ -29,6 +29,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .linalg import (
+    _homogenized,
     _int_normal,
     _int_rank,
     _scaled,
@@ -177,9 +178,10 @@ class Polytope:
     """Rational polytope given by its extreme points.
 
     vertices are lexicographically sorted and irredundant; denominator_q is
-    the least positive integer q with q * (every vertex) integral.  The facet
-    description and the vertex-facet incidence are computed on demand and
-    only for full-dimensional polytopes.
+    the least positive integer q with q * (every vertex) integral.  Cached on
+    demand: the integer vertex table (q, the rows q·v) and, for full-dimensional
+    polytopes only, the facets, the integer facet table (normal, q·offset) and
+    the vertex-facet incidence: per facet a bitmask, bit i for vertices[i].
     """
 
     vertices: tuple[Point, ...]
@@ -197,12 +199,22 @@ class Polytope:
         return facets
 
     @cached_property
-    def _incidence(self) -> tuple[frozenset[Point], ...]:
-        """The vertex set of each facet, decided in integers: normal . (q v)
-        == q offset with q the denominator of P."""
-        q, scaled = _scaled(self.vertices)
-        return tuple(frozenset(v for v, w in zip(self.vertices, scaled)
-                               if dot(hs.normal, w) == q * hs.offset) for hs in self.facets)
+    def _int_vertices(self):
+        return _scaled(self.vertices)
+
+    @cached_property
+    def _int_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple((hs.normal, self.denominator_q * hs.offset) for hs in self.facets)
+
+    @cached_property
+    def _incidence(self) -> tuple[int, ...]:
+        return tuple(sum(1 << i for i, w in enumerate(self._int_vertices[1]) if dot(n, w) == qoff)
+                     for n, qoff in self._int_facets)
+
+    def _int_slacks(self, u, ell) -> list[int]:
+        """q·ell times the slack of u / ell on each facet: ell·(q·offset) - q·(normal·u)."""
+        q = self.denominator_q
+        return [ell * qoff - q * dot(normal, u) for normal, qoff in self._int_facets]
 
     @property
     def is_lattice(self) -> bool:
@@ -257,18 +269,15 @@ def build_polytope(points) -> Polytope:
 
 
 def contains(P: Polytope, x, mode: str = "closed") -> bool:
-    """Exact membership test against the facet inequalities."""
+    """Exact membership test against the facet inequalities, in integers."""
     x = as_point(x)
     if len(x) != P.ambient_dim:
         raise MixedDimensions("query point has wrong dimension")
     if mode not in ("closed", "interior", "boundary"):
         raise ValueError("mode must be closed, interior or boundary")
-    slacks = [hs.slack(x) for hs in P.facets]
-    if mode == "closed":
-        return all(s >= 0 for s in slacks)
-    if mode == "interior":
-        return all(s > 0 for s in slacks)
-    return all(s >= 0 for s in slacks) and any(s == 0 for s in slacks)
+    ell, (u,) = _scaled([x])
+    least = min(P._int_slacks(u, ell))
+    return {"closed": least >= 0, "interior": least > 0, "boundary": least == 0}[mode]
 
 
 def dilate(P: Polytope, t) -> Polytope:
@@ -318,11 +327,7 @@ def project_to_affine_hull(P: Polytope) -> Polytope:
         raise NoLatticePoints("a single point has no positive-dimensional chart")
 
     # integer spanning rows of the homogenized affine hull
-    homog = []
-    for v in P.vertices:
-        den = point_denominator(v)
-        homog.append(tuple(int(c * den) for c in v) + (den,))
-    basis = [homog[i] for i in _affine_basis(_scaled(P.vertices)[1], P.dim)]
+    basis = [_homogenized(P.vertices[i]) for i in _affine_basis(_scaled(P.vertices)[1], P.dim)]
     r = len(basis)  # == dim + 1
 
     columns = [list(col) for col in zip(*basis)]  # (d+1) x r, full column rank

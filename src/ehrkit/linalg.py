@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import IdentityViolated
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_add(a, b):
@@ -75,6 +76,12 @@ def _scaled(points):
     # a set keeps lcm's argument tuple short; long tuples of many sizes fill CPython's free lists
     scale = lcm(*{c.denominator for p in points for c in p})
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in points]
+
+
+def _homogenized(point) -> tuple[int, ...]:
+    """(L·point, L) as one integer tuple, L the least common denominator."""
+    scale, (ints,) = _scaled([point])
+    return ints + (scale,)
 
 
 def _echelon(rows):

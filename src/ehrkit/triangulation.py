@@ -9,14 +9,14 @@ turns the cover into a genuine partition with exactly one closed cell, which
 is what makes constant terms add up correctly downstream.  h* uses the
 lexicographically smallest vertex as apex; boundary h* and the b-route use an
 interior point x, over which every facet is pulled and the cells without x
-partition the boundary.  The pulled pieces stay vertex tuples until their
-masks are known, so each cell is built once, with its final mask, and each
-boundary cell once from its cone cell; a report pulls both of its cones
-through one memo, so it pulls each face once.
+partition the boundary.  The pulled pieces stay index tuples over P's integer
+vertex table until their masks are known, so each cell is built once, with
+its final mask, and each boundary cell once from its cone cell; a report
+pulls both of its cones through one memo, so it pulls each face once.
 
-Pulling works on the face lattice that the hull's vertex-facet incidence
-already gives: every face, at every level of the recursion, is coned from its
-lexicographically smallest vertex, and no face is charted or re-hulled.
+Pulling works on the face lattice that the hull's vertex-facet incidence, one
+vertex bitmask per facet, already gives: every face is coned from its
+lexicographically smallest vertex, its lowest bit, and none is re-hulled.
 
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from a fixed perturbation schedule that is verified
@@ -25,10 +25,10 @@ exactly and retried with a finer step on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, prod
+from math import prod
 
 from .errors import (
     ENUMERATION_LIMIT,
@@ -42,8 +42,9 @@ from .errors import (
 )
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
 from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
-                       dilate, format_rational)
-from .linalg import _int_rank, _scaled, solve_unique, vec_add, vec_scale, vec_sub
+                       format_rational)
+from .linalg import (_echelon, _homogenized, _int_rank, _kernel, dot, solve_unique, vec_add,
+                     vec_scale)
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,18 @@ class HalfOpenSimplex:
 
     vertices: tuple[Point, ...]
     missing: tuple[bool, ...]
+    # per vertex v, the homogenized integer column (L·v, L), L the denominator of v
+    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) != len(self.missing):
             raise ValueError("mask length must equal vertex count")
         if len({len(v) for v in self.vertices}) > 1:
             raise MixedDimensions("simplex vertices have different dimensions")
-        _, rows = _scaled(self.vertices)
-        if _int_rank([vec_sub(r, rows[0]) for r in rows[1:]]) != len(rows) - 1:
+        columns = tuple(map(_homogenized, self.vertices))
+        if _int_rank(columns) != len(columns):
             raise AffinelyDependent("simplex vertices are affinely dependent")
+        object.__setattr__(self, "_columns", columns)
 
     @staticmethod
     def closed(vertices) -> "HalfOpenSimplex":
@@ -85,7 +89,9 @@ class HalfOpenSimplex:
 
     def barycentric(self, x: Point):
         """Barycentric coordinates of x, or None when x is off the affine span."""
-        return _barycentric(self.vertices, x)
+        if len(x) != len(self.vertices[0]):
+            raise MixedDimensions("query point has wrong dimension")
+        return solve_unique(list(zip(*(v + (1,) for v in self.vertices))), tuple(x) + (1,))
 
     def contains(self, x) -> bool:
         """Half-open membership: lambda_i >= 0, strictly so on missing facets."""
@@ -94,19 +100,6 @@ class HalfOpenSimplex:
             return False
         return all(c > 0 if miss else c >= 0
                    for c, miss in zip(coords, self.missing))
-
-    def to_json_dict(self, pool: dict[Point, int]) -> dict:
-        return {"vertices": [pool[v] for v in self.vertices],
-                "missing": list(self.missing)}
-
-
-def _barycentric(vertices, x: Point):
-    """Barycentric coordinates of x, or None when x is off the affine span
-    of vertices; ValueError when dependent vertices span x."""
-    if len(x) != len(vertices[0]):
-        raise MixedDimensions("query point has wrong dimension")
-    columns = list(zip(*(tuple(v) + (1,) for v in vertices)))
-    return solve_unique(columns, tuple(x) + (1,))
 
 
 @dataclass(frozen=True)
@@ -130,36 +123,45 @@ class ConeTriangulation:
 
 
 def _pull_face(face, incidence, pulled):
-    """Pulling triangulation of a face, given as its vertex set: the lex-min
-    vertex coned over the pulled facets of the face that miss it.  The facets
-    of a face are its maximal proper intersections with the sets in
-    `incidence`; `pulled` memoizes the faces already pulled."""
-    if len(face) == 1:
-        return [tuple(face)]
+    """Pulling triangulation of a face, a vertex bitmask, as index tuples: the
+    lex-min vertex, its lowest bit, coned over the pulled facets of the face
+    that miss it.  The facets of a face are its maximal proper intersections
+    with the masks in `incidence`; `pulled` memoizes the faces pulled."""
+    low = face & -face
+    if face == low:
+        return [(low.bit_length() - 1,)]
     meets = {face & F for F in incidence} - {face}
-    low = min(face)
     pieces = []
     for G in meets:
-        if low not in G and not any(G < H for H in meets):
+        if not G & low and not any(G & H == G != H for H in meets):
             if G not in pulled:
                 pulled[G] = _pull_face(G, incidence, pulled)
-            pieces += [(low,) + piece for piece in pulled[G]]  # low precedes all of G
+            pieces += [(low.bit_length() - 1,) + piece for piece in pulled[G]]
     return pieces
 
 
-def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[Point, ...]]:
-    """Pulling triangulations of the facets of P whose hyperplane misses apex
-    (every facet when apex is None), as sorted vertex tuples in sorted order.
+def _apex(P: Polytope, apex):
+    """apex = u / ell as the homogenized column (u, ell), and q·ell times its
+    slack on each facet of P; ValueError when apex is outside P."""
+    if not contains(P, apex):
+        raise ValueError("apex must lie in P")
+    column = _homogenized(apex)
+    return column, P._int_slacks(column[:-1], column[-1])
 
-    A face is its vertex set, read off the vertex-facet incidence of P.  Each
-    face, facets included, is pulled once per memo `pulled` (a fresh one per
-    call by default), so a second call through the same memo pulls only the
-    faces the first did not reach."""
+
+def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[int, ...]]:
+    """Pulling triangulations of the facets of P whose hyperplane misses the
+    point apex of P (every facet when apex is None), as sorted ascending index
+    tuples into P.vertices, which sort as their point tuples would.
+
+    Each face, a vertex bitmask, is pulled once per memo `pulled` (a fresh one
+    per call by default), so a second call through the same memo pulls only
+    the faces the first did not reach."""
     pulled = {} if pulled is None else pulled
+    slacks = [1] * len(P._incidence) if apex is None else _apex(P, apex)[1]
     pieces = []
-    for hs, F in zip(P.facets, P._incidence):
-        # a facet holding apex as a vertex meets it, with no slack to compute
-        if apex is None or (apex not in F and hs.slack(apex) != 0):
+    for F, slack in zip(P._incidence, slacks):
+        if slack:
             if F not in pulled:
                 pulled[F] = _pull_face(F, P._incidence, pulled)
             pieces += pulled[F]
@@ -168,7 +170,7 @@ def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[Point, ...]]
 
 def triangulate_boundary(P: Polytope) -> list[HalfOpenSimplex]:
     """Closed (d-1)-simplices covering the boundary, using only vertices of P."""
-    return [HalfOpenSimplex.closed(piece) for piece in _pull_facets(P)]
+    return [HalfOpenSimplex.closed([P.vertices[i] for i in piece]) for piece in _pull_facets(P)]
 
 
 def pyramid(x, S: HalfOpenSimplex) -> HalfOpenSimplex:
@@ -176,24 +178,28 @@ def pyramid(x, S: HalfOpenSimplex) -> HalfOpenSimplex:
     return HalfOpenSimplex(S.vertices + (as_point(x),), S.missing + (False,))
 
 
+def _visible(cell, y):
+    """Mask of the facets of a cell (homogenized integer columns) visible from
+    y = Y/D, given as (Y, D): True where the kernel of (columns | (Y, D)) has
+    the sign of its last entry, i.e. y's barycentric coordinate is negative."""
+    n = len(cell)
+    if n != len(y) or len(cell[0]) != n:
+        raise ValueError("cone cells must be full-dimensional simplices in P's space")
+    m, pivots, _ = _echelon(list(zip(*cell, y)))
+    if len(pivots) != n or pivots[-1] != n - 1:
+        raise AffinelyDependent("cone cell vertices are affinely dependent")
+    kernel = _kernel(m, pivots, n + 1)
+    if 0 in kernel:
+        return None
+    return tuple(k * kernel[n] > 0 for k in kernel[:n])
+
+
 def _visibility(cells, y: Point):
-    """Per cell, given as its vertex tuple, the mask of facets visible from y:
-    True where y's barycentric coordinate is negative.  None when y lies on
-    some cell hyperplane, i.e. a coordinate is zero."""
-    masks = []
-    for cell in cells:
-        if len(cell) != len(y) + 1:
-            raise ValueError("cone cells must be full-dimensional simplices")
-        try:
-            coords = _barycentric(cell, y)
-        except ValueError:  # dependent vertices whose span holds y
-            coords = None
-        if coords is None:  # the system is square, so only a degenerate cell fails
-            raise AffinelyDependent("cone cell vertices are affinely dependent")
-        if 0 in coords:
-            return None
-        masks.append(tuple(c < 0 for c in coords))
-    return masks
+    """Per cell (homogenized integer columns), the mask of facets visible
+    from the point y; None when y lies on some cell hyperplane."""
+    Y = _homogenized(y)
+    masks = [_visible(cell, Y) for cell in cells]
+    return None if None in masks else masks
 
 
 def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
@@ -201,16 +207,15 @@ def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
 
     Starts from the apex (or the vertex centroid when the apex sits on the
     boundary) and perturbs along a power schedule epsilon, epsilon^2, ... in
-    the coordinate directions; genericity is verified exactly and the step is
-    halved up to 32 times.
+    the coordinate directions; genericity is verified exactly, with 32 tries
+    that halve the step 31 times.
     """
-    cells = [cell.vertices for cell in Tprime.cells]
-    return _generic_point(Tprime.parent, Tprime.apex, cells, seed)[0]
+    return _generic_point(Tprime.parent, Tprime.apex, [c._columns for c in Tprime.cells], seed)[0]
 
 
 def _generic_point(P: Polytope, apex: Point, cells, seed: int):
-    """pick_generic_point's y for the cells (vertex tuples) of a cone over
-    apex, together with their visibility masks."""
+    """pick_generic_point's y for the cells (homogenized integer columns) of a
+    cone over apex, together with their visibility masks."""
     if not cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
@@ -229,11 +234,15 @@ def _generic_point(P: Polytope, apex: Point, cells, seed: int):
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
-def _half_open(P: Polytope, pieces, apex, y=None, seed: int = 0) -> ConeTriangulation:
-    """The pieces (vertex tuples) coned over apex, each cell built once with
-    the facets visible from y (default: pick_generic_point's) removed."""
-    apex = as_point(apex)
-    cells = [piece + (apex,) for piece in pieces]
+def _half_open(P: Polytope, pieces, apex, y=None, seed=0, points=None) -> ConeTriangulation:
+    """The pieces, index tuples into `points` (P's vertices, then any other
+    point), coned over the point apex of P, each cell built once with the
+    facets visible from y (default: pick_generic_point's) removed."""
+    apex, points = as_point(apex), P.vertices if points is None else points
+    q, rows = P._int_vertices
+    columns = [w + (q,) for w in rows] + [_homogenized(v) for v in points[len(rows):]]
+    top = _apex(P, apex)[0]
+    cells = [tuple(columns[i] for i in piece) + (top,) for piece in pieces]
     if y is None:
         y, masks = _generic_point(P, apex, cells, seed)
     else:
@@ -242,16 +251,18 @@ def _half_open(P: Polytope, pieces, apex, y=None, seed: int = 0) -> ConeTriangul
             raise NotGeneric("point lies on a cell hyperplane")
     if any(mask[-1] for mask in masks):
         raise IdentityViolated("the facet opposite the apex is visible from y")
-    return ConeTriangulation(apex, tuple(map(HalfOpenSimplex, cells, masks)), P)
+    return ConeTriangulation(apex, tuple(
+        HalfOpenSimplex(tuple(points[i] for i in piece) + (apex,), mask)
+        for piece, mask in zip(pieces, masks)), P)
 
 
-def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0):
-    """half_open_decompose of the boundary pieces given as vertex tuples.  The
-    facet opposite the apex lies in a facet of P and is never removed, so
+def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0, points=None):
+    """half_open_decompose of the boundary pieces (index tuples into points).
+    The facet opposite the apex lies in a facet of P and is never removed, so
     each cone cell's mask restricts to its boundary cell."""
     if apex is None:
         apex = find_interior_point(P)[1]
-    cone = _half_open(P, pieces, apex, y, seed)
+    cone = _half_open(P, pieces, apex, y, seed, points)
     boundary = tuple(
         HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1]) for cell in cone.cells)
     return BoundaryTriangulation(boundary, P), cone
@@ -260,7 +271,16 @@ def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0):
 def half_open_cone(P: Polytope, apex, seed: int = 0) -> ConeTriangulation:
     """Half-open d-simplices partitioning P: the facets whose hyperplane misses
     the point apex of P are pulled, coned over it and masked by visibility."""
-    return _half_open(P, _pull_facets(P, as_point(apex)), apex, seed=seed)
+    apex = as_point(apex)
+    return _half_open(P, _pull_facets(P, apex), apex, seed=seed)
+
+
+def _index(P: Polytope, cells):
+    """The cells (point tuples) as index tuples into P's vertices followed by
+    every other point, in order of first appearance; returns (pieces, points)."""
+    points = list(dict.fromkeys(P.vertices + tuple(v for cell in cells for v in cell)))
+    index = {v: i for i, v in enumerate(points)}
+    return [tuple(index[v] for v in cell) for cell in cells], points
 
 
 def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
@@ -272,21 +292,22 @@ def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
     removed, and the masks are restricted back to the boundary cells.  Returns
     (BoundaryTriangulation, ConeTriangulation).
     """
-    return _decompose(P, [S.vertices for S in T], apex, y, seed)
+    pieces, points = _index(P, [S.vertices for S in T])
+    return _decompose(P, pieces, apex, y, seed, points)
 
 
-def _box(P: Polytope) -> list[range]:
-    """The integer bounding box of P, one coordinate range per axis."""
-    return [range(ceil(min(v[c] for v in P.vertices)), floor(max(v[c] for v in P.vertices)) + 1)
-            for c in range(P.ambient_dim)]
+def _box(P: Polytope, ell: int = 1) -> list[range]:
+    """The integer bounding box of ell·P, one coordinate range per axis."""
+    q, rows = P._int_vertices
+    return [range(-(-ell * min(col) // q), ell * max(col) // q + 1) for col in zip(*rows)]
 
 
-def _box_scan(P: Polytope):
-    """The integer points of P's bounding box, lazily in lexicographic order,
-    each paired with whether it lies strictly inside P."""
-    facets = P.facets
-    for u in product(*_box(P)):
-        yield u, all(hs.slack(u) > 0 for hs in facets)
+def _box_scan(P: Polytope, ell: int = 1):
+    """The integer points of ell·P's bounding box, lazily in lexicographic order,
+    each paired with whether q·(normal·u) < ell·(q·offset) on every facet."""
+    q = P.denominator_q
+    for u in product(*_box(P, ell)):
+        yield u, all(q * dot(normal, u) < ell * qoff for normal, qoff in P._int_facets)
 
 
 def interior_lattice_points(P: Polytope) -> list[tuple[int, ...]]:
@@ -312,7 +333,7 @@ def find_interior_point(P: Polytope):
     bound = P.denominator_q * (P.dim + 1)
     visited = 0
     for ell in range(1, bound + 1):
-        for u, inside in _box_scan(dilate(P, ell)):
+        for u, inside in _box_scan(P, ell):
             visited += 1
             if visited > ENUMERATION_LIMIT:
                 raise BoxTooLarge("interior point search passed %d candidates"
@@ -324,15 +345,10 @@ def find_interior_point(P: Polytope):
 
 def triangulation_to_json_dict(cone: ConeTriangulation) -> dict:
     """Cells as vertex-index lists into a shared point pool, plus masks."""
-    pool_points = list(cone.parent.vertices)
-    index = {v: i for i, v in enumerate(pool_points)}
-    for cell in cone.cells:
-        for v in cell.vertices:
-            if v not in index:
-                index[v] = len(pool_points)
-                pool_points.append(v)
+    pieces, points = _index(cone.parent, [cell.vertices for cell in cone.cells])
     return {
-        "points": [[format_rational(c) for c in v] for v in pool_points],
-        "apex": index[cone.apex],
-        "cells": [cell.to_json_dict(index) for cell in cone.cells],
+        "points": [[format_rational(c) for c in v] for v in points],
+        "apex": points.index(cone.apex),
+        "cells": [{"vertices": list(piece), "missing": list(cell.missing)}
+                  for piece, cell in zip(pieces, cone.cells)],
     }

@@ -226,13 +226,17 @@ def check_pulled_pieces(P):
     """Fails unless the boundary pieces of P follow the pulling rule and every
     face of codimension one in a piece lies in exactly two pieces, and the
     bases of the cells over the lex-min vertex follow the rule too.  Returns
-    the boundary pieces."""
+    the boundary pieces.  It raises rather than asserts, so it also checks
+    under python -O, where only test modules keep their asserts."""
     pieces = [S.vertices for S in triangulate_boundary(P)]
-    assert pulling_violations(P, pieces) == []
+    if pulling_violations(P, pieces):
+        raise AssertionError("boundary pieces break the pulling rule")
     ridges = Counter(ridge for piece in pieces for ridge in combinations(piece, len(piece) - 1))
-    assert set(ridges.values()) == {2}
+    if set(ridges.values()) != {2}:
+        raise AssertionError("a boundary ridge does not lie in exactly two pieces")
     cone = half_open_cone(P, P.vertices[0])
-    assert pulling_violations(P, [cell.vertices[:-1] for cell in cone.cells]) == []
+    if pulling_violations(P, [cell.vertices[:-1] for cell in cone.cells]):
+        raise AssertionError("cone bases break the pulling rule")
     return pieces
 
 

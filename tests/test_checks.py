@@ -14,7 +14,7 @@ from ehrkit import corpus, decomposition, ehrhart, geometry, rational_ehrhart
 from ehrkit.errors import IdentityViolated
 from ehrkit.geometry import Halfspace, Polytope, build_polytope, dilate, project_to_affine_hull
 from ehrkit.gradedpoly import GradedPolynomial as GP
-from ehrkit.triangulation import find_interior_point, half_open_decompose, triangulate_boundary
+from ehrkit.triangulation import HalfOpenSimplex, find_interior_point, half_open_decompose
 
 skew = build_polytope([(0, 0), (0, 2), (2, 0), (3, 3)])  # ell = 1, b = 3 + 3z
 square2 = build_polytope([(0, 0), (0, 2), (2, 0), (2, 2)])
@@ -52,9 +52,11 @@ def test_boundary_constant_term(monkeypatch):
 
 
 def test_apex_facet_never_visible():
-    # an apex outside the square sees the facet x = 2 from the far side
+    # a hand-made cell on the line x = 1, coned over an apex left of it, shows
+    # its far facet to a y right of it; pulled boundary cells never do
+    T = [HalfOpenSimplex.closed([(1, 0), (1, 2)])]
     with pytest.raises(IdentityViolated, match="opposite the apex"):
-        half_open_decompose(triangulate_boundary(square2), square2, apex=(5, 4))
+        half_open_decompose(T, square2, y=(F(3, 2), F(1, 2)), apex=(F(1, 2), 1))
 
 
 def test_reciprocity(monkeypatch):

@@ -20,7 +20,7 @@ from ehrkit.decomposition import (
 )
 from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.oracle import count_points
-from ehrkit.triangulation import _barycentric, _generic_point, find_interior_point
+from ehrkit.triangulation import _generic_point, _visible, find_interior_point
 
 from helpers import count_calls, count_constructions
 
@@ -203,7 +203,7 @@ def test_ehrhart_report_bundle():
 
 def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
     """cube-4d: 24 cells over a vertex for h*, 48 over x for the boundary and
-    the b-route; one generic point per cone, one barycentric solve per cell,
+    the b-route; one generic point per cone, one visibility solve per cell,
     one walk per cell and route, and each cell and boundary cell built once."""
     cube = build_polytope(list(product((0, 1), repeat=4)))
     built = count_constructions(monkeypatch)
@@ -213,11 +213,11 @@ def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
     assert len(built) == 24 + 96
     built.clear()
     counts = {fn.__name__: count_calls(monkeypatch, fn)
-              for fn in (find_interior_point, fpp_lattice_points, _generic_point, _barycentric)}
+              for fn in (find_interior_point, fpp_lattice_points, _generic_point, _visible)}
     rep = ehrhart_report(cube)
     assert {name: len(calls) for name, calls in counts.items()} == {
         "find_interior_point": 1, "fpp_lattice_points": 24 + 48 + 48,
-        "_generic_point": 2, "_barycentric": 24 + 48}
+        "_generic_point": 2, "_visible": 24 + 48}
     assert len(built) == 24 + 48 + 48
     for field in ("q", "d", "ell", "hstar", "hstar_boundary", "hstar_interior",
                   "decomposition", "audit"):

@@ -20,7 +20,7 @@ from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope
 from ehrkit.linalg import _int_normal, _int_rank, determinant, dot, matrix_rank, solve_unique
 from ehrkit.oracle import hstar_from_counts
-from ehrkit.triangulation import HalfOpenSimplex, half_open_cone, pick_generic_point
+from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone, pick_generic_point
 
 from helpers import (brute_force_fpp_points, brute_force_hull, check_pulled_pieces, cone_volume,
                      fraction_determinant, fraction_rank, fraction_solve, hyperplane_through,
@@ -99,6 +99,20 @@ def test_hstar_invariant_under_lattice_maps(case):
 @given(rational_polytopes())
 def test_pieces_follow_the_pulling_rule(P):
     check_pulled_pieces(P)
+
+
+@PROPERTY
+@given(rational_polytopes())
+def test_vertex_numbering_is_lexicographic(P):
+    """Index tuples stand in for point tuples: each incidence bitmask selects
+    the vertices with zero slack on its facet, and the pulled pieces map back
+    to ascending point tuples in the order the point tuples sort in."""
+    for hs, face in zip(P.facets, P._incidence):
+        assert face == sum(1 << i for i, v in enumerate(P.vertices) if hs.slack(v) == 0)
+    for pieces in (_pull_facets(P), _pull_facets(P, P.vertices[0])):
+        points = [tuple(P.vertices[i] for i in piece) for piece in pieces]
+        assert all(list(p) == sorted(set(p)) for p in points)
+        assert points == sorted(points)
 
 
 @st.composite

@@ -217,6 +217,20 @@ def test_masks_are_slack_signs_over_corpus():
             assert [cell.missing for cell in cone.cells] == slack_masks(cone, y)
 
 
+def test_apex_outside_P_is_a_bad_argument(monkeypatch):
+    """An apex outside P is rejected against the facet inequalities before
+    anything is pulled or coned, not reported as a broken identity."""
+    T = triangulate_boundary(square2)
+    pulls = count_calls(monkeypatch, triangulation._pull_face)
+    for apex in ((5, 5), (F(-1, 3), 1)):
+        with pytest.raises(ValueError, match="apex must lie in P"):
+            half_open_cone(square2, apex)
+        with pytest.raises(ValueError, match="apex must lie in P"):
+            half_open_decompose(T, square2, apex=apex)
+    assert pulls == []
+    assert len(half_open_cone(square2, (2, 1)).cells) == 3  # a boundary apex is in P
+
+
 def test_half_open_decompose_rejects_nongeneric_y():
     T = triangulate_boundary(square2)
     with pytest.raises(NotGeneric):
