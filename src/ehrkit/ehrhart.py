@@ -4,13 +4,14 @@ A half-open simplex with vertices v_j and heights h_j homogenizes to the cone
 generated by (h_j v_j, h_j); its fundamental parallelepiped uses coefficient
 interval (0,1] on generators opposite missing facets and [0,1) elsewhere.
 The multiset of last coordinates of its lattice points is exactly the h*
-coefficient data.  Lattice points are enumerated through a unimodular
-diagonalization of the generator matrix, which walks exactly det-many
-residues instead of scanning a bounding box.  The walk streams them as an
-odometer over the diagonal: each step adds one precomputed carry column to
-the coefficients and its point to the running point, so a step costs O(n + d)
-and the walk's memory does not grow with det.  A walk of more than
-ENUMERATION_LIMIT residues raises WalkTooLarge before it starts.
+coefficient data.  Their number, det, is the residue count that each cell's
+independence check computes, and it is read first: a walk of more than
+ENUMERATION_LIMIT residues raises WalkTooLarge before it starts, and a walk
+of one residue yields its point directly.  Other walks run through a
+unimodular diagonalization of the generator matrix, whose invariants must
+multiply to det, and stream the residues as an odometer over the diagonal:
+each step adds one precomputed carry column to the coefficients and its point
+to the running point, so a step costs O(n + d) and memory does not grow.
 
 This module sums cells into h*-polynomials and keeps the series and
 quasipolynomial forms; it knows nothing of how a polytope is cut into cells.
@@ -34,18 +35,20 @@ from .triangulation import HalfOpenSimplex
 
 def _generator_matrix(S: HalfOpenSimplex, heights):
     """The columns h_j (v_j, 1), read off the cell's homogenized integer
-    columns (L_j v_j, L_j): h_j must be a positive multiple of L_j."""
+    columns (L_j v_j, L_j), and their residue count, the cell's count times
+    prod h_j / L_j: h_j must be an int and a positive multiple of L_j."""
     if len(heights) != len(S.vertices):
         raise ValueError("need one height per vertex")
-    cols = []
+    cols, count = [], S._count
     for h, v, col in zip(heights, S.vertices, S._columns):
-        if h < 1:
-            raise ValueError("heights must be positive integers")
+        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+            raise ValueError("heights must be positive integers, got %r" % (h,))
         if h % col[-1]:
             raise NonIntegralGenerator(
                 "height %d does not clear the denominators of vertex %s" % (h, (v,)))
         cols.append([h // col[-1] * a for a in col])
-    return cols
+        count *= h // col[-1]
+    return cols, count
 
 
 def _lattice_point(rows, nums, big):
@@ -64,31 +67,38 @@ def fpp_lattice_points(S: HalfOpenSimplex, heights):
 
     Returns an iterator of (point, alpha_numerators, alpha_denominator);
     alpha_j = numerators[j] / denominator is the coefficient of generator j,
-    already shifted into (0,1] or [0,1) according to the mask.  The size
-    limit and the lattice check run when it is called, before any residue.
+    already shifted into (0,1] or [0,1) according to the mask.  When it is
+    called, the size limit runs on the cell's residue count; a walk of one
+    residue yields the generators opposite missing facets, over 1, with no
+    Smith form, and others check their carry points and the count.
     """
-    cols = _generator_matrix(S, heights)
+    cols, count = _generator_matrix(S, heights)
+    if count > ENUMERATION_LIMIT:
+        raise WalkTooLarge("parallelepiped has %d residues, more than the limit %d"
+                           % (count, ENUMERATION_LIMIT))
+    if count == 1:
+        return _odometer((), (), (), cols, S.missing, 1)
     rows = list(zip(*cols))  # (ambient+1) x n
     diag, vmat = diagonalize(rows)
-    size = prod(diag)
-    if size > ENUMERATION_LIMIT:
-        raise WalkTooLarge("parallelepiped has %d residues, more than the limit %d"
-                           % (size, ENUMERATION_LIMIT))
     big = lcm(*diag)
     # Residue t (digit i runs over range(diag[i]), the last digit fastest) has
     # numerators sum_i V[:, i] * t_i * big / diag[i] mod big.  When digit i
     # advances and every later digit rolls back to zero, they change by the
-    # carry column sum_{k >= i} V[:, k] * big / diag[k] mod big.
+    # carry column sum_{k >= i} V[:, k] * big / diag[k] mod big; a digit of
+    # size 1 never advances and adds nothing to a carry, so it gets none.
     carries = [()] * len(cols)
     carry = [0] * len(cols)
     for i in reversed(range(len(cols))):
-        step = big // diag[i]
-        carry = [(c + vmat[j][i] * step) % big for j, c in enumerate(carry)]
-        carries[i] = tuple(carry)
+        if diag[i] > 1:
+            step = big // diag[i]
+            carry = [(c + vmat[j][i] * step) % big for j, c in enumerate(carry)]
+            carries[i] = tuple(carry)
     # Every residue is an integer combination of the carry columns, and every
     # point one of their points and the generators: checking the carries
     # checks every point of the walk.
-    carry_points = [_lattice_point(rows, c, big) for c in carries]
+    carry_points = [c and _lattice_point(rows, c, big) for c in carries]
+    if prod(diag) != count:
+        raise IdentityViolated("Smith form gives %d residues, not %d" % (prod(diag), count))
     return _odometer(diag, carries, carry_points, cols, S.missing, big)
 
 
@@ -153,7 +163,6 @@ def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:
     The multiset has exactly |det| elements, det taken over the lattice
     spanned inside the generators' rational span.
     """
-    heights = [int(h) for h in heights]
     pts = fpp_lattice_points(S, heights)
     return tuple(sorted(p[-1] for p, _, _ in pts))
 

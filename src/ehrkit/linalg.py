@@ -9,7 +9,7 @@ solutions read the same elimination, so no row operation runs over Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import IdentityViolated
@@ -121,6 +121,22 @@ def _kernel(m, pivots, d):
 
 def _int_rank(rows) -> int:
     return len(_echelon(rows)[1])
+
+
+def _residue_count(columns):
+    """Residue count of the parallelepiped of independent integer columns, the
+    index of their lattice in its saturation (None when dependent): the last
+    pivot for n columns of n entries, the gcd of the cofactor vector for n + 1,
+    the product of the Smith invariants for more."""
+    m, pivots, _ = _echelon(columns)
+    if len(pivots) != len(columns):
+        return None
+    extra = len(columns[0]) - len(pivots) if columns else None
+    if extra == 0:
+        return abs(m[-1][-1])
+    if extra == 1:
+        return gcd(*_kernel(m, pivots, len(pivots) + 1))
+    return prod(diagonalize(list(zip(*columns)))[0])
 
 
 def _int_normal(rows, d):

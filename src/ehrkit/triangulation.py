@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from .errors import (
     ENUMERATION_LIMIT,
@@ -43,8 +43,8 @@ from .errors import (
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
 from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
                        format_rational)
-from .linalg import (_echelon, _homogenized, _int_rank, _kernel, dot, solve_unique, vec_add,
-                     vec_scale)
+from .linalg import (_echelon, _homogenized, _kernel, _residue_count, dot, solve_unique,
+                     vec_add, vec_scale)
 
 
 @dataclass(frozen=True)
@@ -52,23 +52,27 @@ class HalfOpenSimplex:
     """Simplex with a mask of removed facets; facet i is opposite vertices[i].
 
     A True mask entry removes the facet opposite that vertex, i.e. forces the
-    barycentric coordinate of that vertex to stay strictly positive.
+    barycentric coordinate of that vertex to stay strictly positive.  Its
+    independence check also gives `_count`, the residue count of the columns.
     """
 
     vertices: tuple[Point, ...]
     missing: tuple[bool, ...]
-    # per vertex v, the homogenized integer column (L·v, L), L the denominator of v
-    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # per vertex v, the integer column (L·v, L), L v's denominator; pipeline cells pass P's
+    _columns: tuple[tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
+    _count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) != len(self.missing):
             raise ValueError("mask length must equal vertex count")
         if len({len(v) for v in self.vertices}) > 1:
             raise MixedDimensions("simplex vertices have different dimensions")
-        columns = tuple(map(_homogenized, self.vertices))
-        if _int_rank(columns) != len(columns):
+        columns = self._columns or tuple(map(_homogenized, self.vertices))
+        count = _residue_count(columns)
+        if count is None:
             raise AffinelyDependent("simplex vertices are affinely dependent")
         object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_count", count)
 
     @staticmethod
     def closed(vertices) -> "HalfOpenSimplex":
@@ -240,7 +244,8 @@ def _half_open(P: Polytope, pieces, apex, y=None, seed=0, points=None) -> ConeTr
     facets visible from y (default: pick_generic_point's) removed."""
     apex, points = as_point(apex), P.vertices if points is None else points
     q, rows = P._int_vertices
-    columns = [w + (q,) for w in rows] + [_homogenized(v) for v in points[len(rows):]]
+    columns = [tuple(a // g for a in w + (q,)) for w in rows for g in [gcd(q, *w)]]
+    columns += map(_homogenized, points[len(rows):])
     top = _apex(P, apex)[0]
     cells = [tuple(columns[i] for i in piece) + (top,) for piece in pieces]
     if y is None:
@@ -252,8 +257,8 @@ def _half_open(P: Polytope, pieces, apex, y=None, seed=0, points=None) -> ConeTr
     if any(mask[-1] for mask in masks):
         raise IdentityViolated("the facet opposite the apex is visible from y")
     return ConeTriangulation(apex, tuple(
-        HalfOpenSimplex(tuple(points[i] for i in piece) + (apex,), mask)
-        for piece, mask in zip(pieces, masks)), P)
+        HalfOpenSimplex(tuple(points[i] for i in piece) + (apex,), mask, cell)
+        for piece, mask, cell in zip(pieces, masks, cells)), P)
 
 
 def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0, points=None):
@@ -263,8 +268,8 @@ def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0, points=Non
     if apex is None:
         apex = find_interior_point(P)[1]
     cone = _half_open(P, pieces, apex, y, seed, points)
-    boundary = tuple(
-        HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1]) for cell in cone.cells)
+    boundary = tuple(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1], cell._columns[:-1])
+                     for cell in cone.cells)
     return BoundaryTriangulation(boundary, P), cone
 
 

@@ -19,6 +19,7 @@ from ehrkit.decomposition import (
     symmetric_decompose,
 )
 from ehrkit.ehrhart import fpp_lattice_points
+from ehrkit.linalg import diagonalize
 from ehrkit.oracle import count_points
 from ehrkit.triangulation import _generic_point, _visible, find_interior_point
 
@@ -204,13 +205,17 @@ def test_ehrhart_report_bundle():
 def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
     """cube-4d: 24 cells over a vertex for h*, 48 over x for the boundary and
     the b-route; one generic point per cone, one visibility solve per cell,
-    one walk per cell and route, and each cell and boundary cell built once."""
+    one walk per cell and route, and each cell and boundary cell built once.
+    Every cell of h* and boundary h* is unimodular (24 cells, h*(1) = 24), so
+    neither walk needs a Smith form."""
     cube = build_polytope(list(product((0, 1), repeat=4)))
     built = count_constructions(monkeypatch)
+    smith = count_calls(monkeypatch, diagonalize)
     hstar_polytope(cube)
     assert len(built) == 24
     hstar_boundary(cube)
     assert len(built) == 24 + 96
+    assert len(smith) == 0
     built.clear()
     counts = {fn.__name__: count_calls(monkeypatch, fn)
               for fn in (find_interior_point, fpp_lattice_points, _generic_point, _visible)}

@@ -1,12 +1,16 @@
 import tracemalloc
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
-from ehrkit.errors import ENUMERATION_LIMIT, NonIntegralGenerator, NotFullDimensional, WalkTooLarge
-from ehrkit.geometry import build_polytope, dilate
+from ehrkit import ehrhart
+from ehrkit.errors import (ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator,
+                           NotFullDimensional, WalkTooLarge)
+from ehrkit.geometry import build_polytope, dilate, point_denominator
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import (
+    EhrhartReport,
     boundary_series,
     ehrhart_series,
     hstar_boundary,
@@ -16,6 +20,7 @@ from ehrkit.decomposition import (
     volume,
 )
 from ehrkit.ehrhart import SeriesForm, fpp_lattice_points, fpp_points, hstar_cells, hstar_simplex
+from ehrkit import triangulation
 from ehrkit.triangulation import (HalfOpenSimplex, half_open_cone, half_open_decompose,
                                   triangulate_boundary)
 from ehrkit.oracle import count_points, hstar_from_counts
@@ -56,6 +61,7 @@ def test_fpp_matches_brute_force_on_mixed_masks():
         (pts((F(-1, 2),), (F(1, 2),)), (True, False), [2, 2]),
         (pts((0, 0), (0, 1), (F(5, 2), 1)), (False, False, False), [2, 2, 2]),
         (pts((2, 0), (0, 2)), (False, True), [1, 1]),
+        (pts((0, 0, 0), (2, 4, 6)), (True, False), [1, 1]),
     ]
     for verts, missing, heights in cases:
         S = HalfOpenSimplex(tuple(verts), missing)
@@ -67,6 +73,9 @@ def test_fpp_multiset_size_is_determinant():
     assert len(fpp_points(S, [1, 1, 1])) == 4
     S = HalfOpenSimplex.closed(pts((F(-1, 2),), (F(1, 2),)))
     assert len(fpp_points(S, [2, 2])) == 4
+    # a segment in R^3 takes its count, 2, from its Smith invariants
+    S = HalfOpenSimplex.closed(pts((0, 0, 0), (2, 4, 6)))
+    assert S._count == len(fpp_points(S, [1, 1])) == 2
 
 
 def test_fpp_mixed_heights():
@@ -77,10 +86,80 @@ def test_fpp_mixed_heights():
         fpp_points(S, [1, 1])
 
 
+def test_heights_must_be_positive_ints():
+    """A height is never rounded: 1.5 is not 1 and '2' is not 2."""
+    S = HalfOpenSimplex.closed(pts((0,), (2,)))
+    assert fpp_points(S, [1, 1]) == (0, 1)
+    for heights in ([1.5, 1], ["2", 1], [F(2), 1], [True, 1], [0, 1], [-1, 1]):
+        with pytest.raises(ValueError, match="positive integers"):
+            fpp_points(S, heights)
+        with pytest.raises(ValueError, match="positive integers"):
+            fpp_lattice_points(S, heights)
+
+
 def test_walk_over_the_limit_raises_before_any_residue():
     S = HalfOpenSimplex.closed(pts((0,), (ENUMERATION_LIMIT + 1,)))
     with pytest.raises(WalkTooLarge):
         next(iter(fpp_lattice_points(S, [1, 1])))
+
+
+def test_walk_limit_is_checked_before_the_smith_form(monkeypatch):
+    """The residue count, the cell's count times prod h / L, is read off the
+    cell, so an oversized walk never reaches diagonalize: a cone cell, a
+    boundary cell, and a unimodular segment at large heights."""
+    def smith(rows):
+        raise AssertionError("diagonalize ran before the size limit")
+    monkeypatch.setattr(ehrhart, "diagonalize", smith)
+    big = ENUMERATION_LIMIT + 1
+    cases = [(HalfOpenSimplex.closed(pts((0,), (big,))), [1, 1], big),
+             (HalfOpenSimplex.closed(pts((0, 0), (big, 0))), [1, 1], big),
+             (HalfOpenSimplex.closed(pts((0,), (1,))), [10 ** 4 + 1, 10 ** 4], 10 ** 8 + 10 ** 4)]
+    for S, heights, count in cases:
+        with pytest.raises(WalkTooLarge, match="has %d residues" % count):
+            fpp_lattice_points(S, heights)
+
+
+def test_one_residue_walk_skips_the_smith_form(monkeypatch):
+    """A unimodular cell at heights L yields its one point, the generators
+    opposite the missing facets, without diagonalize."""
+    def smith(rows):
+        raise AssertionError("diagonalize ran on a walk of one residue")
+    monkeypatch.setattr(ehrhart, "diagonalize", smith)
+    S = HalfOpenSimplex(tuple(pts((0, 0), (1, 0), (0, 1))), (False, True, True))
+    assert list(fpp_lattice_points(S, [1, 1, 1])) == [((1, 1, 2), (0, 1, 1), 1)]
+    S = HalfOpenSimplex(tuple(pts((F(1, 2), 0), (0, 1))), (True, False))
+    assert list(fpp_lattice_points(S, [2, 1])) == [((1, 0, 2), (1, 0), 1)]
+
+
+def test_smith_invariants_must_match_the_residue_count(monkeypatch):
+    """The count of the elimination and the Smith form are two routes to the
+    number of residues; a cell whose count disagrees is refused."""
+    S = HalfOpenSimplex.closed(pts((0, 0), (2, 0), (0, 2)))
+    assert S._count == 4
+    object.__setattr__(S, "_count", 2)
+    with pytest.raises(IdentityViolated, match="residues, not"):
+        fpp_lattice_points(S, [1, 1, 1])
+    real = triangulation._residue_count
+    monkeypatch.setattr(triangulation, "_residue_count", lambda columns: 2 * real(columns))
+    sq = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
+    with pytest.raises(IdentityViolated, match="residues, not"):
+        hstar_polytope(sq)
+
+
+def _residues(cells, q):
+    """Residues the cells walk at heights q: each count times prod q / L."""
+    return sum(S._count * prod(q // point_denominator(v) for v in S.vertices) for S in cells)
+
+
+def test_cell_counts_sum_to_hstar_at_one(corpus_bundle):
+    """Sigma |det| = h*(1) over the h* cone's cells, and the same over the
+    boundary cells for boundary h*, read off the cells' residue counts."""
+    P = corpus_bundle.polytope
+    q = P.denominator_q
+    cells = half_open_cone(P, P.vertices[0]).cells
+    assert _residues(cells, q) == corpus_bundle.hstar.evaluate_at_one()
+    boundary = EhrhartReport(P).cone[0].simplices
+    assert _residues(boundary, q) == corpus_bundle.hstar_boundary.evaluate_at_one()
 
 
 def test_walk_memory_does_not_grow_with_det():

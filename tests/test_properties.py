@@ -8,7 +8,7 @@ Examples are derandomized, so every run draws the same polytopes.
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit
 from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.errors import AffinelyDependent
-from ehrkit.geometry import build_polytope
+from ehrkit.geometry import build_polytope, point_denominator
 from ehrkit.linalg import _int_normal, _int_rank, determinant, dot, matrix_rank, solve_unique
 from ehrkit.oracle import hstar_from_counts
 from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone, pick_generic_point
@@ -259,3 +259,42 @@ def test_residue_walk_matches_box_scan(cell):
     walked = sorted((point, tuple(Fraction(a, big) for a in nums))
                     for point, nums, big in fpp_lattice_points(S, heights))
     assert walked == brute_force_fpp_points(S.vertices, S.missing, heights)
+
+
+@st.composite
+def unimodular_cells(draw):
+    """A face of a unimodular simplex in R^d, d <= 3, with d + 1 or d vertices:
+    the standard simplex moved by an integer translation and unit
+    transvections.  Its heights are all one, a walk of one residue, or drawn
+    from 1 and 2."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from((d, d + 1)))
+    shift = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    points = [list(shift)] + [[c + (i == k) for k, c in enumerate(shift)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3)) if d > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        sign = draw(st.sampled_from((1, -1)))
+        for p in points:
+            p[i] += sign * p[j]
+    picked = draw(st.permutations(points))[:n]
+    missing = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    S = HalfOpenSimplex(tuple(tuple(Fraction(c) for c in p) for p in picked), missing)
+    if draw(st.booleans()):
+        return S, [1] * n
+    return S, draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.one_of(parallelepipeds(), unimodular_cells()))
+def test_residue_count_is_the_parallelepiped_size(cell):
+    """The cell's residue count times prod h / L is the number of residues
+    the walk yields and the box scan finds; a walk of one residue yields the
+    scan's point, with numerators 0 or 1 over 1."""
+    S, heights = cell
+    count = S._count * prod(h // point_denominator(v) for h, v in zip(heights, S.vertices))
+    walked = list(fpp_lattice_points(S, heights))
+    scanned = brute_force_fpp_points(S.vertices, S.missing, heights)
+    assert count == len(walked) == len(scanned)
+    if count == 1:
+        [(point, nums, big)] = walked
+        assert big == 1 and [(point, tuple(map(Fraction, nums)))] == scanned
