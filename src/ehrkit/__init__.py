@@ -25,7 +25,6 @@ from .triangulation import (
     HalfOpenSimplex,
     find_interior_point,
     half_open_decompose,
-    pick_generic_point,
     pyramid,
     triangulate_boundary,
 )

@@ -25,7 +25,9 @@ from math import comb, factorial
 from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
 from .geometry import Polytope, as_point, build_polytope, point_denominator
 from .gradedpoly import GradedPolynomial
-from .ehrhart import QuasiCoefficients, SeriesForm, _hstar, fpp_lattice_points, hstar_cells
+from .ehrhart import QuasiCoefficients, SeriesForm, _height_counts, _hstar, hstar_cells
+# unused here but stays bound: perfbench's streaming-walk test patches it at this name
+from .ehrhart import fpp_lattice_points  # noqa: F401
 from .triangulation import (
     ConeTriangulation,
     HalfOpenSimplex,
@@ -102,17 +104,12 @@ class DecompositionReport:
 
 
 def _b_polynomial(cone: ConeTriangulation, ell: int) -> GradedPolynomial:
-    q = cone.parent.denominator_q
-    counts: dict[int, int] = {}
-    for cell in cone.cells:
-        heights = [q] * (len(cell.vertices) - 1) + [ell]
-        for point, alpha_nums, _denom in fpp_lattice_points(cell, heights):
-            if alpha_nums[-1] > 0:
-                height = point[-1]
-                if height < ell:
-                    raise IdentityViolated("apex point below ell contradicts minimality")
-                counts[height - ell] = counts.get(height - ell, 0) + 1
-    return GradedPolynomial.from_dict(counts)
+    """b(z) from the cone cells at heights (q, ..., q, ell): the residues with
+    a positive apex coefficient, each at its height minus ell."""
+    counts = _height_counts(cone.cells, cone.parent.denominator_q, ell, open_top=True)
+    if min(counts, default=ell) < ell:
+        raise IdentityViolated("apex point below ell contradicts minimality")
+    return GradedPolynomial.from_dict({h - ell: c for h, c in counts.items()})
 
 
 def stapledon_report(P: Polytope) -> DecompositionReport:
@@ -141,14 +138,9 @@ def pyramid_hstar_compare(P: Polytope, x):
     base_proj = build_polytope([v[:-1] for v in P.vertices])
     cells = half_open_cone(base_proj, base_proj.vertices[0]).cells
     h_base = hstar_cells(cells, q)
-    h_pyr = GradedPolynomial.zero()
-    for cell in cells:
-        cone = HalfOpenSimplex(tuple(v + (Fraction(0),) for v in cell.vertices) + (x,),
-                               cell.missing + (False,))
-        counts: dict[int, int] = {}
-        for point, _, _ in fpp_lattice_points(cone, [q] * len(cell.vertices) + [r]):
-            counts[point[-1]] = counts.get(point[-1], 0) + 1
-        h_pyr = h_pyr + GradedPolynomial.from_dict(counts)
+    cones = [HalfOpenSimplex(tuple(v + (Fraction(0),) for v in cell.vertices) + (x,),
+                             cell.missing + (False,)) for cell in cells]
+    h_pyr = GradedPolynomial.from_dict(_height_counts(cones, q, r))
     leq = h_pyr.dominates(h_base)
     if x == tuple([Fraction(0)] * (d - 1) + [Fraction(1)]) and h_base != h_pyr:
         raise IdentityViolated("unit-apex pyramid must preserve h*")

@@ -13,14 +13,17 @@ multiply to det, and stream the residues as an odometer over the diagonal:
 each step adds one precomputed carry column to the coefficients and its point
 to the running point, so a step costs O(n + d) and memory does not grow.
 
-This module sums cells into h*-polynomials and keeps the series and
-quasipolynomial forms; it knows nothing of how a polytope is cut into cells.
-The per-polytope entry points (hstar_polytope, hstar_boundary, ...) are
-views of one EhrhartReport in the decomposition module.
+One reader, _height_counts, walks cells and counts their residues by height:
+h*, the boundary h*, the b-route and the pyramid comparison all read it, and
+only fpp_points walks a cell at other heights.  The module also keeps the
+series and quasipolynomial forms; it knows nothing of how a polytope is cut
+into cells, and the per-polytope entry points (hstar_polytope, ...) are views
+of one EhrhartReport in the decomposition module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -167,12 +170,23 @@ def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:
     return tuple(sorted(p[-1] for p, _, _ in pts))
 
 
+def _height_counts(cells, q: int, top=None, open_top=False) -> Counter:
+    """Residues of the cells' parallelepipeds by height, each cell walked at q
+    on every vertex but the last and at top (default q) on the last; with
+    open_top, only the residues whose last coefficient is positive."""
+    counts = Counter()
+    for cell in cells:
+        heights = [q] * (len(cell.vertices) - 1) + [q if top is None else top]
+        walk = fpp_lattice_points(cell, heights)
+        if open_top:
+            walk = (residue for residue in walk if residue[1][-1] > 0)
+        counts.update(point[-1] for point, _, _ in walk)
+    return counts
+
+
 def hstar_simplex(S: HalfOpenSimplex, q: int) -> GradedPolynomial:
     """Numerator of the simplex Ehrhart series over (1 - z^q)^(#vertices)."""
-    counts: dict[int, int] = {}
-    for point, _, _ in fpp_lattice_points(S, [q] * len(S.vertices)):
-        counts[point[-1]] = counts.get(point[-1], 0) + 1
-    return GradedPolynomial.from_dict(counts)
+    return GradedPolynomial.from_dict(_height_counts([S], q))
 
 
 def hstar_cells(cells, q: int) -> GradedPolynomial:
@@ -181,9 +195,7 @@ def hstar_cells(cells, q: int) -> GradedPolynomial:
     Only a closed cell has the origin in its parallelepiped, and a visibility
     partition has exactly one, so the constant term must be one.
     """
-    total = GradedPolynomial.zero()
-    for cell in cells:
-        total = total + hstar_simplex(cell, q)
+    total = GradedPolynomial.from_dict(_height_counts(cells, q))
     if total.coeff(0) != 1:
         raise IdentityViolated("constant term %d, expected 1" % total.coeff(0))
     return total
@@ -210,8 +222,8 @@ class SeriesForm:
     def coefficients(self, count: int) -> list[int]:
         """First `count` series coefficients, indexed by key on the numerator grid."""
         e_key = self.denom_exponent * self.numerator.grid
-        if e_key.denominator != 1:
-            raise ValueError("denominator exponent must live on the numerator grid")
+        if e_key.denominator != 1 or e_key <= 0:
+            raise ValueError("denominator exponent must be positive, on the numerator grid")
         e_key = int(e_key)
         num = self.numerator.as_dict()
         out = []

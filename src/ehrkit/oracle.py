@@ -33,8 +33,8 @@ def count_points(P: Polytope, n: int, mode: str = "closed") -> int:
     """|nP ∩ Z^d| (resp. interior/boundary points) by exact scanline."""
     if not P.is_full_dimensional:
         raise NotFullDimensional("counting is defined for full-dimensional polytopes")
-    if n < 1:
-        raise ValueError("dilation factor must be a positive integer")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("dilation factor must be a positive integer, got %r" % (n,))
     if mode == "boundary":
         return count_points(P, n, "closed") - count_points(P, n, "interior")
     if mode not in ("closed", "interior"):

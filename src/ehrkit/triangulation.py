@@ -19,8 +19,9 @@ vertex bitmask per facet, already gives: every face is coned from its
 lexicographically smallest vertex, its lowest bit, and none is re-hulled.
 
 Everything is deterministic: vertex orderings are lexicographic and the
-generic point comes from a fixed perturbation schedule that is verified
-exactly and retried with a finer step on failure.
+generic point comes from one fixed perturbation schedule, verified exactly
+and retried with a finer step on failure; each ConeTriangulation keeps the y
+its masks were read at.  Callers that want another generic point pass y.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ class BoundaryTriangulation:
 
 @dataclass(frozen=True)
 class ConeTriangulation:
+    """Half-open cells coned over apex, masked by visibility from the generic point y."""
+
     apex: Point
     cells: tuple[HalfOpenSimplex, ...]
     parent: Polytope
+    y: Point
 
 
 def _pull_face(face, incidence, pulled):
@@ -206,20 +210,12 @@ def _visibility(cells, y: Point):
     return None if None in masks else masks
 
 
-def pick_generic_point(Tprime: ConeTriangulation, seed: int = 0) -> Point:
-    """Deterministic rational interior point off every cell hyperplane.
-
-    Starts from the apex (or the vertex centroid when the apex sits on the
-    boundary) and perturbs along a power schedule epsilon, epsilon^2, ... in
-    the coordinate directions; genericity is verified exactly, with 32 tries
-    that halve the step 31 times.
-    """
-    return _generic_point(Tprime.parent, Tprime.apex, [c._columns for c in Tprime.cells], seed)[0]
-
-
-def _generic_point(P: Polytope, apex: Point, cells, seed: int):
-    """pick_generic_point's y for the cells (homogenized integer columns) of a
-    cone over apex, together with their visibility masks."""
+def _generic_point(P: Polytope, apex: Point, cells):
+    """A rational interior point y of P off every hyperplane of the cells
+    (homogenized integer columns) of a cone over apex, with their visibility
+    masks.  y starts from the apex (the vertex centroid when the apex is on
+    the boundary) and moves by eps^(i+1) along coordinate i; genericity is
+    verified exactly, with 32 tries that halve eps from 1/64."""
     if not cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
@@ -228,20 +224,17 @@ def _generic_point(P: Polytope, apex: Point, cells, seed: int):
         base = vec_scale(Fraction(1, len(P.vertices)),
                          [sum(v[c] for v in P.vertices) for c in range(d)])
     for attempt in range(32):
-        eps = Fraction(1, 64 * (seed + 1) * 2 ** attempt)
-        offsetv = [Fraction(0)] * d
-        for i in range(d):
-            offsetv[(i + seed) % d] += eps ** (i + 1)
-        y = vec_add(base, offsetv)
+        eps = Fraction(1, 64 * 2 ** attempt)
+        y = vec_add(base, [eps ** (i + 1) for i in range(d)])
         if contains(P, y, "interior") and (masks := _visibility(cells, y)) is not None:
             return y, masks
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
-def _half_open(P: Polytope, pieces, apex, y=None, seed=0, points=None) -> ConeTriangulation:
+def _half_open(P: Polytope, pieces, apex, y=None, points=None) -> ConeTriangulation:
     """The pieces, index tuples into `points` (P's vertices, then any other
     point), coned over the point apex of P, each cell built once with the
-    facets visible from y (default: pick_generic_point's) removed."""
+    facets visible from y (default: _generic_point's) removed."""
     apex, points = as_point(apex), P.vertices if points is None else points
     q, rows = P._int_vertices
     columns = [tuple(a // g for a in w + (q,)) for w in rows for g in [gcd(q, *w)]]
@@ -249,35 +242,36 @@ def _half_open(P: Polytope, pieces, apex, y=None, seed=0, points=None) -> ConeTr
     top = _apex(P, apex)[0]
     cells = [tuple(columns[i] for i in piece) + (top,) for piece in pieces]
     if y is None:
-        y, masks = _generic_point(P, apex, cells, seed)
+        y, masks = _generic_point(P, apex, cells)
     else:
-        masks = _visibility(cells, as_point(y))
+        y = as_point(y)
+        masks = _visibility(cells, y)
         if masks is None:
             raise NotGeneric("point lies on a cell hyperplane")
     if any(mask[-1] for mask in masks):
         raise IdentityViolated("the facet opposite the apex is visible from y")
     return ConeTriangulation(apex, tuple(
         HalfOpenSimplex(tuple(points[i] for i in piece) + (apex,), mask, cell)
-        for piece, mask, cell in zip(pieces, masks, cells)), P)
+        for piece, mask, cell in zip(pieces, masks, cells)), P, y)
 
 
-def _decompose(P: Polytope, pieces, apex=None, y=None, seed: int = 0, points=None):
+def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
     """half_open_decompose of the boundary pieces (index tuples into points).
     The facet opposite the apex lies in a facet of P and is never removed, so
     each cone cell's mask restricts to its boundary cell."""
     if apex is None:
         apex = find_interior_point(P)[1]
-    cone = _half_open(P, pieces, apex, y, seed, points)
+    cone = _half_open(P, pieces, apex, y, points)
     boundary = tuple(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1], cell._columns[:-1])
                      for cell in cone.cells)
     return BoundaryTriangulation(boundary, P), cone
 
 
-def half_open_cone(P: Polytope, apex, seed: int = 0) -> ConeTriangulation:
+def half_open_cone(P: Polytope, apex) -> ConeTriangulation:
     """Half-open d-simplices partitioning P: the facets whose hyperplane misses
     the point apex of P are pulled, coned over it and masked by visibility."""
     apex = as_point(apex)
-    return _half_open(P, _pull_facets(P, apex), apex, seed=seed)
+    return _half_open(P, _pull_facets(P, apex), apex)
 
 
 def _index(P: Polytope, cells):
@@ -288,7 +282,7 @@ def _index(P: Polytope, cells):
     return [tuple(index[v] for v in cell) for cell in cells], points
 
 
-def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
+def half_open_decompose(T, P: Polytope, y=None, apex=None):
     """Turn closed boundary cells into a disjoint half-open triangulation.
 
     T is a list of closed (d-1)-simplices covering the boundary.  The cells
@@ -298,7 +292,7 @@ def half_open_decompose(T, P: Polytope, y=None, apex=None, seed: int = 0):
     (BoundaryTriangulation, ConeTriangulation).
     """
     pieces, points = _index(P, [S.vertices for S in T])
-    return _decompose(P, pieces, apex, y, seed, points)
+    return _decompose(P, pieces, apex, y, points)
 
 
 def _box(P: Polytope, ell: int = 1) -> list[range]:

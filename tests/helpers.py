@@ -203,6 +203,16 @@ def slack_masks(cone, y):
     return masks
 
 
+def generic_points(P, count=3):
+    """count candidate generic points of P, spread over it so that their
+    visibility masks differ: the midpoint of the vertex centroid and vertex k,
+    moved by (1/(97 + 13k))^(i+1) along coordinate i, for k < count."""
+    n, d = len(P.vertices), P.ambient_dim
+    centroid = [sum(v[i] for v in P.vertices) / n for i in range(d)]
+    return [tuple((c + P.vertices[k][i]) / 2 + Fraction(1, 97 + 13 * k) ** (i + 1)
+                  for i, c in enumerate(centroid)) for k in range(count)]
+
+
 def pulling_violations(P, pieces):
     """The pieces, each a sorted vertex tuple, that break the pulling rule.
 

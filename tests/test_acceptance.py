@@ -15,10 +15,10 @@ from ehrkit.decomposition import hstar_boundary, hstar_polytope, inequality_audi
 from ehrkit.ehrhart import hstar_cells
 from ehrkit.gorenstein import gorenstein_index, verify_gorenstein_identities
 from ehrkit.rational_ehrhart import codenominator, rational_decompose, rational_series
-from ehrkit.triangulation import half_open_cone, half_open_decompose, triangulate_boundary
+from ehrkit.triangulation import _half_open, _pull_facets, half_open_decompose, triangulate_boundary
 
 from conftest import CORPUS, bundle_for
-from helpers import scan_reflexive
+from helpers import generic_points, scan_reflexive
 
 
 def _report(number: int, description: str, ok: bool):
@@ -125,18 +125,19 @@ def test_criterion_6_invariant_suite():
             ok = ok and hb.dominates(GP.from_dict(missing))
         if not ok:
             break
-    # apex / generic-point invariance over three seeds
+    # generic-point invariance over three generic points y
     for name, P in [("skew-quad", build_polytope(pts((0, 0), (0, 2), (2, 0), (3, 3)))),
                     ("half-wide", dilate(build_polytope(pts((0, 0), (0, 2), (5, 2))), F(1, 2))),
                     ("cube", build_polytope([(x, y, z) for x in (0, 1)
                                              for y in (0, 1) for z in (0, 1)]))]:
-        T, q = triangulate_boundary(P), P.denominator_q
-        ok = ok and len({hstar_cells(half_open_decompose(T, P, seed=s)[0].simplices, q)
-                         for s in range(3)} | {hstar_boundary(P)}) == 1
-        ok = ok and len({hstar_cells(half_open_cone(P, P.vertices[0], seed=s).cells, q)
-                         for s in range(3)} | {hstar_polytope(P)}) == 1
+        T, q, v = triangulate_boundary(P), P.denominator_q, P.vertices[0]
+        ys = generic_points(P)
+        ok = ok and len({hstar_cells(half_open_decompose(T, P, y=y)[0].simplices, q)
+                         for y in ys} | {hstar_boundary(P)}) == 1
+        ok = ok and len({hstar_cells(_half_open(P, _pull_facets(P, v), v, y).cells, q)
+                         for y in ys} | {hstar_polytope(P)}) == 1
     _report(6, "palindromicity, reciprocity, boundary difference identity, "
-               "positivity chain, missing-face bounds, seed invariance", ok)
+               "positivity chain, missing-face bounds, generic-point invariance", ok)
 
 
 def test_criterion_7_inequality_suite():

@@ -26,7 +26,7 @@ from ehrkit.triangulation import (HalfOpenSimplex, half_open_cone, half_open_dec
 from ehrkit.oracle import count_points, hstar_from_counts
 
 from conftest import bundle_for
-from helpers import brute_force_fpp
+from helpers import brute_force_fpp, generic_points
 
 
 def pts(*coords):
@@ -286,7 +286,7 @@ def test_missing_face_lower_bound_split_square():
     assert hstar_boundary(P).dominates(GP.from_list([1, 3, 1]))
 
 
-def test_apex_and_seed_invariance():
+def test_apex_and_generic_point_invariance():
     cases = [
         (build_polytope(pts((0, 0), (0, 2), (2, 0), (3, 3))),
          [(1, 1), (F(3, 2), F(5, 4)), (F(1, 2), F(1, 2))]),
@@ -296,12 +296,14 @@ def test_apex_and_seed_invariance():
          [(F(1, 2), F(1, 2), F(1, 2)), (F(1, 3), F(1, 4), F(1, 5)), (F(2, 3), F(1, 2), F(1, 3))]),
     ]
     for P, apexes in cases:
-        T, q = triangulate_boundary(P), P.denominator_q
-        boundary_values = {hstar_cells(half_open_decompose(T, P, apex=a, seed=s)[0].simplices, q)
-                           for s in range(3) for a in apexes}
-        assert boundary_values == {hstar_boundary(P)}
-        hstar_values = {hstar_cells(half_open_cone(P, P.vertices[0], seed=s).cells, q)
-                        for s in range(3)}
+        T, q, v = triangulate_boundary(P), P.denominator_q, P.vertices[0]
+        ys = generic_points(P)
+        for a in apexes:
+            boundaries = [half_open_decompose(T, P, y=y, apex=a)[0] for y in ys]
+            assert len({tuple(S.missing for S in B.simplices) for B in boundaries}) > 1
+            assert {hstar_cells(B.simplices, q) for B in boundaries} == {hstar_boundary(P)}
+        hstar_values = {hstar_cells(triangulation._half_open(
+            P, triangulation._pull_facets(P, v), v, y).cells, q) for y in ys}
         assert hstar_values == {hstar_polytope(P)}
 
 
@@ -388,3 +390,10 @@ def test_series_forms():
     assert ehrhart_series(seg).coefficients(6) == [1, 1, 3, 3, 5, 5]
     sf = SeriesForm(GP.from_list([1, 1, 1, 1]), F(2), 2)
     assert sf.coefficients(6) == [1, 1, 3, 3, 5, 5]
+
+
+def test_series_form_rejects_a_nonpositive_exponent():
+    # with exponent 0 or below the coefficient loop would never end
+    for e in (F(0), F(-1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            SeriesForm(GP.from_list([1, 1]), e, 2).coefficients(4)

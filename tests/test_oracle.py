@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ehrkit.errors import BoxTooLarge, NotFullDimensional
-from ehrkit.geometry import build_polytope
+from ehrkit.geometry import build_polytope, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.linalg import interpolate_polynomial
 from ehrkit.oracle import count_points, hstar_from_counts
@@ -31,6 +31,19 @@ def test_count_modes_add_up(corpus_bundle):
         interior = count_points(P, n, "interior")
         boundary = count_points(P, n, "boundary")
         assert closed == interior + boundary
+
+
+def test_dilation_factor_must_be_an_int():
+    # the strict step a.x < R <=> a.x <= R - 1 holds only for integral R: at
+    # n = 3/2 it would count 9 interior and 16 boundary points of [0,3]^2, the
+    # true counts of dilate(P, 3/2) swapped, and a float n would give a float
+    square = build_polytope(pts((0, 0), (0, 3), (3, 0), (3, 3)))
+    for n in (F(3, 2), F(2), 1.5, 2.0, True, 0, -1):
+        for mode in ("closed", "interior", "boundary"):
+            with pytest.raises(ValueError, match="positive integer"):
+                count_points(square, n, mode)
+    wide = dilate(square, F(3, 2))
+    assert [count_points(wide, 1, m) for m in ("interior", "boundary")] == [16, 9]
 
 
 def test_box_guard():

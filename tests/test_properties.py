@@ -20,7 +20,7 @@ from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope, point_denominator
 from ehrkit.linalg import _int_normal, _int_rank, determinant, dot, matrix_rank, solve_unique
 from ehrkit.oracle import hstar_from_counts
-from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone, pick_generic_point
+from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone
 
 from helpers import (brute_force_fpp_points, brute_force_hull, check_pulled_pieces, cone_volume,
                      fraction_determinant, fraction_rank, fraction_solve, hyperplane_through,
@@ -82,8 +82,7 @@ def test_report_fields_match_standalone_entry_points(P):
 @given(rational_polytopes())
 def test_visibility_masks_are_slack_signs(P):
     for cone in (half_open_cone(P, P.vertices[0]), EhrhartReport(P).cone[1]):
-        y = pick_generic_point(cone)
-        assert [cell.missing for cell in cone.cells] == slack_masks(cone, y)
+        assert [cell.missing for cell in cone.cells] == slack_masks(cone, cone.y)
 
 
 @PROPERTY

@@ -21,7 +21,6 @@ from ehrkit.triangulation import (
     half_open_cone,
     half_open_decompose,
     interior_lattice_points,
-    pick_generic_point,
     pyramid,
     triangulate_boundary,
 )
@@ -213,8 +212,7 @@ def test_masks_are_slack_signs_over_corpus():
         if not P.is_full_dimensional:
             continue
         for cone in (half_open_cone(P, P.vertices[0]), EhrhartReport(P).cone[1]):
-            y = pick_generic_point(cone)
-            assert [cell.missing for cell in cone.cells] == slack_masks(cone, y)
+            assert [cell.missing for cell in cone.cells] == slack_masks(cone, cone.y)
 
 
 def test_apex_outside_P_is_a_bad_argument(monkeypatch):
@@ -255,13 +253,13 @@ def test_figure_configuration_with_split_edge():
     assert far_edge.missing_count == 2
 
 
-def test_pick_generic_point_is_generic():
+def test_cone_y_is_generic():
     cone = half_open_cone(square2, (1, 1))
-    y = pick_generic_point(cone)
-    assert contains(square2, y, "interior")
+    assert cone.y == (F(65, 64), F(4097, 4096))  # the apex moved by 1/64, 1/64^2
+    assert contains(square2, cone.y, "interior")
     for cell in cone.cells:
         for hs in cell_halfspaces(cell):
-            assert hs.slack(y) != 0
+            assert hs.slack(cone.y) != 0
 
 
 def test_exactly_one_closed_over_corpus():
