@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import EhrkitError, EmptyInput, InvalidM, MixedDimensions
+from .errors import EhrkitError, EmptyInput, HullTooLarge, InvalidM, MixedDimensions
 from .geometry import (
     Polytope,
     build_polytope,
@@ -52,7 +52,7 @@ def _parse_vertices(text: str):
 def _load_file(path: str) -> Polytope:
     try:
         return load_polytope(path)
-    except (OSError, ValueError, EmptyInput, MixedDimensions) as exc:
+    except (OSError, ValueError, EmptyInput, MixedDimensions, HullTooLarge) as exc:
         raise UsageError("-f: %s" % exc) from exc
 
 
@@ -64,7 +64,7 @@ def _load_input(args) -> Polytope:
     elif args.vertices:
         try:
             P = build_polytope(_parse_vertices(args.vertices))
-        except MixedDimensions as exc:
+        except (MixedDimensions, HullTooLarge) as exc:
             raise UsageError("--vertices: %s" % exc) from exc
     else:
         raise UsageError("an input polytope is required: -f FILE or --vertices \"...\"")

@@ -33,6 +33,10 @@ class OriginNotInterior(EhrkitError):
     """Operation requires the origin strictly inside the polytope."""
 
 
+class HullTooLarge(EhrkitError):
+    """The hull would hold more intermediate facets than geometry.HULL_RAY_LIMIT."""
+
+
 class NoLatticePoints(EhrkitError):
     """The affine hull contains no lattice points, so no unimodular chart exists."""
 

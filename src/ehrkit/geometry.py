@@ -1,9 +1,11 @@
 """Exact rational polytopes: vertices, facets, containment, dilation, duality.
 
-Points are tuples of Fraction; every predicate is decided exactly.  Facet
-enumeration is an incremental beneath-beyond insertion on the points scaled
-to integers, with fraction-free (Bareiss) facet normals: all the
-sophistication needed at desk scale (dimension <= 6, <= 50 vertices).
+Points are tuples of Fraction; every predicate is decided exactly.  The hull
+is a double description on the points scaled to integers: the facets are
+the extreme rays of the cone of valid inequalities, and each keeps its tight
+points as a bitmask, which gives the vertices and the vertex-facet incidence
+in the same pass.  That is all the sophistication needed at desk scale
+(dimension <= 6, <= 50 vertices).
 
 All types are immutable values; the only mutation anywhere is construct-once
 caches (the facet description here, the fields of an EhrhartReport), which
@@ -16,11 +18,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cached_property, reduce
+from itertools import islice
+from math import gcd, lcm
+from operator import and_
 
 from .errors import (
     EmptyInput,
+    HullTooLarge,
     IdentityViolated,
     MixedDimensions,
     NoLatticePoints,
@@ -47,6 +52,10 @@ from .linalg import (
 Point = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+# Most facets the hull may hold at once.  Intermediate counts depend on the
+# insertion order; a cyclic 6-polytope with 50 vertices has 17250 facets.
+HULL_RAY_LIMIT = 10 ** 5
 
 
 def parse_rational(text: str) -> Fraction:
@@ -89,9 +98,11 @@ class Halfspace:
         return {"normal": [str(a) for a in self.normal], "offset": str(self.offset)}
 
 
-def _halfspaces(rows) -> tuple[Halfspace, ...]:
-    """Sorted halfspaces normal . x <= offset from rational rows (*normal, offset)."""
-    return tuple(sorted(Halfspace(r[:-1], r[-1]) for r in map(primitive_row, rows)))
+def _facet_table(rows, masks):
+    """(facets, incidence) from rational rows (*normal, offset), made
+    primitive, and the vertex bitmask of each row, in sorted facet order."""
+    return tuple(zip(*sorted(zip((Halfspace(r[:-1], r[-1]) for r in map(primitive_row, rows)),
+                                 masks))))
 
 
 def _facet_plane(rows, inside, weight):
@@ -119,58 +130,68 @@ def _affine_basis(ints, k):
     return basis
 
 
-def _hull_full_dim(points: list[Point], d: int):
-    """Beneath-beyond hull of points affinely spanning R^d.
+def _adjacent(common, masks, d) -> bool:
+    """Whether two extreme rays whose tight sets meet in `common` are adjacent
+    in a cone of dimension d + 1 with tight sets `masks`: they share at least
+    d - 1 points and no third ray is tight on all of them (Fukuda and Prodon,
+    "Double description method revisited", 1996)."""
+    if common.bit_count() < d - 1:
+        return False
+    through = (m for m in masks if m & common == common)
+    return next(islice(through, 2, None), None) is None
 
-    Returns (vertices, facets): the extreme points (lex sorted) and the
-    irredundant gcd-normalized facet list (lex sorted).  It runs on the points
-    times L, the lcm of their denominators, and keeps its ridge map across
-    insertions; each ridge of a new facet must lie in exactly two facets.
-    Coplanar simplicial pieces are merged by supporting hyperplane at the
-    end, extreme points are recognized by their tight facet normals having
-    full rank, and the offsets are divided back by L.
+
+def _hull_full_dim(points: list[Point], d: int):
+    """Double-description hull of points affinely spanning R^d.
+
+    Returns (vertices, facets, incidence): the extreme points and the facets,
+    both sorted, and per facet the bitmask of its vertices (bit i for
+    vertices[i]).  The facets are the extreme rays (normal, offset) of the cone
+    of inequalities normal . w <= offset on the points times L, the lcm of
+    their denominators.  From a simplex on, each point in sorted order keeps
+    the rays it satisfies and adds one per adjacent pair of rays on either
+    side of it; each ray keeps its tight set as a bitmask over the points.
     """
+    points = sorted(points)
     scale, ints = _scaled(points)
     simplex = _affine_basis(ints, d)
     if len(simplex) != d + 1:
         raise ValueError("points do not span the ambient space")
     inside = tuple(sum(ints[i][c] for i in simplex) for c in range(d))  # (d+1) * centroid
-
-    facets = []  # (vertex ids, normal, offset); None once a later point sees it
-    ridges: dict[tuple, list[int]] = {}  # ridge -> the facets through it
-
-    def add_facet(ids):
-        facets.append((ids, *_facet_plane([ints[i] for i in ids], inside, d + 1)))
-        for k in range(d):
-            ridges.setdefault(ids[:k] + ids[k + 1:], []).append(len(facets) - 1)
-        return ids
-
-    for i in simplex:
-        add_facet(tuple(j for j in simplex if j != i))
+    # rays are (normal, offset, tight set)
+    rays = [(*_facet_plane([ints[j] for j in simplex if j != i], inside, d + 1),
+             sum(1 << j for j in simplex if j != i)) for i in simplex]
     for ip, p in enumerate(ints):
         if ip in simplex:
             continue
-        visible = {fi for fi, f in enumerate(facets) if f and dot(f[1], p) > f[2]}
-        horizon = []
-        for fi in visible:
-            ids = facets[fi][0]
-            facets[fi] = None
-            for ridge in (ids[:k] + ids[k + 1:] for k in range(d)):
-                ridges[ridge].remove(fi)
-                if ridges[ridge] and ridges[ridge][0] not in visible:
-                    horizon.append(ridge)
-        for ids in [add_facet(tuple(sorted(ridge + (ip,)))) for ridge in sorted(horizon)]:
-            if any(len(ridges[ids[:k] + ids[k + 1:]]) != 2 for k in range(d)):
-                raise IdentityViolated("hull boundary is not a closed pseudomanifold")
+        signed = [(dot(n, p) - o, (n, o, m)) for n, o, m in rays]
+        masks = [m for _, _, m in rays]
+        rays = [(n, o, m if s else m | 1 << ip) for s, (n, o, m) in signed if s <= 0]
+        minus = [(s, ray) for s, ray in signed if s < 0]
+        for s1, (n1, o1, m1) in [(s, ray) for s, ray in signed if s > 0]:
+            for s2, (n2, o2, m2) in minus:
+                if _adjacent(m1 & m2, masks, d):
+                    if len(rays) >= HULL_RAY_LIMIT:
+                        raise HullTooLarge("hull passed %d intermediate facets" % HULL_RAY_LIMIT)
+                    # the positive combination of the pair that is tight at p
+                    row = [s1 * b - s2 * a for a, b in zip(n1 + (o1,), n2 + (o2,))]
+                    g = gcd(*row)
+                    rays.append((tuple(a // g for a in row[:-1]), row[-1] // g, m1 & m2 | 1 << ip))
 
-    planes = sorted({f[1:] for f in facets if f})
-    slacks = [[offset - dot(normal, w) for normal, offset in planes] for w in ints]
-    if any(s < 0 for row in slacks for s in row):
+    if any(dot(n, w) > o for n, o, _ in rays for w in ints):
         raise IdentityViolated("hull misses an input point")
-    vertices = [p for p, row in zip(points, slacks)
-                if _int_rank([n for (n, _), s in zip(planes, row) if s == 0]) == d]
-    return (tuple(sorted(vertices)),
-            _halfspaces(normal + (Fraction(offset, scale),) for normal, offset in planes))
+    # a point is a vertex exactly when the facets through it meet in it alone
+    full = (1 << len(ints)) - 1
+    index = [i for i in range(len(ints))
+             if reduce(and_, (m for _, _, m in rays if m >> i & 1), full) == 1 << i]
+    tight = [[k for k, i in enumerate(index) if m >> i & 1] for _, _, m in rays]
+    # the rank of the transpose, with d + 1 rows, is the cheaper elimination
+    if any(_int_rank(list(zip(*(ints[index[k]] + (1,) for k in ks)))) != d for ks in tight):
+        raise IdentityViolated("hull facet is not spanned by its tight vertices")
+    # n . x <= o / L is the integer row (L n, o)
+    return (tuple(points[i] for i in index),
+            *_facet_table((tuple(scale * a for a in n) + (o,) for n, o, _ in rays),
+                          (sum(1 << k for k in ks) for ks in tight)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +216,7 @@ class Polytope:
             raise NotFullDimensional(
                 "facet description needs dim == ambient_dim (%d != %d); "
                 "project to the affine hull first" % (self.dim, self.ambient_dim))
-        _, facets = _hull_full_dim(list(self.vertices), self.ambient_dim)
+        _, facets, self.__dict__["_incidence"] = _hull_full_dim(self.vertices, self.ambient_dim)
         return facets
 
     @cached_property
@@ -208,8 +229,8 @@ class Polytope:
 
     @cached_property
     def _incidence(self) -> tuple[int, ...]:
-        return tuple(sum(1 << i for i, w in enumerate(self._int_vertices[1]) if dot(n, w) == qoff)
-                     for n, qoff in self._int_facets)
+        self.facets  # the hull call that makes the facets stores the incidence beside them
+        return self.__dict__["_incidence"]
 
     def _int_slacks(self, u, ell) -> list[int]:
         """q·ell times the slack of u / ell on each facet: ell·(q·offset) - q·(normal·u)."""
@@ -253,16 +274,15 @@ def build_polytope(points) -> Polytope:
     if dim == 0:
         verts = (pts[0],)
     elif dim == ambient:
-        verts, facets = _hull_full_dim(pts, ambient)
+        verts, facets, incidence = _hull_full_dim(pts, ambient)
         poly = Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
-        poly.__dict__["facets"] = facets  # hull byproduct; identical to lazy result
+        poly.__dict__.update(facets=facets, _incidence=incidence)  # as the lazy properties would
         return poly
     else:
         basis = _affine_basis(_scaled(pts)[1], dim)
         columns = list(zip(*(vec_sub(pts[j], pts[0]) for j in basis[1:])))
         charted = [solve_unique(columns, vec_sub(p, pts[0])) for p in pts]
-        chart_verts, _ = _hull_full_dim(charted, dim)
-        keep = set(chart_verts)
+        keep = set(_hull_full_dim(charted, dim)[0])
         verts = tuple(sorted(p for p, c in zip(pts, charted) if c in keep))
 
     return Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
@@ -288,7 +308,8 @@ def dilate(P: Polytope, t) -> Polytope:
     verts = tuple(sorted(vec_scale(t, v) for v in P.vertices))
     out = Polytope(verts, P.ambient_dim, P.dim, lcm(*(point_denominator(v) for v in verts)))
     if "facets" in P.__dict__ and P.is_full_dimensional:
-        out.__dict__["facets"] = _halfspaces(hs.normal + (t * hs.offset,) for hs in P.facets)
+        out.__dict__["facets"], out.__dict__["_incidence"] = _facet_table(
+            (hs.normal + (t * hs.offset,) for hs in P.facets), P._incidence)
     return out
 
 
@@ -299,8 +320,8 @@ def translate(P: Polytope, v) -> Polytope:
     verts = tuple(sorted(vec_add(p, v) for p in P.vertices))
     out = Polytope(verts, P.ambient_dim, P.dim, lcm(*(point_denominator(p) for p in verts)))
     if "facets" in P.__dict__ and P.is_full_dimensional:
-        out.__dict__["facets"] = _halfspaces(hs.normal + (hs.offset + dot(hs.normal, v),)
-                                             for hs in P.facets)
+        out.__dict__["facets"], out.__dict__["_incidence"] = _facet_table(
+            (hs.normal + (hs.offset + dot(hs.normal, v),) for hs in P.facets), P._incidence)
     return out
 
 

@@ -21,7 +21,8 @@ lexicographically smallest vertex, its lowest bit, and none is re-hulled.
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from one fixed perturbation schedule, verified exactly
 and retried with a finer step on failure; each ConeTriangulation keeps the y
-its masks were read at.  Callers that want another generic point pass y.
+its masks were read at.  Callers that want another generic point pass y,
+which must lie in the interior of P.
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def _half_open(P: Polytope, pieces, apex, y=None, points=None) -> ConeTriangulat
         y, masks = _generic_point(P, apex, cells)
     else:
         y = as_point(y)
+        if not contains(P, y, "interior"):
+            raise ValueError("y must lie in the interior of P")
         masks = _visibility(cells, y)
         if masks is None:
             raise NotGeneric("point lies on a cell hyperplane")

@@ -133,33 +133,41 @@ def test_residues_are_lattice_points(monkeypatch):
         decomposition.hstar_polytope(skew)
 
 
-def _flip_halfspace(monkeypatch, k):
-    """Make the hull's k-th new facet plane (1-based) face the wrong way."""
+def test_hull_misses_a_point(monkeypatch):
+    # the first facet of the start simplex faces the wrong way
     real = geometry._facet_plane
     made = []
 
     def flipped(rows, inside, weight):
         normal, offset = real(rows, inside, weight)
         made.append(normal)
-        if len(made) == k:
+        if len(made) == 1:
             return tuple(-a for a in normal), -offset
         return normal, offset
     monkeypatch.setattr(geometry, "_facet_plane", flipped)
-
-
-def test_hull_misses_a_point(monkeypatch):
-    _flip_halfspace(monkeypatch, 1)
     with pytest.raises(IdentityViolated, match="misses an input point"):
         build_polytope([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
 
 
-def test_hull_boundary_is_closed(monkeypatch):
-    # a later point sees the flipped facet apart from the facets it really
-    # sees, so the visible region splits and the new facets share a ridge
-    # three or more times
-    _flip_halfspace(monkeypatch, 6)
-    with pytest.raises(IdentityViolated, match="pseudomanifold"):
-        build_polytope([(-4, -1), (0, -3), (-1, -2), (4, -4), (1, 4), (0, 2), (4, -2), (0, -2)])
+def test_hull_facets_are_spanned(monkeypatch):
+    # one pair of rays that share d - 1 points but no ridge passes as
+    # adjacent; their combination holds on every point, so it survives to the
+    # end, tight on points that span less than a hyperplane
+    real = geometry._adjacent
+    leaked = []
+
+    def leaky(common, masks, d):
+        if real(common, masks, d):
+            return True
+        if common.bit_count() >= d - 1 and not leaked:
+            leaked.append(common)
+            return True
+        return False
+    monkeypatch.setattr(geometry, "_adjacent", leaky)
+    with pytest.raises(IdentityViolated, match="not spanned by its tight vertices"):
+        build_polytope([(0, 0, 0, 0), (0, 0, 0, 2), (1, 0, 1, 0), (1, 1, 1, 1),
+                        (2, 0, 0, 2), (2, 0, 2, 0), (2, 2, 0, 2), (2, 2, 2, 0)])
+    assert len(leaked) == 1
 
 
 def test_unimodular_inverse(monkeypatch):

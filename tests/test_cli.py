@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ehrkit import geometry
 from ehrkit.cli import run
 from ehrkit.ehrhart import _hstar
 from ehrkit.geometry import polytope_from_json_dict
@@ -170,6 +171,16 @@ def test_usage_errors(capsys):
     assert "-f" in capsys.readouterr().err
     assert run(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_hull_too_large_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(geometry, "HULL_RAY_LIMIT", 5)
+    cube = "0,0,0; 0,0,1; 0,1,0; 0,1,1; 1,0,0; 1,0,1; 1,1,0; 1,1,1"
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"vertices": [row.split(",") for row in cube.split("; ")]}))
+    for argv in (["hstar", "--vertices", cube], ["verify", "-f", str(path)]):
+        assert run(argv) == 2
+        assert "5 intermediate facets" in capsys.readouterr().err
 
 
 def test_computation_error_exit_code(capsys):

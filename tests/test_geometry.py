@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+from ehrkit import geometry
 from ehrkit.errors import (
     EmptyInput,
+    HullTooLarge,
     MixedDimensions,
     NoLatticePoints,
     NonpositiveScale,
@@ -24,7 +27,7 @@ from ehrkit.geometry import (
 from ehrkit.linalg import solve_unique
 
 from conftest import CORPUS
-from helpers import vertices_from_halfspaces
+from helpers import brute_force_hull, vertices_from_halfspaces
 
 
 def pts(*coords):
@@ -108,6 +111,55 @@ def test_facets_sorted_and_normalized():
             for a in hs.normal + (hs.offset,):
                 g = gcd(g, a)
             assert g == 1
+
+
+def _tight_masks(P):
+    return tuple(sum(1 << i for i, v in enumerate(P.vertices) if hs.slack(v) == 0)
+                 for hs in P.facets)
+
+
+def test_hull_of_grids_with_collinear_and_redundant_points():
+    # {0,1,2}^d under x -> Ux + c, U unit upper bidiagonal, plus midpoints;
+    # the brute force tries every hyperplane through d points, so for d = 4
+    # it runs on the images of the corners and the midpoints, which have the
+    # same hull as the 81 grid points
+    for d in (2, 3, 4):
+        def image(p):
+            return tuple(p[i] - 2 * (p[i + 1] if i + 1 < d else 0) + i for i in range(d))
+        grid = [image(p) for p in product(range(3), repeat=d)]
+        midpoints = [tuple(F(a + b, 2) for a, b in zip(grid[i], grid[-1 - 2 * i]))
+                     for i in range(3)]
+        P = build_polytope(grid + midpoints)
+        reference = grid if d < 4 else [image(p) for p in product((0, 2), repeat=d)]
+        assert (P.vertices, P.facets) == brute_force_hull(reference + midpoints)
+        assert len(P.vertices) == 2 ** d and len(P.facets) == 2 * d
+        assert P._incidence == _tight_masks(P)
+
+
+def test_hull_of_cubes_and_cross_polytopes():
+    for d in (5, 6):
+        cube = build_polytope(list(product((0, 1), repeat=d)))
+        cross = build_polytope([tuple(s * (i == j) for j in range(d))
+                                for i in range(d) for s in (1, -1)])
+        assert len(cube.facets) == 2 * d and len(cross.facets) == 2 ** d
+        assert [m.bit_count() for m in cube._incidence] == [2 ** (d - 1)] * (2 * d)
+        assert [m.bit_count() for m in cross._incidence] == [d] * 2 ** d
+        assert cube._incidence == _tight_masks(cube) and cross._incidence == _tight_masks(cross)
+
+
+def test_incidence_follows_dilation_and_translation():
+    # dilating by 1/3 turns x <= 1, sorted before 2x - y <= 0, into 3x <= 1, sorted after it
+    P = build_polytope(pts((0, 0), (1, 2), (1, 3)))
+    for Q in (dilate(P, F(1, 3)), translate(P, (F(1, 3), 0)), dilate(P, 2)):
+        assert Q._incidence == _tight_masks(Q)
+    assert [hs.normal for hs in dilate(P, F(1, 3)).facets] == [(-3, 1), (2, -1), (3, 0)]
+
+
+def test_hull_ray_limit(monkeypatch):
+    monkeypatch.setattr(geometry, "HULL_RAY_LIMIT", 5)
+    with pytest.raises(HullTooLarge, match="5 intermediate facets"):
+        build_polytope(list(product((0, 1), repeat=3)))
+    assert len(build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1))).facets) == 4
 
 
 def test_facet_description_rejects_lower_dimensional():

@@ -235,6 +235,16 @@ def test_half_open_decompose_rejects_nongeneric_y():
         half_open_decompose(T, square2, y=(1, 1), apex=(1, 1))
 
 
+def test_y_outside_the_interior_is_rejected():
+    skew = build_polytope([(0, 0), (0, 2), (2, 0), (3, 3)])
+    v = skew.vertices[0]
+    with pytest.raises(ValueError, match="y must lie in the interior of P"):
+        half_open_decompose(triangulate_boundary(skew), skew, y=(10, F(1, 7)))
+    with pytest.raises(ValueError, match="y must lie in the interior of P"):
+        triangulation._half_open(skew, triangulation._pull_facets(skew, v), v,
+                                 (F(-3, 7), F(-11, 13)))
+
+
 def test_figure_configuration_with_split_edge():
     """Square with one subdivided edge: masks come out 1 closed, 3 single, 1 double."""
     P = build_polytope(pts((0, 0), (0, 3), (3, 0), (3, 3)))
