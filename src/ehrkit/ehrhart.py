@@ -4,10 +4,10 @@ A half-open simplex with vertices v_j and heights h_j homogenizes to the cone
 generated by (h_j v_j, h_j); its fundamental parallelepiped uses coefficient
 interval (0,1] on generators opposite missing facets and [0,1) elsewhere.
 The multiset of last coordinates of its lattice points is exactly the h*
-coefficient data.  Their number, det, is the residue count that each cell's
-independence check computes, and it is read first: a walk of more than
-ENUMERATION_LIMIT residues raises WalkTooLarge before it starts, and a walk
-of one residue yields its point directly.  Other walks run through a
+coefficient data.  Their number, det, is the residue count each cell
+carries (see the triangulation module), and it is read first: a walk of
+more than ENUMERATION_LIMIT residues raises WalkTooLarge before it starts,
+and a walk of one residue yields its point directly.  Other walks run via a
 unimodular diagonalization of the generator matrix, whose invariants must
 multiply to det, and stream the residues as an odometer over the diagonal:
 each step adds one precomputed carry column to the coefficients and its point

@@ -6,7 +6,10 @@ point y and remove from every cell the facets visible from y: the facet
 opposite vertex i when y's barycentric coordinate i is negative, which one
 exact solve per cell decides (y is generic when no coordinate is zero).  That
 turns the cover into a genuine partition with exactly one closed cell, which
-is what makes constant terms add up correctly downstream.  h* uses the
+is what makes constant terms add up correctly downstream; the same solve
+gives the cell's residue count, |det| of its columns, and a boundary cell
+has its cone cell's count over the apex's lattice distance to its facet (the
+pyramid rule), so no pipeline cell is eliminated twice.  h* uses the
 lexicographically smallest vertex as apex; boundary h* and the b-route use an
 interior point x, over which every facet is pulled and the cells without x
 partition the boundary.  The pulled pieces stay index tuples over P's integer
@@ -54,15 +57,17 @@ class HalfOpenSimplex:
     """Simplex with a mask of removed facets; facet i is opposite vertices[i].
 
     A True mask entry removes the facet opposite that vertex, i.e. forces the
-    barycentric coordinate of that vertex to stay strictly positive.  Its
-    independence check also gives `_count`, the residue count of the columns.
+    barycentric coordinate of that vertex to stay strictly positive.
+    `_count` is the residue count of the columns: pipeline cells pass the one
+    their visibility solve found, and other cells get it from an elimination
+    that also checks their independence.
     """
 
     vertices: tuple[Point, ...]
     missing: tuple[bool, ...]
     # per vertex v, the integer column (L·v, L), L v's denominator; pipeline cells pass P's
     _columns: tuple[tuple[int, ...], ...] = field(default=None, repr=False, compare=False)
-    _count: int = field(init=False, repr=False, compare=False)
+    _count: int = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) != len(self.missing):
@@ -70,7 +75,7 @@ class HalfOpenSimplex:
         if len({len(v) for v in self.vertices}) > 1:
             raise MixedDimensions("simplex vertices have different dimensions")
         columns = self._columns or tuple(map(_homogenized, self.vertices))
-        count = _residue_count(columns)
+        count = self._count or _residue_count(columns)
         if count is None:
             raise AffinelyDependent("simplex vertices are affinely dependent")
         object.__setattr__(self, "_columns", columns)
@@ -190,7 +195,9 @@ def pyramid(x, S: HalfOpenSimplex) -> HalfOpenSimplex:
 def _visible(cell, y):
     """Mask of the facets of a cell (homogenized integer columns) visible from
     y = Y/D, given as (Y, D): True where the kernel of (columns | (Y, D)) has
-    the sign of its last entry, i.e. y's barycentric coordinate is negative."""
+    the sign of its last entry, i.e. y's barycentric coordinate is negative;
+    with the cell's residue count, |det| of its columns, which is the last
+    pivot because (Y, D) comes after them.  None when y is on a cell hyperplane."""
     n = len(cell)
     if n != len(y) or len(cell[0]) != n:
         raise ValueError("cone cells must be full-dimensional simplices in P's space")
@@ -200,23 +207,23 @@ def _visible(cell, y):
     kernel = _kernel(m, pivots, n + 1)
     if 0 in kernel:
         return None
-    return tuple(k * kernel[n] > 0 for k in kernel[:n])
+    return tuple(k * kernel[n] > 0 for k in kernel[:n]), abs(m[n - 1][n - 1])
 
 
 def _visibility(cells, y: Point):
     """Per cell (homogenized integer columns), the mask of facets visible
-    from the point y; None when y lies on some cell hyperplane."""
+    from the point y and its count; None when y lies on some cell hyperplane."""
     Y = _homogenized(y)
-    masks = [_visible(cell, Y) for cell in cells]
-    return None if None in masks else masks
+    seen = [_visible(cell, Y) for cell in cells]
+    return None if None in seen else seen
 
 
 def _generic_point(P: Polytope, apex: Point, cells):
     """A rational interior point y of P off every hyperplane of the cells
     (homogenized integer columns) of a cone over apex, with their visibility
-    masks.  y starts from the apex (the vertex centroid when the apex is on
-    the boundary) and moves by eps^(i+1) along coordinate i; genericity is
-    verified exactly, with 32 tries that halve eps from 1/64."""
+    masks and counts.  y starts from the apex (the vertex centroid when the
+    apex is on the boundary) and moves by eps^(i+1) along coordinate i;
+    genericity is verified exactly, with 32 tries that halve eps from 1/64."""
     if not cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
@@ -227,15 +234,15 @@ def _generic_point(P: Polytope, apex: Point, cells):
     for attempt in range(32):
         eps = Fraction(1, 64 * 2 ** attempt)
         y = vec_add(base, [eps ** (i + 1) for i in range(d)])
-        if contains(P, y, "interior") and (masks := _visibility(cells, y)) is not None:
-            return y, masks
+        if contains(P, y, "interior") and (seen := _visibility(cells, y)) is not None:
+            return y, seen
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
 def _half_open(P: Polytope, pieces, apex, y=None, points=None) -> ConeTriangulation:
     """The pieces, index tuples into `points` (P's vertices, then any other
     point), coned over the point apex of P, each cell built once with the
-    facets visible from y (default: _generic_point's) removed."""
+    facets visible from y (default: _generic_point's) removed and its count."""
     apex, points = as_point(apex), P.vertices if points is None else points
     q, rows = P._int_vertices
     columns = [tuple(a // g for a in w + (q,)) for w in rows for g in [gcd(q, *w)]]
@@ -243,30 +250,41 @@ def _half_open(P: Polytope, pieces, apex, y=None, points=None) -> ConeTriangulat
     top = _apex(P, apex)[0]
     cells = [tuple(columns[i] for i in piece) + (top,) for piece in pieces]
     if y is None:
-        y, masks = _generic_point(P, apex, cells)
+        y, seen = _generic_point(P, apex, cells)
     else:
         y = as_point(y)
         if not contains(P, y, "interior"):
             raise ValueError("y must lie in the interior of P")
-        masks = _visibility(cells, y)
-        if masks is None:
+        seen = _visibility(cells, y)
+        if seen is None:
             raise NotGeneric("point lies on a cell hyperplane")
-    if any(mask[-1] for mask in masks):
+    if any(mask[-1] for mask, _ in seen):
         raise IdentityViolated("the facet opposite the apex is visible from y")
     return ConeTriangulation(apex, tuple(
-        HalfOpenSimplex(tuple(points[i] for i in piece) + (apex,), mask, cell)
-        for piece, mask, cell in zip(pieces, masks, cells)), P, y)
+        HalfOpenSimplex(tuple(points[i] for i in piece) + (apex,), mask, cell, count)
+        for piece, (mask, count), cell in zip(pieces, seen, cells)), P, y)
 
 
 def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
     """half_open_decompose of the boundary pieces (index tuples into points).
     The facet opposite the apex lies in a facet of P and is never removed, so
-    each cone cell's mask restricts to its boundary cell."""
+    each cone cell's mask restricts to its boundary cell.  A pulled piece
+    (points None) has its cone cell's count over the apex's lattice distance,
+    slack / q, to the facet whose incidence holds it; a caller's cell counts itself."""
     if apex is None:
         apex = find_interior_point(P)[1]
     cone = _half_open(P, pieces, apex, y, points)
-    boundary = tuple(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1], cell._columns[:-1])
-                     for cell in cone.cells)
+    counts = [None] * len(pieces)
+    if points is None:
+        q, slacks = P.denominator_q, _apex(P, apex)[1]
+        for k, (piece, cell) in enumerate(zip(pieces, cone.cells)):
+            bits = sum(1 << i for i in piece)
+            height = next(s for F, s in zip(P._incidence, slacks) if F & bits == bits) // q
+            counts[k], rest = divmod(cell._count, height)
+            if rest:
+                raise IdentityViolated("facet distance does not divide the cone count")
+    boundary = tuple(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1], cell._columns[:-1],
+                                     count) for cell, count in zip(cone.cells, counts))
     return BoundaryTriangulation(boundary, P), cone
 
 

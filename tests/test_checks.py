@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrkit import corpus, decomposition, ehrhart, geometry, rational_ehrhart
+from ehrkit import corpus, decomposition, ehrhart, geometry, rational_ehrhart, triangulation
 from ehrkit.errors import IdentityViolated
 from ehrkit.geometry import Halfspace, Polytope, build_polytope, dilate, project_to_affine_hull
 from ehrkit.gradedpoly import GradedPolynomial as GP
@@ -149,10 +149,9 @@ def test_hull_misses_a_point(monkeypatch):
         build_polytope([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)])
 
 
-def test_hull_facets_are_spanned(monkeypatch):
-    # one pair of rays that share d - 1 points but no ridge passes as
-    # adjacent; their combination holds on every point, so it survives to the
-    # end, tight on points that span less than a hyperplane
+def leak_one_pair(monkeypatch):
+    """Let the first pair of rays that share d - 1 points but no ridge pass
+    the adjacency test; returns the list that records the leaked pair."""
     real = geometry._adjacent
     leaked = []
 
@@ -164,10 +163,46 @@ def test_hull_facets_are_spanned(monkeypatch):
             return True
         return False
     monkeypatch.setattr(geometry, "_adjacent", leaky)
+    return leaked
+
+
+def test_hull_facets_are_spanned(monkeypatch):
+    # the leaked pair's combination holds on every point, so it survives to
+    # the end, tight on points that span less than a hyperplane
+    leaked = leak_one_pair(monkeypatch)
     with pytest.raises(IdentityViolated, match="not spanned by its tight vertices"):
         build_polytope([(0, 0, 0, 0), (0, 0, 0, 2), (1, 0, 1, 0), (1, 1, 1, 1),
                         (2, 0, 0, 2), (2, 0, 2, 0), (2, 2, 0, 2), (2, 2, 2, 0)])
     assert len(leaked) == 1
+
+
+def test_report_catches_a_hull_missing_a_facet(monkeypatch):
+    # here the leaked ray blocks a real adjacent pair and a later point cuts
+    # it, so the hull passes its own checks with 13 of 14 facets; h* comes out
+    # 1 + 5z + 23z^2 + 13z^3 + z^4 (1 + 7z + 29z^2 + 15z^3 + z^4 is right), and
+    # the report refuses it: a(z) differs from the boundary h*
+    points = [(0, 0, 1, 0), (0, 1, 1, 2), (1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, 2),
+              (1, 0, 1, 2), (1, 1, 1, 1), (1, 2, 2, 1), (2, 0, 1, 0), (2, 2, 0, 1)]
+    leaked = leak_one_pair(monkeypatch)
+    P = build_polytope(points)
+    assert len(leaked) == 1 and len(P.facets) == 13
+    assert Halfspace((2, -1, -2, 0), 2) not in P.facets
+    assert decomposition.hstar_polytope(P) == GP.from_list([1, 5, 23, 13, 1])
+    with pytest.raises(IdentityViolated, match=r"a\(z\) must equal the boundary h"):
+        decomposition.stapledon_report(P)
+
+
+def test_facet_distance_must_divide_the_cone_count(monkeypatch):
+    # doubled slacks put the apex twice as far from every facet as it is; the
+    # cone count of a unimodular edge of skew is one distance, not two
+    real = triangulation._apex
+
+    def doubled(P, apex):
+        column, slacks = real(P, apex)
+        return column, [2 * s for s in slacks]
+    monkeypatch.setattr(triangulation, "_apex", doubled)
+    with pytest.raises(IdentityViolated, match="facet distance does not divide"):
+        decomposition.hstar_boundary(skew)
 
 
 def test_unimodular_inverse(monkeypatch):

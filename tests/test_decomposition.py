@@ -21,6 +21,8 @@ from ehrkit.decomposition import (
 from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.linalg import diagonalize
 from ehrkit.oracle import count_points
+from ehrkit import triangulation
+from ehrkit.corpus import standard_corpus
 from ehrkit.triangulation import _generic_point, _visible, find_interior_point
 
 from helpers import count_calls, count_constructions
@@ -228,3 +230,15 @@ def test_ehrhart_report_computes_each_artifact_once(monkeypatch):
                   "decomposition", "audit"):
         getattr(rep, field)
     assert len(counts["fpp_lattice_points"]) == 120  # reading the fields walked nothing
+
+
+@pytest.mark.parametrize("P", [build_polytope(list(product((0, 1), repeat=4))),
+                               dict(standard_corpus())["random-d3-q2-0"]],
+                         ids=["cube-4d", "random-d3-q2-0"])
+def test_ehrhart_report_eliminates_no_cell_twice(monkeypatch, P):
+    """Cone cells take their counts from the visibility solve and boundary
+    cells from the pyramid rule, so no pipeline cell runs _residue_count."""
+    def eliminated(columns):
+        raise AssertionError("a pipeline cell ran _residue_count")
+    monkeypatch.setattr(triangulation, "_residue_count", eliminated)
+    ehrhart_report(P)

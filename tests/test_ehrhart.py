@@ -131,6 +131,17 @@ def test_one_residue_walk_skips_the_smith_form(monkeypatch):
     assert list(fpp_lattice_points(S, [2, 1])) == [((1, 0, 2), (1, 0), 1)]
 
 
+def double_pipeline_counts(monkeypatch):
+    """Double the count each cone cell takes from its visibility solve, and
+    so each boundary cell's, which is its cone cell's over a facet distance."""
+    real = triangulation._visible
+
+    def doubled(cell, y):
+        seen = real(cell, y)
+        return seen and (seen[0], 2 * seen[1])
+    monkeypatch.setattr(triangulation, "_visible", doubled)
+
+
 def test_smith_invariants_must_match_the_residue_count(monkeypatch):
     """The count of the elimination and the Smith form are two routes to the
     number of residues; a cell whose count disagrees is refused."""
@@ -139,11 +150,19 @@ def test_smith_invariants_must_match_the_residue_count(monkeypatch):
     object.__setattr__(S, "_count", 2)
     with pytest.raises(IdentityViolated, match="residues, not"):
         fpp_lattice_points(S, [1, 1, 1])
-    real = triangulation._residue_count
-    monkeypatch.setattr(triangulation, "_residue_count", lambda columns: 2 * real(columns))
+    double_pipeline_counts(monkeypatch)
     sq = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
     with pytest.raises(IdentityViolated, match="residues, not"):
         hstar_polytope(sq)
+
+
+def test_smith_invariants_must_match_the_boundary_count(monkeypatch):
+    """boundary h* walks only the boundary cells, so the doubled count that
+    reaches the check is a boundary cell's."""
+    double_pipeline_counts(monkeypatch)
+    sq = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
+    with pytest.raises(IdentityViolated, match="residues, not"):
+        hstar_boundary(sq)
 
 
 def _residues(cells, q):

@@ -18,7 +18,8 @@ from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.ehrhart import fpp_lattice_points
 from ehrkit.errors import AffinelyDependent
 from ehrkit.geometry import build_polytope, point_denominator
-from ehrkit.linalg import _int_normal, _int_rank, determinant, dot, matrix_rank, solve_unique
+from ehrkit.linalg import (_int_normal, _int_rank, _residue_count, determinant, dot, matrix_rank,
+                           solve_unique)
 from ehrkit.oracle import hstar_from_counts
 from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone
 
@@ -83,6 +84,24 @@ def test_report_fields_match_standalone_entry_points(P):
 def test_visibility_masks_are_slack_signs(P):
     for cone in (half_open_cone(P, P.vertices[0]), EhrhartReport(P).cone[1]):
         assert [cell.missing for cell in cone.cells] == slack_masks(cone, cone.y)
+
+
+def check_pipeline_counts(P):
+    """Every cell of both cones, and every boundary cell, carries the count
+    that an elimination of its own columns gives."""
+    boundary, cone = EhrhartReport(P).cone
+    cells = half_open_cone(P, P.vertices[0]).cells + cone.cells + boundary.simplices
+    assert [S._count for S in cells] == [_residue_count(S._columns) for S in cells]
+
+
+def test_pipeline_counts_on_the_corpus(corpus_polytope):
+    check_pipeline_counts(corpus_polytope)
+
+
+@PROPERTY
+@given(rational_polytopes())
+def test_pipeline_counts_are_residue_counts(P):
+    check_pipeline_counts(P)
 
 
 @PROPERTY
