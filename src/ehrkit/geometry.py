@@ -37,10 +37,10 @@ from .linalg import (
     _homogenized,
     _int_normal,
     _int_rank,
+    _residue_count,
     _scaled,
     diagonalize,
     dot,
-    invert_unimodular,
     matrix_rank,
     primitive_row,
     solve_unique,
@@ -351,10 +351,18 @@ def project_to_affine_hull(P: Polytope) -> Polytope:
     basis = [_homogenized(P.vertices[i]) for i in _affine_basis(_scaled(P.vertices)[1], P.dim)]
     r = len(basis)  # == dim + 1
 
-    columns = [list(col) for col in zip(*basis)]  # (d+1) x r, full column rank
-    _, _, u = diagonalize(columns, want_u=True)
-    u_inv = invert_unimodular(u)
-    sat = [[u_inv[i][j] for i in range(len(u_inv))] for j in range(r)]  # saturation basis
+    # U*B*V = D gives B*V = U^-1 * D: the first r columns of U^-1, a basis of
+    # the saturation (Cohen 1993, section 2.4), are those of B*V over diag
+    B = list(zip(*basis))  # (d+1) x r, full column rank
+    diag, V = diagonalize(B)
+    sat = []
+    for dj, vj in zip(diag, zip(*V)):
+        column = [dot(row, vj) for row in B]
+        if any(x % dj for x in column):
+            raise IdentityViolated("column of B*V is not divisible by its diagonal entry")
+        sat.append([x // dj for x in column])
+    if _residue_count(sat) != 1:
+        raise IdentityViolated("chart basis is not saturated")
 
     # gcd-eliminate last coordinates until exactly one basis vector keeps one
     while True:

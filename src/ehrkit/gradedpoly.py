@@ -3,7 +3,8 @@
 The same value type carries classical h*-polynomials (grid 1) and the
 fractional-exponent numerators of rational Ehrhart series (grid r or 2r).
 A key k stands for the monomial z^(k/grid); zero coefficients are never
-stored, so equality is structural.
+stored, so equality is structural.  Keys and coefficients must be ints, and
+every operation, long division included, stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -11,25 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-
-def _dense_divmod(num: list[int], den: list[int]):
-    """Long division of dense integer coefficient lists (may leave rational rem)."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = num[:]
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        if c:
-            for i, d in enumerate(den):
-                rem[k + i] -= c * d
-    return quot, rem
 
 
 @dataclass(frozen=True)
@@ -43,7 +25,8 @@ class GradedPolynomial:
     def from_dict(mapping, grid: int = 1) -> "GradedPolynomial":
         items = []
         for k, c in mapping.items():
-            k, c = int(k), int(c)
+            if type(k) is not int or type(c) is not int:
+                raise ValueError("exponent keys and coefficients must be ints")
             if k < 0:
                 raise ValueError("exponent keys must be nonnegative")
             if c:
@@ -162,23 +145,25 @@ class GradedPolynomial:
         keys = set(mine) | set(theirs)
         return all(mine.get(k, 0) >= theirs.get(k, 0) for k in keys)
 
-    def to_dense(self) -> list[int]:
-        out = [0] * (self.degree_key + 1)
-        for k, c in self.coeffs:
-            out[k] = c
-        return out
-
     def divmod_exact(self, other: "GradedPolynomial"):
-        """Polynomial divmod; both quotient and remainder must be integral."""
+        """Polynomial divmod by integer long division.  Quotients are unique,
+        so a step whose leading coefficient does not divide exactly means no
+        integral quotient exists: it raises ValueError."""
         self._require_same_grid(other)
         if self.is_zero:
-            return GradedPolynomial.zero(self.grid), GradedPolynomial.zero(self.grid)
-        quot, rem = _dense_divmod(self.to_dense(), other.to_dense())
-        if any(c.denominator != 1 for c in quot + rem):
-            raise ValueError("division left non-integer coefficients")
-        q = GradedPolynomial.from_dict({k: int(c) for k, c in enumerate(quot)}, self.grid)
-        r = GradedPolynomial.from_dict({k: int(c) for k, c in enumerate(rem)}, self.grid)
-        return q, r
+            return self, self
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        top, lead = other.coeffs[-1]
+        rem, quot = self.as_dict(), {}
+        for k in range(self.degree_key - top, -1, -1):
+            c, m = divmod(rem.get(k + top, 0), lead)
+            if m:
+                raise ValueError("division left non-integer coefficients")
+            quot[k] = c
+            for key, b in other.coeffs:
+                rem[k + key] = rem.get(k + key, 0) - c * b
+        return GradedPolynomial.from_dict(quot, self.grid), GradedPolynomial.from_dict(rem, self.grid)
 
     # -- grid handling ----------------------------------------------------------
 

@@ -4,6 +4,8 @@ Everything is sized for polytope work in ambient dimension <= 7 or so.  Ranks
 and facet normals come from fraction-free (Bareiss) elimination of integer
 rows, rational rows being scaled to integers first; determinants and unique
 solutions read the same elimination, so no row operation runs over Fraction.
+The unimodular diagonalization runs in integers too: its V alone gives the
+lattice index of a column span and a basis of the span's saturation.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-
-from .errors import IdentityViolated
 
 
 def dot(a, b):
@@ -152,18 +152,18 @@ def _int_normal(rows, d):
     return tuple(a // g for a in x)
 
 
-def diagonalize(rows, want_u=False):
+def diagonalize(rows):
     """Unimodular diagonalization of an integer matrix with full column rank.
 
-    Returns (diag, V) -- or (diag, V, U) -- with U*A*V diagonal, diag positive.
-    No divisibility chain is enforced; |prod(diag)| is still the lattice index
-    of the column span inside its saturation.
+    Returns (diag, V) with U*A*V diagonal for a unimodular U that is not
+    formed, diag positive.  No divisibility chain is enforced; |prod(diag)|
+    is still the lattice index of the column span inside its saturation, and
+    column j of A*V divided by diag[j] is column j of U^-1.
     """
     a = [list(map(int, r)) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_u else None
 
     for t in range(n):
         while True:
@@ -177,8 +177,6 @@ def diagonalize(rows, want_u=False):
             pi, pj = pivot
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
-                if want_u:
-                    u[t], u[pi] = u[pi], u[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
@@ -190,9 +188,6 @@ def diagonalize(rows, want_u=False):
                 if q:
                     for j in range(n):
                         a[i][j] -= q * a[t][j]
-                    if want_u:
-                        for j in range(m):
-                            u[i][j] -= q * u[t][j]
                 if a[i][t]:
                     dirty = True
             for j in range(t + 1, n):
@@ -207,27 +202,7 @@ def diagonalize(rows, want_u=False):
             if not dirty:
                 break
 
-    diag = []
-    for t in range(n):
-        entry = a[t][t]
-        if entry < 0:
-            entry = -entry
-            if want_u:
-                for j in range(m):
-                    u[t][j] = -u[t][j]
-        diag.append(entry)
-    if want_u:
-        return diag, v, u
-    return diag, v
-
-
-def invert_unimodular(mat):
-    """Exact inverse of a unimodular integer matrix, returned with int entries."""
-    n = len(mat)
-    columns = [solve_unique(mat, [int(i == j) for i in range(n)]) for j in range(n)]
-    if any(x.denominator != 1 for col in columns for x in col):
-        raise IdentityViolated("matrix was not unimodular")
-    return [[int(col[i]) for col in columns] for i in range(n)]
+    return [abs(a[t][t]) for t in range(n)], v
 
 
 def interpolate_polynomial(xs, ys):

@@ -9,7 +9,8 @@ vertex enumeration, and the hull one that tries every Fraction hyperplane
 through d of the points.  The pulling rule is checked face by face from the
 facet inequalities, and volumes by coning boundary pieces over a point.
 Ranks, determinants and exact solves run Gaussian elimination over Fraction,
-sharing no code with the library's fraction-free elimination, and
+sharing no code with the library's fraction-free elimination; polynomial
+long division runs over Fraction too, against the library's integer one; and
 reflexivity is found by scanning the bounding box for an interior lattice
 point at which every facet offset is one, not by the library's facet solve.
 Slow and obviously correct.
@@ -123,6 +124,21 @@ def fraction_solve(rows, rhs):
     for row, c in enumerate(pivots):
         x[c] = aug[row][n]
     return tuple(x)
+
+
+def fraction_divmod(num, den):
+    """Long division of dense coefficient lists (low degree first) over
+    Fraction: (quotient, remainder), the remainder of len(den) - 1 entries."""
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    while den[-1] == 0:
+        den.pop()
+    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = num[k + len(den) - 1] / den[-1]
+        for i, d in enumerate(den):
+            num[k + i] -= quot[k] * d
+    return quot, (num + [Fraction(0)] * len(den))[:len(den) - 1]
 
 
 def hyperplane_through(points):

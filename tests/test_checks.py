@@ -205,14 +205,28 @@ def test_facet_distance_must_divide_the_cone_count(monkeypatch):
         decomposition.hstar_boundary(skew)
 
 
-def test_unimodular_inverse(monkeypatch):
+def test_chart_basis_must_be_saturated(monkeypatch):
+    # a doubled column of V divides exactly but spans an index-2 sublattice
     real = geometry.diagonalize
 
-    def doubled_u(columns, want_u=False):
-        diag, v, u = real(columns, want_u=True)
-        return diag, v, [[2 * x for x in u[0]]] + u[1:]
-    monkeypatch.setattr(geometry, "diagonalize", doubled_u)
-    with pytest.raises(IdentityViolated, match="not unimodular"):
+    def doubled_v(columns):
+        diag, v = real(columns)
+        return diag, [[2 * row[0]] + row[1:] for row in v]
+    monkeypatch.setattr(geometry, "diagonalize", doubled_v)
+    with pytest.raises(IdentityViolated, match="not saturated"):
+        project_to_affine_hull(build_polytope([(0, 0), (1, 1)]))
+
+
+def test_chart_division_must_be_exact(monkeypatch):
+    # column j of B*V is diag[j] times a primitive column of U^-1, so twice
+    # diag[j] cannot divide it
+    real = geometry.diagonalize
+
+    def doubled_diag(columns):
+        diag, v = real(columns)
+        return [2 * diag[0]] + diag[1:], v
+    monkeypatch.setattr(geometry, "diagonalize", doubled_diag)
+    with pytest.raises(IdentityViolated, match="not divisible by its diagonal entry"):
         project_to_affine_hull(build_polytope([(0, 0), (1, 1)]))
 
 

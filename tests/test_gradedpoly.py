@@ -1,8 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrkit.gradedpoly import GradedPolynomial as GP
+
+from helpers import fraction_divmod
 
 
 def test_construction_drops_zeros():
@@ -11,6 +15,19 @@ def test_construction_drops_zeros():
     assert p.coeff(3) == 0 and p.coeff(2) == 5
     with pytest.raises(ValueError):
         GP.from_dict({-1: 2})
+
+
+@pytest.mark.parametrize("mapping", [{0: F(1, 2)}, {F(3, 2): 2}, {0: F(2)}, {0: 2.0},
+                                     {True: 1}, {0: True}, {"1": 1}])
+def test_from_dict_takes_only_int_keys_and_coefficients(mapping):
+    # int() used to truncate these: {0: 1/2} became 0 and {3/2: 2} became 2z
+    with pytest.raises(ValueError, match="must be ints"):
+        GP.from_dict(mapping)
+
+
+def test_from_list_takes_only_int_coefficients():
+    with pytest.raises(ValueError, match="must be ints"):
+        GP.from_list([2.7, 1])
 
 
 def test_arithmetic():
@@ -47,6 +64,54 @@ def test_divmod_exact():
     assert q == GP.from_list([1, 0, 1]) and r.is_zero
     q, r = GP.from_list([1, 1, 1]).divmod_exact(GP.from_list([1, 1]))
     assert not r.is_zero
+
+
+def test_divmod_exact_edge_cases():
+    zero = GP.zero()
+    assert zero.divmod_exact(zero) == (zero, zero)
+    assert zero.divmod_exact(GP.from_list([1, 2])) == (zero, zero)
+    with pytest.raises(ZeroDivisionError):
+        GP.one().divmod_exact(zero)
+    with pytest.raises(ValueError, match="non-integer"):
+        GP.from_list([1, 1]).divmod_exact(GP.from_list([0, 2]))  # quotient 1/2
+    with pytest.raises(ValueError, match="non-integer"):
+        GP.from_list([0, 0, 1]).divmod_exact(GP.from_list([1, 2]))  # z/2 - 1/4
+    # negative leading coefficients: 1 - z^3 = (1 + z + z^2)(1 - z) and
+    # 1 + 5z - 2z^2 = (-2 + z)(1 - 2z) + 3, but z^2 / (1 - 2z) starts at -z/2
+    assert GP.from_dict({0: 1, 3: -1}).divmod_exact(GP.from_list([1, -1])) == \
+        (GP.from_list([1, 1, 1]), zero)
+    assert GP.from_list([1, 5, -2]).divmod_exact(GP.from_list([1, -2])) == \
+        (GP.from_list([-2, 1]), GP.from_list([3]))
+    with pytest.raises(ValueError, match="non-integer"):
+        GP.from_list([0, 0, 1]).divmod_exact(GP.from_list([1, -2]))
+    assert GP.from_list([3]).divmod_exact(GP.from_list([1, -1])) == (zero, GP.from_list([3]))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        GP.one().divmod_exact(GP.one(2))
+
+
+coefficient_lists = st.lists(st.integers(-6, 6), max_size=7)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(coefficient_lists, coefficient_lists.filter(any), st.integers(1, 3), st.booleans())
+def test_divmod_exact_is_long_division(a, b, grid, multiple):
+    """Integer long division agrees with Fraction long division: the same
+    quotient and remainder when they are integral, ValueError when not; and
+    then q*b + r = a with deg r < deg b."""
+    if multiple:  # an exact multiple plus a constant, so most divisions are integral
+        a = (GP.from_list(a) * GP.from_list(b) + GP.from_list(a[:1])).as_dict()
+        a = [a.get(k, 0) for k in range(max(a, default=-1) + 1)]
+    A, B = GP.from_list(a, grid), GP.from_list(b, grid)
+    quot, rem = fraction_divmod(a, b)
+    if any(c.denominator != 1 for c in quot):
+        with pytest.raises(ValueError, match="non-integer"):
+            A.divmod_exact(B)
+        return
+    q, r = A.divmod_exact(B)
+    assert q == GP.from_list([int(c) for c in quot], grid)
+    assert r == GP.from_list([int(c) for c in rem], grid)
+    assert q * B + r == A
+    assert r.degree_key < B.degree_key
 
 
 def test_dominates():

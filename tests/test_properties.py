@@ -1,5 +1,6 @@
 """Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
-with an oracle-free metamorphic check in d = 4, 5, q <= 2, over random point
+with an oracle-free metamorphic check in d = 4, 5, q <= 2 and one through the
+lattice chart of polytopes embedded in higher dimension, over random point
 sets in d <= 4 for the hull, and over random half-open simplices for the
 parallelepiped walk.
 
@@ -10,14 +11,15 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit, stapledon_report
 from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.ehrhart import fpp_lattice_points
-from ehrkit.errors import AffinelyDependent
-from ehrkit.geometry import build_polytope, point_denominator
+from ehrkit.errors import AffinelyDependent, NoLatticePoints
+from ehrkit.geometry import build_polytope, point_denominator, project_to_affine_hull
 from ehrkit.linalg import (_int_normal, _int_rank, _residue_count, determinant, dot, matrix_rank,
                            solve_unique)
 from ehrkit.oracle import hstar_from_counts
@@ -134,6 +136,23 @@ def test_vertex_numbering_is_lexicographic(P):
 
 
 @st.composite
+def unimodular_matrices(draw, n):
+    """A signed permutation matrix of size n times up to four unit row operations."""
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    M = [[signs[i] if j == order[i] else 0 for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, k in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+def affine_image(M, shift, points):
+    return [tuple(dot(row, v) + t for row, t in zip(M, shift)) for v in points]
+
+
+@st.composite
 def polytopes_and_unimodular_images(draw):
     """A polytope with d = 4, 5, q <= 2 and d + 1 to d + 2 vertices, and its
     image under a random unimodular map (a signed permutation times unit row
@@ -144,17 +163,9 @@ def polytopes_and_unimodular_images(draw):
     points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 2))
     P = build_polytope(points)
     assume(P.dim == d)
-    order = draw(st.permutations(range(d)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d))
-    M = [[signs[i] if j == order[i] else 0 for j in range(d)] for i in range(d)]
-    index = st.integers(0, d - 1)
-    for i, j, k in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=4)):
-        if i != j:
-            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    M = draw(unimodular_matrices(d))
     shift = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    image = [tuple(sum(a * c for a, c in zip(row, v)) + t for row, t in zip(M, shift))
-             for v in P.vertices]
-    return P, build_polytope(image)
+    return P, build_polytope(affine_image(M, shift, P.vertices))
 
 
 @settings(PROPERTY, max_examples=25)
@@ -170,6 +181,35 @@ def test_metamorphic_in_dimensions_four_and_five(case):
     assert hstar_polytope(image) == h
     assert hstar_boundary(P).is_palindromic(q * d)
     assert h.evaluate_at_one() == factorial(d) * q ** (d + 1) * cone_volume(P, pieces)
+
+
+@st.composite
+def polytopes_in_charts(draw):
+    """A full-dimensional polytope with d = 2, 3 and q = 1, 2, a unimodular
+    matrix M of size d + k for k = 1, 2, and an integer translation t."""
+    d = draw(st.integers(2, 3))
+    q = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 2))
+    coordinate = st.integers(-q, q).map(lambda n: Fraction(n, q))
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 2))
+    P = build_polytope(points)
+    assume(P.dim == d)
+    shift = draw(st.lists(st.integers(-3, 3), min_size=d + k, max_size=d + k))
+    return P, draw(unimodular_matrices(d + k)), shift
+
+
+@settings(PROPERTY, max_examples=30)
+@given(polytopes_in_charts())
+def test_chart_of_a_lattice_embedding_keeps_hstar(case):
+    """P placed at x -> M (x, 0, ...) + t is charted back with the same h*;
+    placed at M (x, 1/2, 0, ...) + t, its affine hull holds no lattice point."""
+    P, M, shift = case
+    zeros = (Fraction(0),) * (len(M) - P.dim - 1)
+    flat = build_polytope(affine_image(M, shift, [v + (Fraction(0),) + zeros for v in P.vertices]))
+    assert hstar_polytope(project_to_affine_hull(flat)) == hstar_polytope(P)
+    off = build_polytope(affine_image(M, shift, [v + (Fraction(1, 2),) + zeros for v in P.vertices]))
+    with pytest.raises(NoLatticePoints):
+        project_to_affine_hull(off)
 
 
 @st.composite
