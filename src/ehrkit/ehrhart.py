@@ -7,7 +7,7 @@ The multiset of last coordinates of its lattice points is exactly the h*
 coefficient data.  Their number, det, is the residue count each cell
 carries (see the triangulation module), and it is read first: a walk of
 more than ENUMERATION_LIMIT residues raises WalkTooLarge before it starts,
-and a walk of one residue yields its point directly.  Other walks run via a
+and a walk of one residue returns its point directly.  Other walks run via a
 unimodular diagonalization of the generator matrix, whose invariants must
 multiply to det, and stream the residues as an odometer over the diagonal:
 each step adds one precomputed carry column to the coefficients and its point
@@ -26,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import comb, factorial, lcm, prod
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
 from .errors import ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator, WalkTooLarge
 from .gradedpoly import GradedPolynomial
@@ -58,7 +58,7 @@ def _lattice_point(rows, nums, big):
     """The point sum_j col_j * nums[j] / big, which must be integral."""
     point = []
     for row in rows:
-        total = sum(a * x for a, x in zip(row, nums))
+        total = sum(map(mul, row, nums))
         if total % big:
             raise IdentityViolated("residue enumeration produced a non-lattice point")
         point.append(total // big)
@@ -68,19 +68,20 @@ def _lattice_point(rows, nums, big):
 def fpp_lattice_points(S: HalfOpenSimplex, heights):
     """Lattice points of the fundamental parallelepiped with their coefficients.
 
-    Returns an iterator of (point, alpha_numerators, alpha_denominator);
+    Returns an iterable of (point, alpha_numerators, alpha_denominator);
     alpha_j = numerators[j] / denominator is the coefficient of generator j,
     already shifted into (0,1] or [0,1) according to the mask.  When it is
     called, the size limit runs on the cell's residue count; a walk of one
-    residue yields the generators opposite missing facets, over 1, with no
-    Smith form, and others check their carry points and the count.
+    residue is a list of the generators opposite missing facets, over 1, with
+    no Smith form, and others check their carry points and the count.
     """
     cols, count = _generator_matrix(S, heights)
     if count > ENUMERATION_LIMIT:
         raise WalkTooLarge("parallelepiped has %d residues, more than the limit %d"
                            % (count, ENUMERATION_LIMIT))
     if count == 1:
-        return _odometer((), (), (), cols, S.missing, 1)
+        return [(tuple(sum(compress(row, S.missing)) for row in zip(*cols)),
+                 tuple(map(int, S.missing)), 1)]
     rows = list(zip(*cols))  # (ambient+1) x n
     diag, vmat = diagonalize(rows)
     big = lcm(*diag)
@@ -144,8 +145,6 @@ def _odometer(diag, carries, carry_points, cols, missing, big):
 def _advancing_digits(diag):
     """The digit that advances at each step of an odometer over diag, last digit fastest."""
     digits = [i for i, s in enumerate(diag) if s > 1]
-    if not digits:
-        return
     inner, outer = digits[-1], digits[:-1]
     count = [0] * len(diag)
     while True:

@@ -34,6 +34,7 @@ from .errors import (
     OriginNotInterior,
 )
 from .linalg import (
+    _echelon,
     _homogenized,
     _int_normal,
     _int_rank,
@@ -41,7 +42,6 @@ from .linalg import (
     _scaled,
     diagonalize,
     dot,
-    matrix_rank,
     primitive_row,
     solve_unique,
     vec_add,
@@ -119,15 +119,13 @@ def _facet_plane(rows, inside, weight):
     return normal, offset
 
 
-def _affine_basis(ints, k):
-    """Indices of up to k + 1 affinely independent integer points, from ints[0] on."""
-    basis = [0]
-    for i in range(1, len(ints)):
-        if len(basis) == k + 1:
-            break
-        if _int_rank([vec_sub(ints[j], ints[0]) for j in basis[1:] + [i]]) == len(basis):
-            basis.append(i)
-    return basis
+def _affine_basis(ints):
+    """Indices of a maximal affinely independent set of integer points: ints[0],
+    then each point independent of those before it.  They are the pivot
+    columns of one echelon of the differences from ints[0], as columns."""
+    base = ints[0]
+    pivots = _echelon([[w[c] - base[c] for w in ints[1:]] for c in range(len(base))])[1]
+    return [0] + [c + 1 for c in pivots]
 
 
 def _adjacent(common, masks, d) -> bool:
@@ -141,20 +139,19 @@ def _adjacent(common, masks, d) -> bool:
     return next(islice(through, 2, None), None) is None
 
 
-def _hull_full_dim(points: list[Point], d: int):
-    """Double-description hull of points affinely spanning R^d.
+def _hull_full_dim(points: list[Point], d: int, simplex=None):
+    """Double-description hull of sorted points affinely spanning R^d.
 
     Returns (vertices, facets, incidence): the extreme points and the facets,
     both sorted, and per facet the bitmask of its vertices (bit i for
     vertices[i]).  The facets are the extreme rays (normal, offset) of the cone
     of inequalities normal . w <= offset on the points times L, the lcm of
-    their denominators.  From a simplex on, each point in sorted order keeps
-    the rays it satisfies and adds one per adjacent pair of rays on either
-    side of it; each ray keeps its tight set as a bitmask over the points.
+    their denominators.  From `simplex` (default _affine_basis's) on, each
+    point in sorted order keeps the rays it satisfies and adds one per adjacent
+    pair of rays on either side of it; each ray keeps its tight set as a bitmask.
     """
-    points = sorted(points)
     scale, ints = _scaled(points)
-    simplex = _affine_basis(ints, d)
+    simplex = simplex or _affine_basis(ints)
     if len(simplex) != d + 1:
         raise ValueError("points do not span the ambient space")
     inside = tuple(sum(ints[i][c] for i in simplex) for c in range(d))  # (d+1) * centroid
@@ -269,20 +266,20 @@ def build_polytope(points) -> Polytope:
     if ambient == 0 or any(len(p) != ambient for p in pts):
         raise MixedDimensions("points must share a positive ambient dimension")
     pts = sorted(set(pts))
-    dim = matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]])
+    basis = _affine_basis(_scaled(pts)[1])
+    dim = len(basis) - 1
 
     if dim == 0:
         verts = (pts[0],)
     elif dim == ambient:
-        verts, facets, incidence = _hull_full_dim(pts, ambient)
+        verts, facets, incidence = _hull_full_dim(pts, ambient, basis)
         poly = Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
         poly.__dict__.update(facets=facets, _incidence=incidence)  # as the lazy properties would
         return poly
     else:
-        basis = _affine_basis(_scaled(pts)[1], dim)
         columns = list(zip(*(vec_sub(pts[j], pts[0]) for j in basis[1:])))
         charted = [solve_unique(columns, vec_sub(p, pts[0])) for p in pts]
-        keep = set(_hull_full_dim(charted, dim)[0])
+        keep = set(_hull_full_dim(sorted(charted), dim)[0])
         verts = tuple(sorted(p for p, c in zip(pts, charted) if c in keep))
 
     return Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
@@ -348,7 +345,7 @@ def project_to_affine_hull(P: Polytope) -> Polytope:
         raise NoLatticePoints("a single point has no positive-dimensional chart")
 
     # integer spanning rows of the homogenized affine hull
-    basis = [_homogenized(P.vertices[i]) for i in _affine_basis(_scaled(P.vertices)[1], P.dim)]
+    basis = [_homogenized(P.vertices[i]) for i in _affine_basis(_scaled(P.vertices)[1])]
     r = len(basis)  # == dim + 1
 
     # U*B*V = D gives B*V = U^-1 * D: the first r columns of U^-1, a basis of

@@ -3,8 +3,9 @@
 The same value type carries classical h*-polynomials (grid 1) and the
 fractional-exponent numerators of rational Ehrhart series (grid r or 2r).
 A key k stands for the monomial z^(k/grid); zero coefficients are never
-stored, so equality is structural.  Keys and coefficients must be ints, and
-every operation, long division included, stays in integer arithmetic.
+stored, so equality is structural.  Keys and coefficients must be ints (in
+JSON, ints or decimal-integer strings), the grid an int >= 1, and every
+operation, long division included, stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from math import gcd
 class GradedPolynomial:
     grid: int
     coeffs: tuple[tuple[int, int], ...]  # sorted (key, coeff) pairs, coeff != 0
+
+    def __post_init__(self):
+        if type(self.grid) is not int or self.grid < 1:
+            raise ValueError("grid must be an int >= 1, got %r" % (self.grid,))
 
     # -- construction ---------------------------------------------------------
 
@@ -224,5 +229,7 @@ class GradedPolynomial:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GradedPolynomial":
+        def read(x):  # a string must be a decimal integer; from_dict rejects non-ints
+            return int(x) if isinstance(x, str) and x.lstrip("+-").isdecimal() else x
         return GradedPolynomial.from_dict(
-            {int(k): int(c) for k, c in data["coeffs"].items()}, int(data["grid"]))
+            {read(k): read(c) for k, c in data["coeffs"].items()}, read(data["grid"]))

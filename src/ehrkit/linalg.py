@@ -31,10 +31,6 @@ def vec_scale(c, a):
     return tuple(c * x for x in a)
 
 
-def matrix_rank(rows) -> int:
-    return _int_rank(_scaled(list(rows))[1])
-
-
 def determinant(rows) -> Fraction:
     scale, ints = _scaled(rows)
     m, pivots, swaps = _echelon(ints)

@@ -18,8 +18,8 @@ its final mask, and each boundary cell once from its cone cell; a report
 pulls both of its cones through one memo, so it pulls each face once.
 
 Pulling works on the face lattice that the hull's vertex-facet incidence, one
-vertex bitmask per facet, already gives: every face is coned from its
-lexicographically smallest vertex, its lowest bit, and none is re-hulled.
+vertex bitmask per facet, already gives: a simplex face is its own piece, any
+other is coned from its lex-min vertex, its lowest bit, and none is re-hulled.
 
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from one fixed perturbation schedule, verified exactly
@@ -136,20 +136,21 @@ class ConeTriangulation:
     y: Point
 
 
-def _pull_face(face, incidence, pulled):
-    """Pulling triangulation of a face, a vertex bitmask, as index tuples: the
-    lex-min vertex, its lowest bit, coned over the pulled facets of the face
-    that miss it.  The facets of a face are its maximal proper intersections
-    with the masks in `incidence`; `pulled` memoizes the faces pulled."""
+def _pull_face(face, dim, incidence, pulled):
+    """Pulling triangulation of a face, a vertex bitmask of dimension dim, as
+    index tuples: one piece for a simplex, else the lex-min vertex, its lowest
+    bit, coned over the pulled facets of the face that miss it.  The facets of
+    a face are its maximal proper intersections with the masks in `incidence`;
+    `pulled` memoizes the faces pulled."""
+    if face.bit_count() == dim + 1:
+        return [tuple(i for i in range(face.bit_length()) if face >> i & 1)]
     low = face & -face
-    if face == low:
-        return [(low.bit_length() - 1,)]
     meets = {face & F for F in incidence} - {face}
     pieces = []
     for G in meets:
         if not G & low and not any(G & H == G != H for H in meets):
             if G not in pulled:
-                pulled[G] = _pull_face(G, incidence, pulled)
+                pulled[G] = _pull_face(G, dim - 1, incidence, pulled)
             pieces += [(low.bit_length() - 1,) + piece for piece in pulled[G]]
     return pieces
 
@@ -177,7 +178,7 @@ def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[int, ...]]:
     for F, slack in zip(P._incidence, slacks):
         if slack:
             if F not in pulled:
-                pulled[F] = _pull_face(F, P._incidence, pulled)
+                pulled[F] = _pull_face(F, P.dim - 1, P._incidence, pulled)
             pieces += pulled[F]
     return sorted(pieces)
 

@@ -67,6 +67,16 @@ def fraction_rank(rows):
     return rank
 
 
+def greedy_affine_basis(ints):
+    """Indices of ints[0] and of each later point that raises the rank of the
+    differences from ints[0] taken so far: one rank, over Fraction, per point."""
+    basis = [0]
+    for i in range(1, len(ints)):
+        if fraction_rank([vec_sub(ints[j], ints[0]) for j in basis[1:] + [i]]) == len(basis):
+            basis.append(i)
+    return basis
+
+
 def fraction_determinant(rows):
     """Determinant by Gaussian elimination over Fraction."""
     n = len(rows)
@@ -237,11 +247,12 @@ def pulling_violations(P, pieces):
     contains it, found here as the vertices tight on every facet tight on the
     suffix.
     """
+    on = {v: {hs for hs in P.facets if hs.slack(v) == 0} for v in P.vertices}
     bad = []
     for piece in pieces:
         for k in range(len(piece)):
-            tight = [hs for hs in P.facets if all(hs.slack(v) == 0 for v in piece[k:])]
-            face = [v for v in P.vertices if all(hs.slack(v) == 0 for hs in tight)]
+            tight = set.intersection(*(on[v] for v in piece[k:]))
+            face = [v for v in P.vertices if tight <= on[v]]
             if min(face) != piece[k]:
                 bad.append(piece)
                 break

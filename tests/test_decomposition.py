@@ -87,6 +87,13 @@ def test_stapledon_report_examples():
 def test_stapledon_report_json_roundtrip():
     r = stapledon_report(build_polytope(pts((0, 0), (0, 2), (2, 0), (3, 3))))
     assert DecompositionReport.from_json_dict(r.to_json_dict()) == r
+    doc = r.to_json_dict()
+    doc["b"] = {"grid": "2", "coeffs": {"0": 2.7, "1": True}}
+    with pytest.raises(ValueError, match="must be ints"):
+        DecompositionReport.from_json_dict(doc)
+    doc["b"] = {"grid": "0", "coeffs": {}}
+    with pytest.raises(ValueError, match="grid must be an int >= 1"):
+        DecompositionReport.from_json_dict(doc)
 
 
 def test_decomposition_suite(corpus_bundle):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -27,7 +28,7 @@ from ehrkit.geometry import (
 from ehrkit.linalg import solve_unique
 
 from conftest import CORPUS
-from helpers import brute_force_hull, vertices_from_halfspaces
+from helpers import brute_force_hull, greedy_affine_basis, vertices_from_halfspaces
 
 
 def pts(*coords):
@@ -145,6 +146,27 @@ def test_hull_of_cubes_and_cross_polytopes():
         assert [m.bit_count() for m in cube._incidence] == [2 ** (d - 1)] * (2 * d)
         assert [m.bit_count() for m in cross._incidence] == [d] * 2 ** d
         assert cube._incidence == _tight_masks(cube) and cross._incidence == _tight_masks(cross)
+
+
+def test_affine_basis_is_the_greedy_one():
+    """One echelon of the differences picks the same points as one rank per
+    point: random integer points in d = 1..6, spanning all of R^d or a random
+    affine subspace, with repeated points and collinear runs mixed in."""
+    rng = random.Random(19)
+    for d in range(1, 7):
+        for _ in range(40):
+            k = rng.randint(0, d)  # the dimension of the points' affine hull
+            base = [rng.randint(-3, 3) for _ in range(d)]
+            directions = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+            ints = [tuple(b + sum(rng.randint(-2, 2) * w[c] for w in directions)
+                          for c, b in enumerate(base)) for _ in range(rng.randint(1, 3 * d))]
+            for _ in range(rng.randint(0, 3)):
+                p, q = rng.choice(ints), rng.choice(ints)
+                ints += [tuple(a + t * (b - a) for a, b in zip(p, q))
+                         for t in range(rng.randint(1, 4))]
+            ints += rng.sample(ints, rng.randint(0, min(3, len(ints))))
+            rng.shuffle(ints)
+            assert geometry._affine_basis(ints) == greedy_affine_basis(ints)
 
 
 def test_incidence_follows_dilation_and_translation():

@@ -138,3 +138,33 @@ def test_text_rendering():
 def test_json_roundtrip():
     p = GP.from_list([1, 4, 7, 6, 2], grid=2)
     assert GP.from_json_dict(p.to_json_dict()) == p
+    assert GP.from_json_dict({"grid": 2, "coeffs": {"0": 1, "+3": "-4"}}) == \
+        GP.from_dict({0: 1, 3: -4}, grid=2)
+
+
+@pytest.mark.parametrize("data", [
+    {"grid": "2", "coeffs": {"0": 2.7, "1": True}},  # int() read this as 2 + z^(1/2)
+    {"grid": "2", "coeffs": {"0": "2.7"}},
+    {"grid": "2", "coeffs": {"0": True}},
+    {"grid": "2", "coeffs": {"0.5": "1"}},
+    {"grid": "2", "coeffs": {" 1": "1"}},
+    {"grid": "2", "coeffs": {"1": "1_0"}},
+    {"grid": "2", "coeffs": {"1": None}},
+    {"grid": 2.0, "coeffs": {"0": "1"}},
+    {"grid": True, "coeffs": {"0": "1"}},
+    {"grid": "0", "coeffs": {"0": "1"}},
+    {"grid": "-2", "coeffs": {"0": "1"}},
+])
+def test_from_json_dict_takes_only_integers(data):
+    with pytest.raises(ValueError):
+        GP.from_json_dict(data)
+
+
+@pytest.mark.parametrize("grid", [0, -2, True, 1.5])
+def test_constructors_take_only_a_positive_int_grid(grid):
+    # grid 0 used to build a value whose degree raised ZeroDivisionError
+    for make in (lambda: GP.from_dict({0: 1, 1: 1}, grid=grid), lambda: GP.from_list([1], grid),
+                 lambda: GP.zero(grid), lambda: GP.one(grid), lambda: GP.monomial(1, 1, grid),
+                 lambda: GP.geometric(2, grid), lambda: GP.one().regrade(grid)):
+        with pytest.raises(ValueError, match="grid must be an int >= 1"):
+            make()

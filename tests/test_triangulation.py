@@ -48,6 +48,8 @@ seg_half = build_polytope([(F(-1, 2),), (F(1, 2),)])
 # Its facet -4y - 3z <= 2 has four vertices; both pieces there must hold the
 # lex-min one, (-2, 1, -2).
 five_vertex = build_polytope(pts((-2, 1, -2), (-1, -2, 2), (1, 2, 2), (2, -2, 2), (2, 1, -2)))
+cross6 = build_polytope([tuple(s * (i == j) for j in range(6)) for i in range(6) for s in (1, -1)])
+cube5 = build_polytope(list(product((0, 1), repeat=5)))
 
 
 def test_triangulate_boundary_counts():
@@ -71,8 +73,19 @@ def test_pieces_follow_the_pulling_rule():
     """Boundary pieces, and the bases of the cells over the lex-min vertex,
     hold the lex-min vertex of every face in their pulling chain, and the
     boundary pieces close up."""
-    for P in [P for _, P in CORPUS if P.is_full_dimensional] + [five_vertex]:
+    for P in [P for _, P in CORPUS if P.is_full_dimensional] + [five_vertex, cross6, cube5]:
         check_pulled_pieces(P)
+
+
+def test_simplex_faces_are_their_own_pieces(monkeypatch):
+    """Every facet of cross-6d is a simplex, pulled as its one piece with no
+    face below it; no facet of cube-5d is one."""
+    assert not any(m.bit_count() == 5 for m in cube5._incidence)
+    assert all(m.bit_count() == 6 for m in cross6._incidence)
+    calls = count_calls(monkeypatch, triangulation._pull_face)
+    pieces = triangulation._pull_facets(cross6)
+    assert sorted(face for face, *_ in calls) == sorted(cross6._incidence)
+    assert pieces == sorted(tuple(i for i in range(12) if m >> i & 1) for m in cross6._incidence)
 
 
 def test_pulling_builds_no_hull(monkeypatch):
@@ -86,24 +99,25 @@ def test_pulling_builds_no_hull(monkeypatch):
 
 
 def test_each_face_is_pulled_once(monkeypatch):
-    """The boundary of the 5-cube reaches 111 distinct faces, each pulled once,
-    also by a whole report, which builds each of its 120 cells over a vertex,
-    240 cells over x and 240 boundary cells once.  h* alone pulls only the 31
-    faces of the five facets that miss the origin."""
-    cube5 = build_polytope(list(product((0, 1), repeat=5)))
+    """The boundary of the 5-cube reaches 105 distinct faces, 10 facets, 30
+    cubes, 40 squares and 25 edges, each pulled once; an edge is a simplex, its
+    own piece, so no vertex is pulled.  So does a whole report, which builds
+    each of its 120 cells over a vertex, 240 cells over x and 240 boundary
+    cells once.  h* alone pulls only the 30 faces of the five facets that miss
+    the origin."""
     expected = triangulate_boundary(cube5)
     calls = count_calls(monkeypatch, triangulation._pull_face)
     assert triangulate_boundary(cube5) == expected
-    assert len(calls) == len({face for face, *_ in calls}) == 111
+    assert len(calls) == len({face for face, *_ in calls}) == 105
     calls.clear()
     built = count_constructions(monkeypatch)
     ehrhart_report(cube5)
-    assert len(calls) == len({face for face, *_ in calls}) == 111
+    assert len(calls) == len({face for face, *_ in calls}) == 105
     assert len(built) == 120 + 240 + 240
     for read_hstar in (hstar_polytope, lambda P: EhrhartReport(P).hstar):
         calls.clear()
         read_hstar(cube5)
-        assert len(calls) == len({face for face, *_ in calls}) == 31
+        assert len(calls) == len({face for face, *_ in calls}) == 30
 
 
 def test_pyramid_mask_rule():
