@@ -24,7 +24,7 @@ from math import comb, factorial
 
 from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
 from .geometry import Polytope, as_point, build_polytope, point_denominator
-from .gradedpoly import GradedPolynomial
+from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .ehrhart import QuasiCoefficients, SeriesForm, _height_counts, _hstar, hstar_cells
 # unused here but stays bound: perfbench's streaming-walk test patches it at this name
 from .ehrhart import fpp_lattice_points  # noqa: F401
@@ -93,13 +93,13 @@ class DecompositionReport:
     @staticmethod
     def from_json_dict(data: dict) -> "DecompositionReport":
         return DecompositionReport(
-            q=int(data["q"]),
-            ell=int(data["ell"]),
+            q=_json_int(data["q"], "q"),
+            ell=_json_int(data["ell"], "ell"),
             lhs=GradedPolynomial.from_json_dict(data["lhs"]),
             a=GradedPolynomial.from_json_dict(data["a"]),
             b=GradedPolynomial.from_json_dict(data["b"]),
-            a_equals_boundary=bool(data["a_equals_boundary"]),
-            s_degree=int(data["s_degree"]),
+            a_equals_boundary=_json_flag(data["a_equals_boundary"], "a_equals_boundary"),
+            s_degree=_json_int(data["s_degree"], "s_degree"),
         )
 
 

@@ -11,7 +11,11 @@ and a walk of one residue returns its point directly.  Other walks run via a
 unimodular diagonalization of the generator matrix, whose invariants must
 multiply to det, and stream the residues as an odometer over the diagonal:
 each step adds one precomputed carry column to the coefficients and its point
-to the running point, so a step costs O(n + d) and memory does not grow.
+to the running point, so a step costs O(n + d).  A largest invariant of at
+least _BLOCK_DIGIT is left out of the odometer and walked in column blocks
+from each residue it reaches, in chunks of at most _BLOCK_CHUNK residues, so
+a residue costs a few C-level list steps and no Python frame.  Either way
+the walk's memory does not grow with det.
 
 One reader, _height_counts, walks cells and counts their residues by height:
 h*, the boundary h*, the b-route and the pyramid comparison all read it, and
@@ -26,14 +30,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, chain, compress, repeat, tee
 from math import comb, factorial, lcm, prod
-from operator import add, ge, mul, sub
+from operator import add, ge, itemgetter, mul, sub
 
 from .errors import ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator, WalkTooLarge
 from .gradedpoly import GradedPolynomial
 from .linalg import diagonalize, interpolate_polynomial
 from .triangulation import HalfOpenSimplex
+
+_POINT, _NUMS, _LAST = itemgetter(0), itemgetter(1), itemgetter(-1)  # fields of a residue
 
 
 def _generator_matrix(S: HalfOpenSimplex, heights):
@@ -65,6 +71,13 @@ def _lattice_point(rows, nums, big):
     return tuple(point)
 
 
+# A largest Smith digit this large is walked in column blocks; a smaller one
+# keeps the odometer, whose walks of a few residues are cheaper (see _blocks).
+_BLOCK_DIGIT = 16
+# Residues per block chunk: the lists a chunk holds bound the walk's memory.
+_BLOCK_CHUNK = 512
+
+
 def fpp_lattice_points(S: HalfOpenSimplex, heights):
     """Lattice points of the fundamental parallelepiped with their coefficients.
 
@@ -73,7 +86,9 @@ def fpp_lattice_points(S: HalfOpenSimplex, heights):
     already shifted into (0,1] or [0,1) according to the mask.  When it is
     called, the size limit runs on the cell's residue count; a walk of one
     residue is a list of the generators opposite missing facets, over 1, with
-    no Smith form, and others check their carry points and the count.
+    no Smith form, and others check their carry points and the count, then
+    run _odometer, or _blocks from an odometer over the other digits when the
+    largest Smith digit is at least _BLOCK_DIGIT.
     """
     cols, count = _generator_matrix(S, heights)
     if count > ENUMERATION_LIMIT:
@@ -89,21 +104,90 @@ def fpp_lattice_points(S: HalfOpenSimplex, heights):
     # numerators sum_i V[:, i] * t_i * big / diag[i] mod big.  When digit i
     # advances and every later digit rolls back to zero, they change by the
     # carry column sum_{k >= i} V[:, k] * big / diag[k] mod big; a digit of
-    # size 1 never advances and adds nothing to a carry, so it gets none.
+    # size 1 never advances and adds nothing to a carry, so it gets none.  A
+    # largest digit b of at least _BLOCK_DIGIT runs fastest of all instead, in
+    # blocks: the odometer steps only the other digits and never rolls b
+    # back, and b's carry is its own column V[:, b] * big / diag[b] mod big.
+    b = diag.index(max(diag))
+    if diag[b] < _BLOCK_DIGIT:
+        b = None
     carries = [()] * len(cols)
     carry = [0] * len(cols)
     for i in reversed(range(len(cols))):
-        if diag[i] > 1:
+        if diag[i] > 1 and i != b:
             step = big // diag[i]
             carry = [(c + vmat[j][i] * step) % big for j, c in enumerate(carry)]
             carries[i] = tuple(carry)
+    if b is not None:
+        carries[b] = tuple(vmat[j][b] * (big // diag[b]) % big for j in range(len(cols)))
     # Every residue is an integer combination of the carry columns, and every
     # point one of their points and the generators: checking the carries
     # checks every point of the walk.
     carry_points = [c and _lattice_point(rows, c, big) for c in carries]
     if prod(diag) != count:
         raise IdentityViolated("Smith form gives %d residues, not %d" % (prod(diag), count))
-    return _odometer(diag, carries, carry_points, cols, S.missing, big)
+    if b is None:
+        return _odometer(diag, carries, carry_points, cols, S.missing, big)
+    steps = diag[:b] + [1] + diag[b + 1:]
+    starts = _odometer(steps, carries, carry_points, cols, S.missing, big)
+    return _blocks(starts, diag[b], carries[b], carry_points[b], cols, S.missing, big)
+
+
+def _point_shift(carry_point, cols, wrapped):
+    """Point shift of a carry step: its carry point less each wrapped generator."""
+    for col, w in zip(cols, wrapped):
+        if w:
+            carry_point = tuple(map(sub, carry_point, col))
+    return carry_point
+
+
+class _PointShifts(dict):
+    """Point shift of one block step per wrap pattern, made when first met."""
+
+    def __init__(self, carry_point, cols):
+        super().__init__()
+        self.carry_point, self.cols = carry_point, cols
+
+    def __missing__(self, wrapped):
+        self[wrapped] = shift = _point_shift(self.carry_point, self.cols, wrapped)
+        return shift
+
+
+def _blocks(starts, m, carry, carry_point, cols, missing, big):
+    """Walk m residues from each start along one carry column, in chunks.
+
+    Block residue k has numerators (a + k*c) % big, or (a + k*c - 1) % big + 1
+    opposite a missing facet, for start numerators a and carry c; a chunk
+    holds each numerator column as one list.  A step wraps numerator j when
+    its previous value is at least big + missing_j - c_j, and each point row
+    is one accumulate of the cached shifts from the chunk's first point (a
+    later chunk's is checked like the carries).  Only the zip of a chunk's
+    at most _BLOCK_CHUNK triples holds its lists.
+    """
+    thresholds = [big + s - c for s, c in zip(missing, carry)]
+    shifts = _PointShifts(carry_point, cols)
+    generators = list(zip(*cols))
+
+    def chunk(point, nums, k):
+        size = min(_BLOCK_CHUNK, m - k)
+        columns = []
+        for a, c, s in zip(nums, carry, missing):
+            start = a - s + k * c
+            if not c:
+                columns.append([a] * size)
+            elif s:
+                columns.append([x % big + 1 for x in range(start, start + size * c, c)])
+            else:
+                columns.append([x % big for x in range(start, start + size * c, c)])
+        if k:
+            point = _lattice_point(generators, [column[0] for column in columns], big)
+        moves = list(map(shifts.__getitem__, zip(*[
+            map(ge, column, repeat(t)) for column, t in zip(columns, thresholds)])))
+        rows = [accumulate(map(itemgetter(r), moves), initial=x) for r, x in enumerate(point)]
+        return zip(zip(*rows), zip(*columns), repeat(big))
+
+    return chain.from_iterable(chunk(point, nums, k) for point, nums, _ in starts
+                               for k in range(0, m, _BLOCK_CHUNK))
 
 
 def _odometer(diag, carries, carry_points, cols, missing, big):
@@ -115,6 +199,8 @@ def _odometer(diag, carries, carry_points, cols, missing, big):
     facet live in (0, big], the others in [0, big).  A step costs O(n + d)
     and the walk holds O(n) numbers plus, per digit, one point shift for each
     wrap pattern met, so its memory does not grow with the residue count.
+    With the largest digit set to 1 it yields the starts of the column
+    blocks instead (see fpp_lattice_points).
     """
     nums = tuple(big if m else 0 for m in missing)
     point = _lattice_point(list(zip(*cols)), nums, big)
@@ -126,25 +212,25 @@ def _odometer(diag, carries, carry_points, cols, missing, big):
 
     def move(i, wrapped):
         """(point shift, numerator shift) of a carry-i step with these wraps."""
-        shift = carry_points[i]
-        for col, w in zip(cols, wrapped):
-            if w:
-                shift = tuple(map(sub, shift, col))
-        moves[i][wrapped] = step = shift, tuple(
+        moves[i][wrapped] = step = _point_shift(carry_points[i], cols, wrapped), tuple(
             c - big if w else c for c, w in zip(carries[i], wrapped))
         return step
 
     for i in _advancing_digits(diag):
-        wrapped = tuple(map(ge, nums, thresholds[i]))
+        # (*map(...),) sizes each tuple exactly; tuple(map(...)) would shrink
+        # a longer one, moving it between the interpreter's tuple free lists
+        wrapped = (*map(ge, nums, thresholds[i]),)
         step = moves[i].get(wrapped) or move(i, wrapped)
-        point = tuple(map(add, point, step[0]))
-        nums = tuple(map(add, nums, step[1]))
+        point = (*map(add, point, step[0]),)
+        nums = (*map(add, nums, step[1]),)
         yield point, nums, big
 
 
 def _advancing_digits(diag):
     """The digit that advances at each step of an odometer over diag, last digit fastest."""
     digits = [i for i, s in enumerate(diag) if s > 1]
+    if not digits:
+        return
     inner, outer = digits[-1], digits[:-1]
     count = [0] * len(diag)
     while True:
@@ -165,8 +251,7 @@ def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:
     The multiset has exactly |det| elements, det taken over the lattice
     spanned inside the generators' rational span.
     """
-    pts = fpp_lattice_points(S, heights)
-    return tuple(sorted(p[-1] for p, _, _ in pts))
+    return tuple(sorted(map(_LAST, map(_POINT, fpp_lattice_points(S, heights)))))
 
 
 def _height_counts(cells, q: int, top=None, open_top=False) -> Counter:
@@ -178,8 +263,9 @@ def _height_counts(cells, q: int, top=None, open_top=False) -> Counter:
         heights = [q] * (len(cell.vertices) - 1) + [q if top is None else top]
         walk = fpp_lattice_points(cell, heights)
         if open_top:
-            walk = (residue for residue in walk if residue[1][-1] > 0)
-        counts.update(point[-1] for point, _, _ in walk)
+            walk, tops = tee(walk)
+            walk = compress(walk, map(_LAST, map(_NUMS, tops)))
+        counts.update(map(_LAST, map(_POINT, walk)))
     return counts
 
 

@@ -229,7 +229,27 @@ class GradedPolynomial:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GradedPolynomial":
-        def read(x):  # a string must be a decimal integer; from_dict rejects non-ints
-            return int(x) if isinstance(x, str) and x.lstrip("+-").isdecimal() else x
+        # from_dict and the grid check reject what _read_int leaves a non-int
         return GradedPolynomial.from_dict(
-            {read(k): read(c) for k, c in data["coeffs"].items()}, read(data["grid"]))
+            {_read_int(k): _read_int(c) for k, c in data["coeffs"].items()},
+            _read_int(data["grid"]))
+
+
+def _read_int(x):
+    """A decimal-integer string as its int; anything else as it is."""
+    return int(x) if isinstance(x, str) and x.lstrip("+-").isdecimal() else x
+
+
+def _json_int(value, name: str) -> int:
+    """An integer field of a report document: an int or a decimal-integer string."""
+    value = _read_int(value)
+    if type(value) is not int:
+        raise ValueError("%s must be an int or a decimal-integer string, got %r" % (name, value))
+    return value
+
+
+def _json_flag(value, name: str) -> bool:
+    """A flag of a report document: a JSON boolean and nothing else."""
+    if type(value) is not bool:
+        raise ValueError("%s must be a JSON boolean, got %r" % (name, value))
+    return value

@@ -20,7 +20,7 @@ from math import lcm
 
 from .errors import IdentityViolated, InvalidM
 from .geometry import Polytope, as_point, contains, dilate
-from .gradedpoly import GradedPolynomial
+from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .decomposition import EhrhartReport
 
 
@@ -32,13 +32,16 @@ def codenominator(P: Polytope) -> int:
     return lcm(*offsets)
 
 
+_ORIGIN_POSITIONS = ("interior", "boundary", "outside")
+
+
 @dataclass(frozen=True)
 class RationalSeriesReport:
     r: int
     m: int
     refined: bool
     numerator: GradedPolynomial
-    origin_position: str  # interior | boundary | outside
+    origin_position: str  # one of _ORIGIN_POSITIONS
     decomposition: tuple[GradedPolynomial, GradedPolynomial, int] | None
 
     def to_json_dict(self) -> dict:
@@ -61,9 +64,13 @@ class RationalSeriesReport:
         if "decomposition" in data:
             d = data["decomposition"]
             decomp = (GradedPolynomial.from_json_dict(d["a"]),
-                      GradedPolynomial.from_json_dict(d["b"]), int(d["ell"]))
+                      GradedPolynomial.from_json_dict(d["b"]), _json_int(d["ell"], "ell"))
+        if data["origin_position"] not in _ORIGIN_POSITIONS:
+            raise ValueError("origin_position must be one of %s, got %r"
+                             % (", ".join(_ORIGIN_POSITIONS), data["origin_position"]))
         return RationalSeriesReport(
-            r=int(data["r"]), m=int(data["m"]), refined=bool(data["refined"]),
+            r=_json_int(data["r"], "r"), m=_json_int(data["m"], "m"),
+            refined=_json_flag(data["refined"], "refined"),
             numerator=GradedPolynomial.from_json_dict(data["numerator"]),
             origin_position=data["origin_position"], decomposition=decomp)
 

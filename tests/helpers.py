@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, factorial, floor, lcm
 
+from ehrkit import ehrhart
 from ehrkit.geometry import Halfspace, as_point
 from ehrkit.linalg import dot, primitive_row, vec_sub
 from ehrkit.triangulation import (HalfOpenSimplex, half_open_cone, interior_lattice_points,
@@ -331,6 +332,12 @@ def brute_force_fpp(vertices, missing, heights):
         if ok:
             out.append(candidate[-1])
     return tuple(sorted(out))
+
+
+def smith_digits(S, heights):
+    """The diagonal the walk of S at these heights runs over."""
+    cols, _ = ehrhart._generator_matrix(S, heights)
+    return ehrhart.diagonalize(list(zip(*cols)))[0]
 
 
 def brute_force_fpp_points(vertices, missing, heights):

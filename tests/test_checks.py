@@ -16,6 +16,8 @@ from ehrkit.geometry import Halfspace, Polytope, build_polytope, dilate, project
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.triangulation import HalfOpenSimplex, find_interior_point, half_open_decompose
 
+from helpers import smith_digits
+
 skew = build_polytope([(0, 0), (0, 2), (2, 0), (3, 3)])  # ell = 1, b = 3 + 3z
 square2 = build_polytope([(0, 0), (0, 2), (2, 0), (2, 2)])
 
@@ -131,6 +133,39 @@ def test_residues_are_lattice_points(monkeypatch):
     monkeypatch.setattr(ehrhart, "diagonalize", coarse)
     with pytest.raises(IdentityViolated, match="non-lattice point"):
         decomposition.hstar_polytope(skew)
+
+
+def test_block_residues_are_lattice_points(monkeypatch):
+    """The coarse fault of test_residues_are_lattice_points, on cells whose
+    largest Smith digit sends them to the column blocks: the carry points
+    are checked before the Smith product, so the fault reads as a
+    non-lattice point, not as a wrong count."""
+    segment = HalfOpenSimplex.closed([(F(0),), (F(100),)])
+    plane = HalfOpenSimplex(tuple(tuple(map(F, v)) for v in ((0, 0), (4, 0), (0, 40))),
+                            (True, False, True))
+    cells = [(segment, [1, 1]), (plane, [2, 2, 3])]
+    for S, heights in cells:
+        assert max(smith_digits(S, heights)) >= ehrhart._BLOCK_DIGIT
+    real = ehrhart.diagonalize
+
+    def coarse(rows):
+        diag, vmat = real(rows)
+        return [2 * s for s in diag], vmat
+    monkeypatch.setattr(ehrhart, "diagonalize", coarse)
+    for S, heights in cells:
+        with pytest.raises(IdentityViolated, match="non-lattice point"):
+            ehrhart.fpp_lattice_points(S, heights)
+    with pytest.raises(IdentityViolated, match="non-lattice point"):
+        decomposition.hstar_polytope(build_polytope([(0,), (100,)]))
+
+
+def test_block_walk_checks_the_residue_count():
+    """A halved residue count on a cell that reaches the column blocks is
+    refused by the Smith product check."""
+    S = HalfOpenSimplex.closed([(F(0),), (F(100),)])
+    object.__setattr__(S, "_count", S._count // 2)
+    with pytest.raises(IdentityViolated, match="residues, not"):
+        ehrhart.fpp_lattice_points(S, [1, 1])
 
 
 def test_hull_misses_a_point(monkeypatch):

@@ -96,6 +96,19 @@ def test_stapledon_report_json_roundtrip():
         DecompositionReport.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("q", 1.9), ("q", True), ("q", "1.0"), ("ell", True), ("ell", None), ("s_degree", "two"),
+    ("a_equals_boundary", "no"), ("a_equals_boundary", 1), ("a_equals_boundary", None),
+])
+def test_stapledon_report_json_rejects_loose_fields(field, value):
+    """Integer fields read as GradedPolynomial's do: an int or a
+    decimal-integer string; the flag is a JSON boolean."""
+    doc = stapledon_report(build_polytope(pts((0, 0), (0, 2), (2, 0), (3, 3)))).to_json_dict()
+    doc[field] = value
+    with pytest.raises(ValueError, match=field):
+        DecompositionReport.from_json_dict(doc)
+
+
 def test_decomposition_suite(corpus_bundle):
     """a equals boundary h*, both parts palindromic and nonnegative, routes agree."""
     P = corpus_bundle.polytope

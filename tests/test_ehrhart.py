@@ -26,7 +26,7 @@ from ehrkit.triangulation import (HalfOpenSimplex, half_open_cone, half_open_dec
 from ehrkit.oracle import count_points, hstar_from_counts
 
 from conftest import bundle_for
-from helpers import brute_force_fpp, generic_points
+from helpers import brute_force_fpp, brute_force_fpp_points, generic_points, smith_digits
 
 
 def pts(*coords):
@@ -195,6 +195,71 @@ def test_walk_memory_does_not_grow_with_det():
         tracemalloc.stop()
     assert walked == 316 ** 2
     assert peak < 64 * 1024
+
+
+# -- column blocks ----------------------------------------------------------------
+
+# Cells whose largest Smith digit reaches _BLOCK_DIGIT: segments of length
+# 17 and 1100 (three chunks of 512), Z/4 + Z/40 in the plane (two digits
+# above 1 in any diagonal form), a q = 2 cell at heights (q, q, ell), and a
+# cone cell and a boundary cell in R^3.
+BLOCK_CELLS = [
+    (pts((0,), (1100,)), [1, 1]),
+    (pts((0,), (17,)), [2, 3]),
+    (pts((0, 0), (4, 0), (0, 40)), [1, 1, 1]),
+    (pts((0, 0), (4, 0), (0, 40)), [2, 2, 3]),
+    (pts((F(3, 2), 0), (0, F(41, 2)), (1, 1)), [2, 2, 3]),
+    (pts((0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 19)), [1, 1, 1, 2]),
+    (pts((0, 0, 0), (2, 0, 0), (0, 0, 19)), [1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("chunk", [7, ehrhart._BLOCK_CHUNK])
+@pytest.mark.parametrize("verts, heights", BLOCK_CELLS)
+def test_block_walk_matches_box_scan(monkeypatch, verts, heights, chunk):
+    """Every mask of a cell that reaches the column blocks walks the box
+    scan's points and coefficients, with chunks of 7 (many chunk seams) and
+    of the module's size."""
+    monkeypatch.setattr(ehrhart, "_BLOCK_CHUNK", chunk)
+    n = len(verts)
+    assert max(smith_digits(HalfOpenSimplex.closed(verts), heights)) >= ehrhart._BLOCK_DIGIT
+    for bits in range(2 ** n):
+        S = HalfOpenSimplex(tuple(verts), tuple(bool(bits >> j & 1) for j in range(n)))
+        walked = sorted((point, tuple(F(a, big) for a in nums))
+                        for point, nums, big in fpp_lattice_points(S, heights))
+        assert walked == brute_force_fpp_points(verts, S.missing, heights)
+
+
+def test_block_cells_have_a_second_digit():
+    digits = smith_digits(HalfOpenSimplex.closed(pts((0, 0), (4, 0), (0, 40))), [1, 1, 1])
+    assert sorted(digits)[-2] > 1 and max(digits) >= ehrhart._BLOCK_DIGIT
+
+
+def test_segment_closed_form():
+    """[0, N] at height 1 has h* = 1 + (N - 1)z, its cell's N residues one
+    block of several chunks."""
+    N = 3 * ehrhart._BLOCK_CHUNK + 5
+    S = HalfOpenSimplex.closed(pts((0,), (N,)))
+    assert fpp_points(S, [1, 1]) == (0,) + (1,) * (N - 1)
+    assert hstar_polytope(build_polytope(pts((0,), (N,)))) == GP.from_list([1, N - 1])
+
+
+def test_block_walk_memory_does_not_grow_with_det():
+    """Cyclic walks of 10^5 and 10^6 residues, each one block of many
+    chunks, peak at the same traced memory up to a small margin."""
+    cells = {N: HalfOpenSimplex.closed(pts((0,), (N,))) for N in (10 ** 5, 10 ** 6)}
+    for N, S in cells.items():
+        assert max(smith_digits(S, [1, 1])) == N > 2 * ehrhart._BLOCK_CHUNK
+    sum(1 for _ in fpp_lattice_points(cells[10 ** 5], [1, 1]))  # fills free lists untraced
+    peaks = []
+    for N, S in cells.items():
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in fpp_lattice_points(S, [1, 1])) == N
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4 * 1024
 
 
 def test_hstar_simplex_examples():

@@ -10,11 +10,13 @@ Examples are derandomized, so every run draws the same polytopes.
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ehrkit import ehrhart
 from ehrkit.decomposition import EhrhartReport, ehrhart_report, inequality_audit, stapledon_report
 from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope
 from ehrkit.ehrhart import fpp_lattice_points
@@ -27,7 +29,7 @@ from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone
 
 from helpers import (brute_force_fpp_points, brute_force_hull, check_pulled_pieces, cone_volume,
                      fraction_determinant, fraction_rank, fraction_solve, hyperplane_through,
-                     slack_masks)
+                     slack_masks, smith_digits)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -317,6 +319,51 @@ def test_residue_walk_matches_box_scan(cell):
     S, heights = cell
     walked = sorted((point, tuple(Fraction(a, big) for a in nums))
                     for point, nums, big in fpp_lattice_points(S, heights))
+    assert walked == brute_force_fpp_points(S.vertices, S.missing, heights)
+
+
+@st.composite
+def block_cells(draw):
+    """A half-open simplex whose largest Smith digit reaches the walk's column
+    blocks, with a chunk size for the walk.
+
+    The standard simplex in R^d, d <= 3, is scaled by a prime p >= 17 on its
+    last axis, so p divides the residue count, and by 1 to 3 on the others,
+    then moved by an integer translation and, for d = 2, a unit transvection.
+    It keeps all d + 1 vertices or drops one that is not p's, and its heights
+    are (q, ..., q, ell).  The chunk is small, to put chunk seams inside the
+    blocks, or the module's own.
+    """
+    d = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((17, 19, 23)))
+    scales = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1)) + [p]
+    shift = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    points = [list(shift)] + [[c + s * (i == k) for k, c in enumerate(shift)]
+                              for i, s in enumerate(scales)]
+    if d == 2 and draw(st.booleans()):
+        i, j = draw(st.sampled_from([(0, 1), (1, 0)]))
+        for point in points:
+            point[i] += point[j]
+    if draw(st.booleans()):
+        del points[draw(st.integers(0, d - 1))]
+    order = draw(st.permutations(points))
+    n = len(order)
+    missing = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    q, ell = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    S = HalfOpenSimplex(tuple(tuple(Fraction(c) for c in point) for point in order), missing)
+    return S, [q] * (n - 1) + [ell], draw(st.sampled_from((5, 16, ehrhart._BLOCK_CHUNK)))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(block_cells())
+def test_block_walk_matches_box_scan(cell):
+    """Cells whose largest Smith digit reaches the column blocks walk the box
+    scan's points and coefficients, at any chunk size."""
+    S, heights, chunk = cell
+    assume(max(smith_digits(S, heights)) >= ehrhart._BLOCK_DIGIT)
+    with mock.patch.object(ehrhart, "_BLOCK_CHUNK", chunk):
+        walked = sorted((point, tuple(Fraction(a, big) for a in nums))
+                        for point, nums, big in fpp_lattice_points(S, heights))
     assert walked == brute_force_fpp_points(S.vertices, S.missing, heights)
 
 

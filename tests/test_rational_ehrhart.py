@@ -154,6 +154,20 @@ def test_report_json_roundtrip():
     assert RationalSeriesReport.from_json_dict(rep.to_json_dict()) == rep
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r", 1.9), ("r", True), ("m", "2.0"), ("m", None), ("refined", "no"), ("refined", 0),
+    ("origin_position", "inside"), ("origin_position", None), ("ell", True), ("ell", 2.5),
+])
+def test_report_json_rejects_loose_fields(field, value):
+    """Integer fields read as GradedPolynomial's do: an int or a
+    decimal-integer string; refined is a JSON boolean and origin_position
+    one of interior, boundary, outside."""
+    doc = rational_decompose(wide).to_json_dict()
+    (doc["decomposition"] if field == "ell" else doc)[field] = value
+    with pytest.raises(ValueError, match=field):
+        RationalSeriesReport.from_json_dict(doc)
+
+
 def test_degree_bound_and_nonnegativity(corpus_polytope):
     P = corpus_polytope
     if not _tractable(P):
