@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 
-from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
+from .errors import (ENUMERATION_LIMIT, ApexInSpan, IdentityViolated, NoSolution, NotDivisible,
+                     NotFullDimensional, WalkTooLarge)
 from .geometry import Polytope, as_point, build_polytope, point_denominator
 from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .ehrhart import QuasiCoefficients, SeriesForm, _height_counts, _hstar, hstar_cells
@@ -215,8 +216,16 @@ class EhrhartReport:
 
     @cached_property
     def hstar(self) -> GradedPolynomial:
-        """h* from the half-open cone over the lexicographically smallest vertex."""
+        """h* from the half-open cone over the lexicographically smallest vertex.
+
+        Each cell's columns (q v, q) end in a row of q's, so the cell holds at
+        least q residues: q past ENUMERATION_LIMIT is refused before the
+        generic-point search.
+        """
         P = self.polytope
+        if self.q > ENUMERATION_LIMIT:
+            raise WalkTooLarge("q = %d: every cell of the h* cone has at least q residues, "
+                               "more than the limit %d" % (self.q, ENUMERATION_LIMIT))
         v = P.vertices[0]
         return _hstar(_half_open(P, _pull_facets(P, v, self._pulled), v))
 

@@ -19,10 +19,12 @@ the walk's memory does not grow with det.
 
 One reader, _height_counts, walks cells and counts their residues by height:
 h*, the boundary h*, the b-route and the pyramid comparison all read it, and
-only fpp_points walks a cell at other heights.  The module also keeps the
-series and quasipolynomial forms; it knows nothing of how a polytope is cut
-into cells, and the per-polytope entry points (hstar_polytope, ...) are views
-of one EhrhartReport in the decomposition module.
+only fpp_points walks a cell at other heights.  It sums its cells' residue
+counts before it walks any, so the size limit also bounds the whole walk.
+The module also keeps the series and quasipolynomial forms; it knows nothing
+of how a polytope is cut into cells, and the per-polytope entry points
+(hstar_polytope, ...) are views of one EhrhartReport in the decomposition
+module.
 """
 
 from __future__ import annotations
@@ -257,10 +259,18 @@ def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:
 def _height_counts(cells, q: int, top=None, open_top=False) -> Counter:
     """Residues of the cells' parallelepipeds by height, each cell walked at q
     on every vertex but the last and at top (default q) on the last; with
-    open_top, only the residues whose last coefficient is positive."""
+    open_top, only the residues whose last coefficient is positive.  The
+    cells' residue counts are summed first: more than ENUMERATION_LIMIT in
+    all raises WalkTooLarge before any cell is walked."""
+    walks = [(cell, [q] * (len(cell.vertices) - 1) + [q if top is None else top])
+             for cell in cells]
+    total = sum(cell._count * prod(h // col[-1] for h, col in zip(heights, cell._columns))
+                for cell, heights in walks)
+    if total > ENUMERATION_LIMIT:
+        raise WalkTooLarge("the cells' parallelepipeds have %d residues in all, more than "
+                           "the limit %d" % (total, ENUMERATION_LIMIT))
     counts = Counter()
-    for cell in cells:
-        heights = [q] * (len(cell.vertices) - 1) + [q if top is None else top]
+    for cell, heights in walks:
         walk = fpp_lattice_points(cell, heights)
         if open_top:
             walk, tops = tee(walk)

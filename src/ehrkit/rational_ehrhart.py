@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .errors import IdentityViolated, InvalidM
+from .errors import ENUMERATION_LIMIT, IdentityViolated, InvalidM
 from .geometry import Polytope, as_point, contains, dilate
 from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .decomposition import EhrhartReport
@@ -85,14 +85,26 @@ def _origin_position(P: Polytope) -> str:
 
 
 def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
-    """h* of the scaled polytope re-expressed over (1 - z^m)^(d+1)."""
-    q = scaled.q
+    """h* of the scaled polytope re-expressed over (1 - z^m)^(d+1).
+
+    At m = q the lift is 1.  Otherwise it multiplies d + 1 times by a
+    polynomial of m/q terms, the k-th time (k = 0..d) a numerator of degree
+    below q(d+1) + k(m - q).  The coefficient products this bounds must stay
+    within ENUMERATION_LIMIT, checked before h* is computed.
+    """
+    q, d = scaled.q, scaled.d
     if m < 1 or m % q != 0:
         raise InvalidM("m = %d does not make the scaled polytope a lattice polytope "
                        "(needs a positive multiple of %d)" % (m, q))
+    if m == q:
+        return scaled.hstar
+    products = m // q * sum(q * (d + 1) + k * (m - q) for k in range(d + 1))
+    if products > ENUMERATION_LIMIT:
+        raise InvalidM("m = %d lifts the numerator with up to %d coefficient products, more "
+                       "than the limit %d" % (m, products, ENUMERATION_LIMIT))
     h = scaled.hstar
     lift = GradedPolynomial.from_dict({q * i: 1 for i in range(m // q)})
-    for _ in range(scaled.d + 1):
+    for _ in range(d + 1):
         h = h * lift
     return h
 

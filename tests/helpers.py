@@ -12,7 +12,8 @@ Ranks, determinants and exact solves run Gaussian elimination over Fraction,
 sharing no code with the library's fraction-free elimination; polynomial
 long division runs over Fraction too, against the library's integer one; and
 reflexivity is found by scanning the bounding box for an interior lattice
-point at which every facet offset is one, not by the library's facet solve.
+point at which every facet offset is one, not by the library's facet solve;
+and the oracle's scanline counts are checked point by point.
 Slow and obviously correct.
 """
 
@@ -387,6 +388,23 @@ def count_in_scaled_cell(simplex, n):
         if all(c > 0 if miss else c >= 0
                for c, miss in zip(coords, simplex.missing)):
             count += 1
+    return count
+
+
+def brute_force_count(P, n, mode):
+    """Lattice points of nP, point by point: every integer point of nP's
+    bounding box is tested against every facet a.x <= offset of P, as
+    a.x <= n * offset for closed, a.x < n * offset for interior, and closed
+    but not interior for boundary."""
+    d = P.ambient_dim
+    ranges = [range(ceil(min(n * v[c] for v in P.vertices)),
+                    floor(max(n * v[c] for v in P.vertices)) + 1) for c in range(d)]
+    count = 0
+    for x in product(*ranges):
+        closed = all(dot(hs.normal, x) <= n * hs.offset for hs in P.facets)
+        interior = all(dot(hs.normal, x) < n * hs.offset for hs in P.facets)
+        count += {"closed": closed, "interior": interior,
+                  "boundary": closed and not interior}[mode]
     return count
 
 

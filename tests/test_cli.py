@@ -203,6 +203,14 @@ def test_bad_m_is_a_usage_error(capsys):
         assert capsys.readouterr().err.startswith("usage error: --m: ")
 
 
+def test_huge_m_is_a_usage_error(monkeypatch, capsys):
+    def multiply(self, other):
+        raise AssertionError("the lift multiplied before its size check")
+    monkeypatch.setattr(GP, "__mul__", multiply)
+    assert run(["rational", "--vertices", "0,0,0; 1,0,0; 0,1,0; 0,0,1", "--m", "1000000"]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --m: ")
+
+
 def test_malformed_vertex_data_is_a_usage_error(tmp_path, capsys):
     bad = ([], [["0", "0"], ["1"]], 5, None, [5, 6], [[True, False], [0, 1], [1, 1]])
     for k, rows in enumerate(bad):

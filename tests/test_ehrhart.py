@@ -119,6 +119,30 @@ def test_walk_limit_is_checked_before_the_smith_form(monkeypatch):
             fpp_lattice_points(S, heights)
 
 
+def test_whole_walk_limit_is_checked_before_any_cell(monkeypatch):
+    """Cells each under the limit can add up past it: the four h* cells of
+    cross-3d dilated by 1/(3 * 10^7) hold 6 * 10^7 residues each."""
+    def walk(S, heights):
+        raise AssertionError("a cell was walked before the total was checked")
+    monkeypatch.setattr(ehrhart, "fpp_lattice_points", walk)
+    cross = build_polytope(pts((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                               (0, 0, -1)))
+    with pytest.raises(WalkTooLarge, match="have 240000000 residues in all"):
+        hstar_polytope(dilate(cross, F(1, 3 * 10 ** 7)))
+
+
+def test_q_limit_is_checked_before_the_generic_point_search(monkeypatch):
+    """Every h* cone cell holds at least q residues, so the standard 3-simplex
+    dilated by 10^-12, too thin for the generic-point search, is refused by
+    size first."""
+    def search(*args):
+        raise AssertionError("the generic-point search ran")
+    monkeypatch.setattr(triangulation, "_generic_point", search)
+    simplex = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(WalkTooLarge, match="q = %d" % 10 ** 12):
+        hstar_polytope(dilate(simplex, F(1, 10 ** 12)))
+
+
 def test_one_residue_walk_skips_the_smith_form(monkeypatch):
     """A unimodular cell at heights L yields its one point, the generators
     opposite the missing facets, without diagonalize."""

@@ -1,12 +1,17 @@
+import ast
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+from ehrkit import oracle
 from ehrkit.errors import BoxTooLarge, NotFullDimensional
 from ehrkit.geometry import build_polytope, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.linalg import interpolate_polynomial
 from ehrkit.oracle import count_points, hstar_from_counts
+
+from helpers import brute_force_count, count_calls
 
 
 def pts(*coords):
@@ -24,13 +29,56 @@ def test_count_examples():
         count_points(build_polytope(pts((0, 0), (1, 1))), 1)
 
 
-def test_count_modes_add_up(corpus_bundle):
-    P = corpus_bundle.polytope
-    for n in range(1, P.denominator_q * (P.dim + 1) + 1):
-        closed = count_points(P, n, "closed")
-        interior = count_points(P, n, "interior")
-        boundary = count_points(P, n, "boundary")
-        assert closed == interior + boundary
+def test_count_modes_add_up(corpus_polytope):
+    """Each mode against a point-by-point count.  The sweep's boundary count is
+    its closed count less its interior count, so comparing the modes with one
+    another would check nothing."""
+    for n in (1, 2, 3):
+        for mode in ("closed", "interior", "boundary"):
+            assert count_points(corpus_polytope, n, mode) == \
+                brute_force_count(corpus_polytope, n, mode), (n, mode)
+
+
+def test_each_count_is_one_sweep(monkeypatch):
+    """Every mode, boundary included, reads one sweep of the dilate, and the
+    series division one sweep per dilate."""
+    sweeps = count_calls(monkeypatch, oracle._counts)
+    tri = build_polytope(pts((0, 0), (F(3, 2), 0), (0, 1)))
+    for mode in ("closed", "interior", "boundary"):
+        sweeps.clear()
+        count_points(tri, 2, mode)
+        assert [n for _, n in sweeps] == [2]
+        sweeps.clear()
+        hstar_from_counts(tri, mode)
+        assert [n for _, n in sweeps] == list(range(1, 10))  # n = 1 .. q(d+1) + d + 1
+
+
+def ehrkit_imports(source):
+    """The ehrkit modules a source file imports from, by name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[2] or a.name for a in node.names
+                      if a.name.split(".")[0] == "ehrkit"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "ehrkit":
+                    continue
+                module = module.partition(".")[2]
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return names
+
+
+def test_oracle_imports_no_pipeline_module():
+    """The oracle shares only value types with the pipeline, so agreement
+    between the two is evidence."""
+    assert ehrkit_imports("from .triangulation import x\nimport ehrkit.linalg\n"
+                          "from ehrkit import ehrhart\nfrom . import decomposition\n"
+                          "import os\nfrom math import floor") == {
+        "triangulation", "linalg", "ehrhart", "decomposition"}
+    source = pathlib.Path(oracle.__file__).read_text()
+    assert ehrkit_imports(source) <= {"errors", "geometry", "gradedpoly"}
 
 
 def test_dilation_factor_must_be_an_int():

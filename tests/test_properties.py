@@ -1,8 +1,8 @@
 """Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
-with an oracle-free metamorphic check in d = 4, 5, q <= 2 and one through the
-lattice chart of polytopes embedded in higher dimension, over random point
-sets in d <= 4 for the hull, and over random half-open simplices for the
-parallelepiped walk.
+with an oracle check also in d = 4, q <= 2, an oracle-free metamorphic check
+in d = 4, 5, q <= 2 and one through the lattice chart of polytopes embedded
+in higher dimension, over random point sets in d <= 4 for the hull, and over
+random half-open simplices for the parallelepiped walk.
 
 Examples are derandomized, so every run draws the same polytopes.
 """
@@ -35,10 +35,10 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def rational_polytopes(draw):
-    d = draw(st.integers(1, 3))
-    q = draw(st.integers(1, 3))
-    span = q if d == 3 else 2 * q  # keeps the oracle's boxes small in d = 3
+def rational_polytopes(draw, dims=(1, 3), denominators=(1, 3)):
+    d = draw(st.integers(*dims))
+    q = draw(st.integers(*denominators))
+    span = q if d >= 3 else 2 * q  # keeps the oracle's boxes small in d >= 3
     coordinate = st.integers(-span, span).map(lambda n: Fraction(n, q))
     points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=d + 1, max_size=d + 3))
     P = build_polytope(points)
@@ -64,12 +64,23 @@ def polytopes_and_maps(draw):
     return P, maps
 
 
-@PROPERTY
-@given(rational_polytopes())
-def test_pipeline_matches_oracle(P):
+def check_pipeline_matches_oracle(P):
     assert hstar_polytope(P) == hstar_from_counts(P, "closed")
     assert hstar_boundary(P) == hstar_from_counts(P, "boundary")
     assert hstar_interior(P) == hstar_from_counts(P, "interior")
+
+
+@PROPERTY
+@given(rational_polytopes())
+def test_pipeline_matches_oracle(P):
+    check_pipeline_matches_oracle(P)
+
+
+@settings(PROPERTY, max_examples=8)
+@given(rational_polytopes(dims=(4, 4), denominators=(1, 2)))
+def test_pipeline_matches_oracle_in_4d(P):
+    """Coordinates in [-1, 1] keep the oracle's boxes small in d = 4."""
+    check_pipeline_matches_oracle(P)
 
 
 @PROPERTY

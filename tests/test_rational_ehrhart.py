@@ -59,6 +59,17 @@ def test_rational_series_rejects_nonpositive_m(m):
         rational_series(wide, m=m)
 
 
+def test_rational_series_refuses_a_huge_lift(monkeypatch):
+    """m = 10^6 on the standard 3-simplex would lift with about 6 * 10^12
+    coefficient products; it is refused before the first one."""
+    def multiply(self, other):
+        raise AssertionError("the lift multiplied before its size check")
+    monkeypatch.setattr(GP, "__mul__", multiply)
+    simplex = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(InvalidM, match="coefficient products"):
+        rational_series(simplex, m=10 ** 6)
+
+
 def test_rational_decompose_worked_example():
     rep = rational_decompose(wide)
     assert rep.origin_position == "boundary" and not rep.refined
