@@ -9,13 +9,13 @@ carries (see the triangulation module), and it is read first: a walk of
 more than ENUMERATION_LIMIT residues raises WalkTooLarge before it starts,
 and a walk of one residue returns its point directly.  Other walks run via a
 unimodular diagonalization of the generator matrix, whose invariants must
-multiply to det, and stream the residues as an odometer over the diagonal:
-each step adds one precomputed carry column to the coefficients and its point
-to the running point, so a step costs O(n + d).  A largest invariant of at
-least _BLOCK_DIGIT is left out of the odometer and walked in column blocks
-from each residue it reaches, in chunks of at most _BLOCK_CHUNK residues, so
-a residue costs a few C-level list steps and no Python frame.  Either way
-the walk's memory does not grow with det.
+multiply to det.  A residue is one multiple of each invariant's digit column
+(mod the lcm of the invariants): the walk enumerates the residues of the
+invariants below _BLOCK_DIGIT directly, from precomputed multiples, and
+extends each by one pass of column blocks per larger invariant, the largest
+running fastest.  A block walks its residues in chunks of at most
+_BLOCK_CHUNK as C-level list steps, with no Python frame per residue, and
+holds one chunk at a time, so the walk's memory does not grow with det.
 
 One reader, _height_counts, walks cells and counts their residues by height:
 h*, the boundary h*, the b-route and the pyramid comparison all read it, and
@@ -32,9 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat, tee
+from itertools import accumulate, chain, compress, product, repeat, tee
 from math import comb, factorial, lcm, prod
-from operator import add, ge, itemgetter, mul, sub
+from operator import ge, itemgetter, mul, sub
 
 from .errors import ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator, WalkTooLarge
 from .gradedpoly import GradedPolynomial
@@ -73,8 +73,10 @@ def _lattice_point(rows, nums, big):
     return tuple(point)
 
 
-# A largest Smith digit this large is walked in column blocks; a smaller one
-# keeps the odometer, whose walks of a few residues are cheaper (see _blocks).
+# A Smith digit this large is walked in column blocks, one pass per digit; a
+# smaller one is enumerated directly from its precomputed multiples, as a
+# block of a few residues costs more than it saves (see _blocks), while a
+# large digit's multiples would make the walk's memory grow with it.
 _BLOCK_DIGIT = 16
 # Residues per block chunk: the lists a chunk holds bound the walk's memory.
 _BLOCK_CHUNK = 512
@@ -88,9 +90,9 @@ def fpp_lattice_points(S: HalfOpenSimplex, heights):
     already shifted into (0,1] or [0,1) according to the mask.  When it is
     called, the size limit runs on the cell's residue count; a walk of one
     residue is a list of the generators opposite missing facets, over 1, with
-    no Smith form, and others check their carry points and the count, then
-    run _odometer, or _blocks from an odometer over the other digits when the
-    largest Smith digit is at least _BLOCK_DIGIT.
+    no Smith form, and others check their digit columns' points and the
+    count, then run _direct over the Smith digits below _BLOCK_DIGIT and one
+    _blocks pass from its residues per larger digit, the largest fastest.
     """
     cols, count = _generator_matrix(S, heights)
     if count > ENUMERATION_LIMIT:
@@ -102,149 +104,88 @@ def fpp_lattice_points(S: HalfOpenSimplex, heights):
     rows = list(zip(*cols))  # (ambient+1) x n
     diag, vmat = diagonalize(rows)
     big = lcm(*diag)
-    # Residue t (digit i runs over range(diag[i]), the last digit fastest) has
-    # numerators sum_i V[:, i] * t_i * big / diag[i] mod big.  When digit i
-    # advances and every later digit rolls back to zero, they change by the
-    # carry column sum_{k >= i} V[:, k] * big / diag[k] mod big; a digit of
-    # size 1 never advances and adds nothing to a carry, so it gets none.  A
-    # largest digit b of at least _BLOCK_DIGIT runs fastest of all instead, in
-    # blocks: the odometer steps only the other digits and never rolls b
-    # back, and b's carry is its own column V[:, b] * big / diag[b] mod big.
-    b = diag.index(max(diag))
-    if diag[b] < _BLOCK_DIGIT:
-        b = None
-    carries = [()] * len(cols)
-    carry = [0] * len(cols)
-    for i in reversed(range(len(cols))):
-        if diag[i] > 1 and i != b:
-            step = big // diag[i]
-            carry = [(c + vmat[j][i] * step) % big for j, c in enumerate(carry)]
-            carries[i] = tuple(carry)
-    if b is not None:
-        carries[b] = tuple(vmat[j][b] * (big // diag[b]) % big for j in range(len(cols)))
-    # Every residue is an integer combination of the carry columns, and every
-    # point one of their points and the generators: checking the carries
+    # Residue t (digit i runs over range(diag[i])) has numerators
+    # sum_i t_i * c_i mod big, where digit i's column c_i is V[:, i] * big /
+    # diag[i] mod big; a digit of size 1 adds nothing and gets no column.
+    # Every residue is an integer combination of the columns, and every point
+    # one of their points and the generators: checking the columns' points
     # checks every point of the walk.
-    carry_points = [c and _lattice_point(rows, c, big) for c in carries]
+    digits = sorted((s, [a * (big // s) % big for a in v])
+                    for s, v in zip(diag, zip(*vmat)) if s > 1)
+    points = [_lattice_point(rows, column, big) for _, column in digits]
     if prod(diag) != count:
         raise IdentityViolated("Smith form gives %d residues, not %d" % (prod(diag), count))
-    if b is None:
-        return _odometer(diag, carries, carry_points, cols, S.missing, big)
-    steps = diag[:b] + [1] + diag[b + 1:]
-    starts = _odometer(steps, carries, carry_points, cols, S.missing, big)
-    return _blocks(starts, diag[b], carries[b], carry_points[b], cols, S.missing, big)
+    walk = _direct([[[t * a % big for a in column] for t in range(s)]
+                    for s, column in digits if s < _BLOCK_DIGIT], rows, S.missing, big)
+    for (s, column), point in zip(digits, points):
+        if s >= _BLOCK_DIGIT:
+            walk = _blocks(walk, s, column, point, cols, S.missing, big)
+    return walk
 
 
-def _point_shift(carry_point, cols, wrapped):
-    """Point shift of a carry step: its carry point less each wrapped generator."""
-    for col, w in zip(cols, wrapped):
-        if w:
-            carry_point = tuple(map(sub, carry_point, col))
-    return carry_point
+def _direct(multiples, rows, missing, big):
+    """One residue per choice of a multiple of each digit column: numerators
+    are the sums mod big, in (0, big] opposite a missing facet and [0, big)
+    elsewhere, and _lattice_point builds and checks the point."""
+    offsets = [-s for s in missing]
+    for terms in product(*multiples):
+        nums = tuple([x % big + s for x, s in zip(map(sum, zip(offsets, *terms)), missing)])
+        yield _lattice_point(rows, nums, big), nums, big
 
 
 class _PointShifts(dict):
-    """Point shift of one block step per wrap pattern, made when first met."""
+    """Point shift of one block step per wrap pattern, made when first met:
+    the digit column's point less each wrapped generator."""
 
-    def __init__(self, carry_point, cols):
+    def __init__(self, column_point, cols):
         super().__init__()
-        self.carry_point, self.cols = carry_point, cols
+        self.column_point, self.cols = column_point, cols
 
     def __missing__(self, wrapped):
-        self[wrapped] = shift = _point_shift(self.carry_point, self.cols, wrapped)
+        shift = self.column_point
+        for col, w in zip(self.cols, wrapped):
+            if w:
+                shift = tuple(map(sub, shift, col))
+        self[wrapped] = shift
         return shift
 
 
-def _blocks(starts, m, carry, carry_point, cols, missing, big):
-    """Walk m residues from each start along one carry column, in chunks.
+def _blocks(starts, m, column, column_point, cols, missing, big):
+    """Walk m residues from each start along one digit column, in chunks.
 
     Block residue k has numerators (a + k*c) % big, or (a + k*c - 1) % big + 1
-    opposite a missing facet, for start numerators a and carry c; a chunk
-    holds each numerator column as one list.  A step wraps numerator j when
-    its previous value is at least big + missing_j - c_j, and each point row
-    is one accumulate of the cached shifts from the chunk's first point (a
-    later chunk's is checked like the carries).  Only the zip of a chunk's
-    at most _BLOCK_CHUNK triples holds its lists.
+    opposite a missing facet, for start numerators a and the column c; a
+    chunk holds each numerator's values as one list.  A step wraps numerator
+    j when its previous value is at least big + missing_j - c_j, and each
+    point row is one accumulate of the cached shifts from the chunk's first
+    point (a later chunk's is checked like the digit columns).  Only the zip
+    of a chunk's at most _BLOCK_CHUNK triples holds its lists, so stacked
+    block passes hold one chunk each.
     """
-    thresholds = [big + s - c for s, c in zip(missing, carry)]
-    shifts = _PointShifts(carry_point, cols)
+    thresholds = [big + s - c for s, c in zip(missing, column)]
+    shifts = _PointShifts(column_point, cols)
     generators = list(zip(*cols))
 
     def chunk(point, nums, k):
         size = min(_BLOCK_CHUNK, m - k)
-        columns = []
-        for a, c, s in zip(nums, carry, missing):
+        lists = []
+        for a, c, s in zip(nums, column, missing):
             start = a - s + k * c
             if not c:
-                columns.append([a] * size)
+                lists.append([a] * size)
             elif s:
-                columns.append([x % big + 1 for x in range(start, start + size * c, c)])
+                lists.append([x % big + 1 for x in range(start, start + size * c, c)])
             else:
-                columns.append([x % big for x in range(start, start + size * c, c)])
+                lists.append([x % big for x in range(start, start + size * c, c)])
         if k:
-            point = _lattice_point(generators, [column[0] for column in columns], big)
+            point = _lattice_point(generators, [values[0] for values in lists], big)
         moves = list(map(shifts.__getitem__, zip(*[
-            map(ge, column, repeat(t)) for column, t in zip(columns, thresholds)])))
+            map(ge, values, repeat(t)) for values, t in zip(lists, thresholds)])))
         rows = [accumulate(map(itemgetter(r), moves), initial=x) for r, x in enumerate(point)]
-        return zip(zip(*rows), zip(*columns), repeat(big))
+        return zip(zip(*rows), zip(*lists), repeat(big))
 
     return chain.from_iterable(chunk(point, nums, k) for point, nums, _ in starts
                                for k in range(0, m, _BLOCK_CHUNK))
-
-
-def _odometer(diag, carries, carry_points, cols, missing, big):
-    """Walk the residues as an odometer over diag.
-
-    A step adds one carry column to the numerators and its point to the
-    running point; each numerator that passes its range wraps back by big,
-    which takes its generator off the point.  Numerators opposite a missing
-    facet live in (0, big], the others in [0, big).  A step costs O(n + d)
-    and the walk holds O(n) numbers plus, per digit, one point shift for each
-    wrap pattern met, so its memory does not grow with the residue count.
-    With the largest digit set to 1 it yields the starts of the column
-    blocks instead (see fpp_lattice_points).
-    """
-    nums = tuple(big if m else 0 for m in missing)
-    point = _lattice_point(list(zip(*cols)), nums, big)
-    yield point, nums, big
-
-    # numerator j wraps on a carry-i step when it is at least thresholds[i][j]
-    thresholds = [tuple(big + m - c for m, c in zip(missing, carry)) for carry in carries]
-    moves = [{} for _ in diag]  # per digit: wrap pattern -> (point shift, numerator shift)
-
-    def move(i, wrapped):
-        """(point shift, numerator shift) of a carry-i step with these wraps."""
-        moves[i][wrapped] = step = _point_shift(carry_points[i], cols, wrapped), tuple(
-            c - big if w else c for c, w in zip(carries[i], wrapped))
-        return step
-
-    for i in _advancing_digits(diag):
-        # (*map(...),) sizes each tuple exactly; tuple(map(...)) would shrink
-        # a longer one, moving it between the interpreter's tuple free lists
-        wrapped = (*map(ge, nums, thresholds[i]),)
-        step = moves[i].get(wrapped) or move(i, wrapped)
-        point = (*map(add, point, step[0]),)
-        nums = (*map(add, nums, step[1]),)
-        yield point, nums, big
-
-
-def _advancing_digits(diag):
-    """The digit that advances at each step of an odometer over diag, last digit fastest."""
-    digits = [i for i, s in enumerate(diag) if s > 1]
-    if not digits:
-        return
-    inner, outer = digits[-1], digits[:-1]
-    count = [0] * len(diag)
-    while True:
-        yield from repeat(inner, diag[inner] - 1)
-        for i in reversed(outer):
-            if count[i] < diag[i] - 1:
-                count[i] += 1
-                break
-            count[i] = 0
-        else:
-            return
-        yield i
 
 
 def fpp_points(S: HalfOpenSimplex, heights) -> tuple[int, ...]:

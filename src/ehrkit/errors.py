@@ -102,5 +102,6 @@ class IdentityViolated(EhrkitError):
 
 
 class InvalidM(EhrkitError):
-    """m does not make the scaled polytope a lattice polytope, or lifting the
-    numerator to m would take more than ENUMERATION_LIMIT coefficient products."""
+    """m is not an int, does not make the scaled polytope a lattice polytope,
+    or lifting the numerator to m would take more than ENUMERATION_LIMIT
+    coefficient products."""

@@ -87,12 +87,15 @@ def _origin_position(P: Polytope) -> str:
 def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
     """h* of the scaled polytope re-expressed over (1 - z^m)^(d+1).
 
-    At m = q the lift is 1.  Otherwise it multiplies d + 1 times by a
-    polynomial of m/q terms, the k-th time (k = 0..d) a numerator of degree
-    below q(d+1) + k(m - q).  The coefficient products this bounds must stay
-    within ENUMERATION_LIMIT, checked before h* is computed.
+    m must be an int, not a bool.  At m = q the lift is 1.  Otherwise it
+    multiplies d + 1 times by a polynomial of m/q terms, the k-th time
+    (k = 0..d) a numerator of degree below q(d+1) + k(m - q).  The
+    coefficient products this bounds must stay within ENUMERATION_LIMIT,
+    checked before h* is computed.
     """
     q, d = scaled.q, scaled.d
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InvalidM("m must be an int, got %r" % (m,))
     if m < 1 or m % q != 0:
         raise InvalidM("m = %d does not make the scaled polytope a lattice polytope "
                        "(needs a positive multiple of %d)" % (m, q))

@@ -137,9 +137,9 @@ def test_residues_are_lattice_points(monkeypatch):
 
 def test_block_residues_are_lattice_points(monkeypatch):
     """The coarse fault of test_residues_are_lattice_points, on cells whose
-    largest Smith digit sends them to the column blocks: the carry points
-    are checked before the Smith product, so the fault reads as a
-    non-lattice point, not as a wrong count."""
+    largest Smith digit sends them to the column blocks: the digit
+    columns' points are checked before the Smith product, so the fault
+    reads as a non-lattice point, not as a wrong count."""
     segment = HalfOpenSimplex.closed([(F(0),), (F(100),)])
     plane = HalfOpenSimplex(tuple(tuple(map(F, v)) for v in ((0, 0), (4, 0), (0, 40))),
                             (True, False, True))

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction as F
+from itertools import product
 from math import prod
 
 import pytest
@@ -206,9 +207,10 @@ def test_cell_counts_sum_to_hstar_at_one(corpus_bundle):
 
 
 def test_walk_memory_does_not_grow_with_det():
-    # det = 316^2 = 99856 residues over two odometer digits; a list of them
-    # would take about 20 MB.  A first untraced walk fills the interpreter's
-    # free lists, so the traced one allocates only what it keeps.
+    # det = 316^2 = 99856 residues over two Smith digits of 316, each walked
+    # in its own block pass; a list of them would take about 20 MB.  A first
+    # untraced walk fills the interpreter's free lists, so the traced one
+    # allocates only what it keeps.
     S = HalfOpenSimplex((pts((0, 0), (316, 0), (0, 316))), (False, True, False))
     sum(1 for _ in fpp_lattice_points(S, [1, 1, 1]))
     tracemalloc.start()
@@ -225,8 +227,9 @@ def test_walk_memory_does_not_grow_with_det():
 
 # Cells whose largest Smith digit reaches _BLOCK_DIGIT: segments of length
 # 17 and 1100 (three chunks of 512), Z/4 + Z/40 in the plane (two digits
-# above 1 in any diagonal form), a q = 2 cell at heights (q, q, ell), and a
-# cone cell and a boundary cell in R^3.
+# above 1 in any diagonal form), a q = 2 cell at heights (q, q, ell), a
+# cone cell and a boundary cell in R^3, and the 17 x 17 triangle, whose two
+# digits (17 and 17, or 34 and 102) both reach it, so its blocks stack.
 BLOCK_CELLS = [
     (pts((0,), (1100,)), [1, 1]),
     (pts((0,), (17,)), [2, 3]),
@@ -235,6 +238,8 @@ BLOCK_CELLS = [
     (pts((F(3, 2), 0), (0, F(41, 2)), (1, 1)), [2, 2, 3]),
     (pts((0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 19)), [1, 1, 1, 2]),
     (pts((0, 0, 0), (2, 0, 0), (0, 0, 19)), [1, 1, 1]),
+    (pts((0, 0), (17, 0), (0, 17)), [1, 1, 1]),
+    (pts((0, 0), (17, 0), (0, 17)), [2, 2, 3]),
 ]
 
 
@@ -257,6 +262,29 @@ def test_block_walk_matches_box_scan(monkeypatch, verts, heights, chunk):
 def test_block_cells_have_a_second_digit():
     digits = smith_digits(HalfOpenSimplex.closed(pts((0, 0), (4, 0), (0, 40))), [1, 1, 1])
     assert sorted(digits)[-2] > 1 and max(digits) >= ehrhart._BLOCK_DIGIT
+    for heights in ([1, 1, 1], [2, 2, 3]):
+        digits = smith_digits(HalfOpenSimplex.closed(pts((0, 0), (17, 0), (0, 17))), heights)
+        assert sorted(digits)[-2] >= ehrhart._BLOCK_DIGIT
+
+
+def test_walk_runs_one_block_pass_per_large_digit(monkeypatch):
+    """Digits below _BLOCK_DIGIT are enumerated directly and each larger one
+    gets its own block pass: none for a cube-4d cone cell (digits 1, 2, 2,
+    2, 2), one for [0, 1100] and two for the 17 x 17 triangle."""
+    real, passes = ehrhart._blocks, []
+
+    def counted(*args):
+        passes.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(ehrhart, "_blocks", counted)
+    cube = EhrhartReport(build_polytope(list(product((0, 1), repeat=4))))
+    cases = [(cube.cone[1].cells[0], [2] * 5, []),
+             (HalfOpenSimplex.closed(pts((0,), (1100,))), [1, 1], [1100]),
+             (HalfOpenSimplex.closed(pts((0, 0), (17, 0), (0, 17))), [1, 1, 1], [17, 17])]
+    for S, heights, blocks in cases:
+        passes.clear()
+        assert len(list(fpp_lattice_points(S, heights))) == prod(smith_digits(S, heights))
+        assert passes == blocks
 
 
 def test_segment_closed_form():
@@ -468,7 +496,6 @@ def test_lattice_sum_rules(corpus_bundle):
 
 
 def test_dimension_four_cross_and_cube():
-    from itertools import product
     cross4 = build_polytope([tuple(s * (i == j) for j in range(4))
                              for i in range(4) for s in (1, -1)])
     h = hstar_polytope(cross4)

@@ -340,7 +340,9 @@ def block_cells(draw):
 
     The standard simplex in R^d, d <= 3, is scaled by a prime p >= 17 on its
     last axis, so p divides the residue count, and by 1 to 3 on the others,
-    then moved by an integer translation and, for d = 2, a unit transvection.
+    one of which is sometimes scaled by a second such prime instead, so that
+    two digits can reach the blocks and their passes stack.  It is then
+    moved by an integer translation and, for d = 2, a unit transvection.
     It keeps all d + 1 vertices or drops one that is not p's, and its heights
     are (q, ..., q, ell).  The chunk is small, to put chunk seams inside the
     blocks, or the module's own.
@@ -348,6 +350,8 @@ def block_cells(draw):
     d = draw(st.integers(1, 3))
     p = draw(st.sampled_from((17, 19, 23)))
     scales = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1)) + [p]
+    if d > 1 and draw(st.booleans()):
+        scales[draw(st.integers(0, d - 2))] = draw(st.sampled_from((17, 19, 23)))
     shift = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     points = [list(shift)] + [[c + s * (i == k) for k, c in enumerate(shift)]
                               for i, s in enumerate(scales)]

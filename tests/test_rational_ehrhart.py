@@ -59,6 +59,16 @@ def test_rational_series_rejects_nonpositive_m(m):
         rational_series(wide, m=m)
 
 
+@pytest.mark.parametrize("endpoint, m", [(F(1, 2), 2.0), (1, True), (F(1, 2), 4.0),
+                                         (F(1, 2), "4")])
+def test_rational_series_takes_only_an_int_m(endpoint, m):
+    """m is never coerced: 2.0 and True would be written to the report as
+    "2.0" and "True", which its own reader refuses, and 4.0 and "4" are
+    refused as InvalidM, not as a TypeError from the arithmetic."""
+    with pytest.raises(InvalidM, match="must be an int"):
+        rational_series(build_polytope(pts((0,), (endpoint,))), m=m)
+
+
 def test_rational_series_refuses_a_huge_lift(monkeypatch):
     """m = 10^6 on the standard 3-simplex would lift with about 6 * 10^12
     coefficient products; it is refused before the first one."""
