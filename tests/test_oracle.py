@@ -1,6 +1,9 @@
 import ast
 import pathlib
+import tracemalloc
+import types
 from fractions import Fraction as F
+from math import ceil, floor
 
 import pytest
 
@@ -41,16 +44,19 @@ def test_count_modes_add_up(corpus_polytope):
 
 def test_each_count_is_one_sweep(monkeypatch):
     """Every mode, boundary included, reads one sweep of the dilate, and the
-    series division one sweep per dilate."""
+    series division one sweep per dilate; each sweep asks only for the slack
+    shifts its mode reads."""
     sweeps = count_calls(monkeypatch, oracle._counts)
     tri = build_polytope(pts((0, 0), (F(3, 2), 0), (0, 1)))
-    for mode in ("closed", "interior", "boundary"):
+    for mode, shifts in (("closed", (0,)), ("interior", (1,)), ("boundary", (0, 1))):
         sweeps.clear()
         count_points(tri, 2, mode)
-        assert [n for _, n in sweeps] == [2]
+        assert [args[1] for args in sweeps] == [2]
+        assert [tuple(args[2]) for args in sweeps] == [shifts]
         sweeps.clear()
         hstar_from_counts(tri, mode)
-        assert [n for _, n in sweeps] == list(range(1, 10))  # n = 1 .. q(d+1) + d + 1
+        assert [args[1] for args in sweeps] == list(range(1, 10))  # n = 1 .. q(d+1) + d + 1
+        assert {tuple(args[2]) for args in sweeps} == {shifts}
 
 
 def ehrkit_imports(source):
@@ -153,3 +159,41 @@ def test_reciprocity_via_interpolation(corpus_bundle):
                                         [closed[m] for m in residue_points])
         value = sum(c * (-n) ** k for k, c in enumerate(coeffs))
         assert count_points(P, n, "interior") == sign * value, (n,)
+
+
+def test_long_rows():
+    """Rows of more than 512 fibers, in d = 1, 2 and 3, with rational vertices."""
+    wide = [pts((0, 0), (2000, 0), (0, 1)),
+            pts((0, 0), (F(2001, 2), 0), (0, F(1, 3)), (7, 1)),
+            pts((0, 0, 0), (1500, 0, 0), (0, 1, 0), (0, 0, 1), (700, 1, 1)),
+            pts((F(-3, 2),), (F(1401, 2),))]
+    for points in wide:
+        P = build_polytope(points)
+        for n in (1, 2, 3):
+            for mode in ("closed", "interior", "boundary"):
+                assert count_points(P, n, mode) == brute_force_count(P, n, mode), (points, n, mode)
+
+
+def test_sweep_memory_does_not_grow_with_the_row():
+    """A row of 2 * 10^4 fibers is swept without a list over its fibers."""
+    tri = build_polytope(pts((0, 0), (10 ** 4, 0), (0, 1)))
+    tracemalloc.start()
+    try:
+        assert count_points(tri, 2, "boundary") == 2 * 10 ** 4 + 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10, peak
+
+
+def test_bounding_box_reads_only_vertices_and_dimension():
+    """perfbench selects its oracle inputs with _bounding_box on a bare
+    namespace: per coordinate, the ceiling of the least n·v and the floor of
+    the greatest."""
+    vertices = [(F(-3, 2), F(1, 3)), (F(5, 4), F(-7, 3)), (F(0), F(2))]
+    box = types.SimpleNamespace(vertices=vertices, ambient_dim=2)
+    for n in (1, 2, 3, 7):
+        assert oracle._bounding_box(box, n) == (
+            [ceil(min(n * v[c] for v in vertices)) for c in range(2)],
+            [floor(max(n * v[c] for v in vertices)) for c in range(2)])
+    assert oracle._bounding_box(box, 3) == ([-4, -7], [3, 6])

@@ -1,5 +1,6 @@
 """Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
-with an oracle check also in d = 4, q <= 2, an oracle-free metamorphic check
+with an oracle check also in d = 4, q <= 2, the oracle's counts against a
+point-by-point scan in d <= 4, an oracle-free metamorphic check
 in d = 4, 5, q <= 2 and one through the lattice chart of polytopes embedded
 in higher dimension, over random point sets in d <= 4 for the hull, and over
 random half-open simplices for the parallelepiped walk.
@@ -24,12 +25,12 @@ from ehrkit.errors import AffinelyDependent, NoLatticePoints
 from ehrkit.geometry import build_polytope, point_denominator, project_to_affine_hull
 from ehrkit.linalg import (_int_normal, _int_rank, _residue_count, _scaled, determinant, dot,
                            solve_unique)
-from ehrkit.oracle import hstar_from_counts
+from ehrkit.oracle import count_points, hstar_from_counts
 from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone
 
-from helpers import (brute_force_fpp_points, brute_force_hull, check_pulled_pieces, cone_volume,
-                     fraction_determinant, fraction_rank, fraction_solve, hyperplane_through,
-                     slack_masks, smith_digits)
+from helpers import (brute_force_count, brute_force_fpp_points, brute_force_hull,
+                     check_pulled_pieces, cone_volume, fraction_determinant, fraction_rank,
+                     fraction_solve, hyperplane_through, slack_masks, smith_digits)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -81,6 +82,17 @@ def test_pipeline_matches_oracle(P):
 def test_pipeline_matches_oracle_in_4d(P):
     """Coordinates in [-1, 1] keep the oracle's boxes small in d = 4."""
     check_pipeline_matches_oracle(P)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(rational_polytopes(dims=(1, 4)))
+def test_oracle_counts_match_point_by_point(P):
+    """The oracle's row sweep, whose boxes are padded to two axes in d = 1, 2
+    and whose facets have last normal entries 0, +-1 and larger, against a
+    point-by-point test of its box."""
+    for n in (1, 2):
+        for mode in ("closed", "interior", "boundary"):
+            assert count_points(P, n, mode) == brute_force_count(P, n, mode), (n, mode)
 
 
 @PROPERTY
