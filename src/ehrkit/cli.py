@@ -189,6 +189,8 @@ def _cmd_rational(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.corpus and args.file:
+        raise UsageError("give either -f or --corpus, not both")
     if args.corpus:
         entries = standard_corpus()
     else:

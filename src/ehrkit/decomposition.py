@@ -40,10 +40,6 @@ from .triangulation import (
 )
 
 
-def _geometric(k: int) -> GradedPolynomial:
-    return GradedPolynomial.geometric(k)
-
-
 def symmetric_decompose(h: GradedPolynomial, q: int, ell: int, d: int):
     """Unique palindromic pair (a, b) with geom(ell)/geom(q) * h = a + z^ell b.
 
@@ -53,10 +49,10 @@ def symmetric_decompose(h: GradedPolynomial, q: int, ell: int, d: int):
     """
     if h.grid != 1:
         raise ValueError("decomposition works on integer-exponent polynomials")
-    quot, rem = h.divmod_exact(_geometric(q))
+    quot, rem = h.divmod_exact(GradedPolynomial.geometric(q))
     if not rem.is_zero:
         raise NotDivisible("input is not divisible by 1 + z + ... + z^%d" % (q - 1))
-    lhs = quot * _geometric(ell)
+    lhs = quot * GradedPolynomial.geometric(ell)
     n = q * d
     if lhs.degree_key > n:
         raise NoSolution("left side exceeds degree %d" % n)

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, product, repeat, tee
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm, prod
 from operator import ge, itemgetter, mul, sub
 
 from .errors import ENUMERATION_LIMIT, IdentityViolated, NonIntegralGenerator, WalkTooLarge
@@ -260,18 +260,15 @@ class SeriesForm:
         e_key = self.denom_exponent * self.numerator.grid
         if e_key.denominator != 1 or e_key <= 0:
             raise ValueError("denominator exponent must be positive, on the numerator grid")
+        if self.denom_power < 0:
+            raise ValueError("denominator power must be nonnegative")
         e_key = int(e_key)
         num = self.numerator.as_dict()
-        out = []
-        for n in range(count):
-            total = 0
-            j = 0
-            while n - j * e_key >= 0:
-                c = num.get(n - j * e_key, 0)
-                if c:
-                    total += c * comb(j + self.denom_power - 1, self.denom_power - 1)
-                j += 1
-            out.append(total)
+        out = [num.get(n, 0) for n in range(count)]
+        # each factor 1 / (1 - z^e) is one running sum at stride e
+        for _ in range(self.denom_power):
+            for n in range(e_key, count):
+                out[n] += out[n - e_key]
         return out
 
 
@@ -320,4 +317,3 @@ def _minimal_period(values: list[Fraction]) -> tuple[Fraction, ...]:
     for p in range(1, q + 1):
         if q % p == 0 and all(values[i] == values[i % p] for i in range(q)):
             return tuple(values[:p])
-    return tuple(values)

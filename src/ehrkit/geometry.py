@@ -7,16 +7,17 @@ points as a bitmask, which gives the vertices and the vertex-facet incidence
 in the same pass.  That is all the sophistication needed at desk scale
 (dimension <= 6, <= 50 vertices).
 
-All types are immutable values; the only mutation anywhere is construct-once
-caches (the facet description here, the fields of an EhrhartReport), which
-are idempotent and safe to publish across threads.
+All types are immutable values.  A full-dimensional polytope is built with
+its facets and vertex-facet incidence; the only mutation anywhere is
+construct-once caches (the integer vertex and facet tables here, the fields
+of an EhrhartReport), which are idempotent and safe to publish across threads.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import islice
@@ -92,6 +93,8 @@ class Halfspace:
     def slack(self, x):
         """offset - normal . x, an int for an integer point x and a Fraction
         otherwise; nonnegative on the polytope, zero on the facet."""
+        if len(x) != len(self.normal):
+            raise MixedDimensions("point has wrong dimension for this halfspace")
         return self.offset - dot(self.normal, x)
 
     def to_json_dict(self) -> dict:
@@ -196,25 +199,34 @@ class Polytope:
     """Rational polytope given by its extreme points.
 
     vertices are lexicographically sorted and irredundant; denominator_q is
-    the least positive integer q with q * (every vertex) integral.  Cached on
-    demand: the integer vertex table (q, the rows q·v) and, for full-dimensional
-    polytopes only, the facets, the integer facet table (normal, q·offset) and
-    the vertex-facet incidence: per facet a bitmask, bit i for vertices[i].
+    the least positive integer q with q * (every vertex) integral.  A
+    full-dimensional polytope is built with its facets and the vertex-facet
+    incidence: per facet a bitmask, bit i for vertices[i].  Cached on demand:
+    the integer vertex table (q, the rows q·v) and the integer facet table
+    (normal, q·offset).
     """
 
     vertices: tuple[Point, ...]
     ambient_dim: int
     dim: int
     denominator_q: int
+    # (facets, incidence) when full-dimensional, else None; derived from the vertices
+    _hull: tuple | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def facets(self) -> tuple[Halfspace, ...]:
-        if self.dim != self.ambient_dim:
+    def _facet_data(self):
+        if self._hull is None:
             raise NotFullDimensional(
                 "facet description needs dim == ambient_dim (%d != %d); "
                 "project to the affine hull first" % (self.dim, self.ambient_dim))
-        _, facets, self.__dict__["_incidence"] = _hull_full_dim(self.vertices, self.ambient_dim)
-        return facets
+        return self._hull
+
+    @property
+    def facets(self) -> tuple[Halfspace, ...]:
+        return self._facet_data()[0]
+
+    @property
+    def _incidence(self) -> tuple[int, ...]:
+        return self._facet_data()[1]
 
     @cached_property
     def _int_vertices(self):
@@ -223,11 +235,6 @@ class Polytope:
     @cached_property
     def _int_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         return tuple((hs.normal, self.denominator_q * hs.offset) for hs in self.facets)
-
-    @cached_property
-    def _incidence(self) -> tuple[int, ...]:
-        self.facets  # the hull call that makes the facets stores the incidence beside them
-        return self.__dict__["_incidence"]
 
     def _int_slacks(self, u, ell) -> list[int]:
         """q·ell times the slack of u / ell on each facet: ell·(q·offset) - q·(normal·u)."""
@@ -251,6 +258,12 @@ class Polytope:
         return {"vertices": [[format_rational(c) for c in v] for v in self.vertices]}
 
 
+def _polytope(verts, ambient: int, dim: int, hull=None) -> Polytope:
+    """The Polytope on the sorted vertices verts, with the (facets, incidence)
+    of its hull when it is full-dimensional."""
+    return Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)), hull)
+
+
 def build_polytope(points) -> Polytope:
     """Convex hull of the given rational points, as a Polytope value.
 
@@ -270,19 +283,14 @@ def build_polytope(points) -> Polytope:
     dim = len(basis) - 1
 
     if dim == 0:
-        verts = (pts[0],)
-    elif dim == ambient:
+        return _polytope((pts[0],), ambient, dim)
+    if dim == ambient:
         verts, facets, incidence = _hull_full_dim(pts, ambient, basis)
-        poly = Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
-        poly.__dict__.update(facets=facets, _incidence=incidence)  # as the lazy properties would
-        return poly
-    else:
-        columns = list(zip(*(vec_sub(pts[j], pts[0]) for j in basis[1:])))
-        charted = [solve_unique(columns, vec_sub(p, pts[0])) for p in pts]
-        keep = set(_hull_full_dim(sorted(charted), dim)[0])
-        verts = tuple(sorted(p for p, c in zip(pts, charted) if c in keep))
-
-    return Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)))
+        return _polytope(verts, ambient, dim, (facets, incidence))
+    columns = list(zip(*(vec_sub(pts[j], pts[0]) for j in basis[1:])))
+    charted = [solve_unique(columns, vec_sub(p, pts[0])) for p in pts]
+    keep = set(_hull_full_dim(sorted(charted), dim)[0])
+    return _polytope(tuple(sorted(p for p, c in zip(pts, charted) if c in keep)), ambient, dim)
 
 
 def contains(P: Polytope, x, mode: str = "closed") -> bool:
@@ -303,11 +311,8 @@ def dilate(P: Polytope, t) -> Polytope:
     if t <= 0:
         raise NonpositiveScale("dilation factor must be positive, got %s" % t)
     verts = tuple(sorted(vec_scale(t, v) for v in P.vertices))
-    out = Polytope(verts, P.ambient_dim, P.dim, lcm(*(point_denominator(v) for v in verts)))
-    if "facets" in P.__dict__ and P.is_full_dimensional:
-        out.__dict__["facets"], out.__dict__["_incidence"] = _facet_table(
-            (hs.normal + (t * hs.offset,) for hs in P.facets), P._incidence)
-    return out
+    return _polytope(verts, P.ambient_dim, P.dim, P._hull and _facet_table(
+        (hs.normal + (t * hs.offset,) for hs in P.facets), P._incidence))
 
 
 def translate(P: Polytope, v) -> Polytope:
@@ -315,11 +320,8 @@ def translate(P: Polytope, v) -> Polytope:
     if len(v) != P.ambient_dim:
         raise MixedDimensions("translation vector has wrong dimension")
     verts = tuple(sorted(vec_add(p, v) for p in P.vertices))
-    out = Polytope(verts, P.ambient_dim, P.dim, lcm(*(point_denominator(p) for p in verts)))
-    if "facets" in P.__dict__ and P.is_full_dimensional:
-        out.__dict__["facets"], out.__dict__["_incidence"] = _facet_table(
-            (hs.normal + (hs.offset + dot(hs.normal, v),) for hs in P.facets), P._incidence)
-    return out
+    return _polytope(verts, P.ambient_dim, P.dim, P._hull and _facet_table(
+        (hs.normal + (hs.offset + dot(hs.normal, v),) for hs in P.facets), P._incidence))
 
 
 def dual(P: Polytope) -> Polytope:

@@ -106,11 +106,7 @@ class GradedPolynomial:
         return GradedPolynomial.from_dict(out, self.grid)
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        self._require_same_grid(other)
-        out = self.as_dict()
-        for k, c in other.coeffs:
-            out[k] = out.get(k, 0) - c
-        return GradedPolynomial.from_dict(out, self.grid)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -112,8 +112,9 @@ def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
     return h
 
 
-def _series(P: Polytope, refined: bool, m: int | None):
-    """The series report of P on its grid and the EhrhartReport of the scaled polytope."""
+def _series(P: Polytope, refined: bool, m: int | None, position: str):
+    """The series report of P, whose origin lies at `position`, on its grid and
+    the EhrhartReport of the scaled polytope."""
     r = codenominator(P)
     grid = 2 * r if refined else r
     scaled = EhrhartReport(dilate(P, Fraction(1, grid)))
@@ -123,7 +124,7 @@ def _series(P: Polytope, refined: bool, m: int | None):
     if not (numerator.degree_key < m * (P.dim + 1) and numerator.is_nonnegative):
         raise IdentityViolated("numerator must be nonnegative of degree below m(d+1)")
     report = RationalSeriesReport(r=r, m=m, refined=refined, numerator=numerator,
-                                  origin_position=_origin_position(P), decomposition=None)
+                                  origin_position=position, decomposition=None)
     return report, scaled
 
 
@@ -134,7 +135,7 @@ def rational_series(P: Polytope, refined: bool = False,
     m must make (m/r)P -- refined: (m/(2r))P -- a lattice polytope and defaults
     to the minimal such value; the numerator depends on it, so it is recorded.
     """
-    return _series(P, refined, m)[0]
+    return _series(P, refined, m, _origin_position(P))[0]
 
 
 def rational_decompose(P: Polytope) -> RationalSeriesReport:
@@ -145,7 +146,7 @@ def rational_decompose(P: Polytope) -> RationalSeriesReport:
     the same on the refined grid 2r.
     """
     position = _origin_position(P)
-    report, scaled = _series(P, position == "outside", None)
+    report, scaled = _series(P, position == "outside", None, position)
     if position == "interior":
         if not report.numerator.is_palindromic():
             raise IdentityViolated("origin strictly inside forces a palindromic numerator")

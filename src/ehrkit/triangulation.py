@@ -157,11 +157,15 @@ def _pull_face(face, dim, incidence, pulled):
 
 def _apex(P: Polytope, apex):
     """apex = u / ell as the homogenized column (u, ell), and q·ell times its
-    slack on each facet of P; ValueError when apex is outside P."""
-    if not contains(P, apex):
+    slack on each facet of P; MixedDimensions when apex has the wrong length,
+    ValueError when it is outside P."""
+    column = _homogenized(as_point(apex))
+    if len(column) != P.ambient_dim + 1:
+        raise MixedDimensions("apex has wrong dimension")
+    slacks = P._int_slacks(column[:-1], column[-1])
+    if min(slacks) < 0:
         raise ValueError("apex must lie in P")
-    column = _homogenized(apex)
-    return column, P._int_slacks(column[:-1], column[-1])
+    return column, slacks
 
 
 def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[int, ...]]:

@@ -161,9 +161,12 @@ def test_verify_corpus(capsys):
     assert "FAIL" not in out and "verified" in out
 
 
-def test_usage_errors(capsys):
-    assert run(["hstar"]) == 2
-    assert "usage error" in capsys.readouterr().err
+def test_usage_errors(square2_file, capsys):
+    for argv in (["hstar"], ["hstar", "--vertices", ";"],
+                 ["hstar", "-f", square2_file, "--vertices", "0,0; 1,0; 0,1"], ["verify"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
     assert run(["hstar", "--vertices", "0.5,1"]) == 2
     err = capsys.readouterr().err
     assert "--vertices" in err
@@ -171,6 +174,39 @@ def test_usage_errors(capsys):
     assert "-f" in capsys.readouterr().err
     assert run(["nonsense"]) == 2
     capsys.readouterr()
+
+
+TRIANGLE_3D = "0,0,0; 1,0,0; 0,1,0"
+
+
+@pytest.fixture
+def triangle3_file(tmp_path):
+    path = tmp_path / "triangle3.json"
+    path.write_text(json.dumps(
+        {"vertices": [row.split(",") for row in TRIANGLE_3D.split("; ")]}))
+    return str(path)
+
+
+def test_project_charts_a_lower_dimensional_polytope(capsys):
+    assert run(["hstar", "--vertices", TRIANGLE_3D, "--project"]) == 0
+    assert capsys.readouterr().out.strip() == "h* = 1 (q=1, d=2)"
+    assert run(["hstar", "--vertices", TRIANGLE_3D]) == 1
+    assert "NotFullDimensional" in capsys.readouterr().err
+
+
+def test_verify_corpus_refuses_a_file(tmp_path, capsys):
+    # the file is never read, so a missing one shows the refusal comes first
+    assert run(["verify", "--corpus", "-f", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: give either -f or --corpus, not both\n"
+
+
+def test_verify_reports_a_lower_dimensional_file(triangle3_file, capsys):
+    assert run(["verify", "-f", triangle3_file]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith(triangle3_file + "  ERROR: facet description needs")
+    assert rows[1] == "0/1 polytopes verified"
 
 
 def test_hull_too_large_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ehrkit.errors import ApexInSpan, NotDivisible
+from ehrkit.errors import ApexInSpan, NoSolution, NotDivisible
 from ehrkit.geometry import build_polytope
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import (
@@ -56,6 +56,14 @@ def test_symmetric_decompose_unit_square_needs_ell_two():
 def test_symmetric_decompose_not_divisible():
     with pytest.raises(NotDivisible):
         symmetric_decompose(GP.from_list([1, 2]), q=2, ell=1, d=1)
+
+
+def test_symmetric_decompose_refusals():
+    with pytest.raises(ValueError, match="integer-exponent"):
+        symmetric_decompose(GP.from_list([1, 1], grid=2), q=1, ell=1, d=1)
+    # 1 + z^3 has degree 3, above q*d = 1, so no palindromic pair of degree 1 exists
+    with pytest.raises(NoSolution, match="left side exceeds degree 1"):
+        symmetric_decompose(GP.from_dict({0: 1, 3: 1}), q=1, ell=1, d=1)
 
 
 def test_symmetric_decompose_is_deterministic_unique():

@@ -1,7 +1,7 @@
 import tracemalloc
 from fractions import Fraction as F
 from itertools import product
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -527,8 +527,25 @@ def test_series_forms():
     assert sf.coefficients(6) == [1, 1, 3, 3, 5, 5]
 
 
+def test_series_form_with_no_denominator_is_its_numerator():
+    assert SeriesForm(GP.from_list([1, 2]), F(1), 0).coefficients(4) == [1, 2, 0, 0]
+    half = GP.from_dict({1: 3, 4: 1}, grid=2)
+    assert SeriesForm(half, F(1, 2), 0).coefficients(6) == [0, 3, 0, 0, 1, 0]
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        SeriesForm(half, F(1, 2), -1).coefficients(6)
+
+
+def test_series_form_matches_the_binomial_expansion():
+    """Coefficient n of h / (1 - z^e)^k is the sum over j of h_(n - je) C(j + k - 1, k - 1)."""
+    h = GP.from_dict({0: 1, 1: -2, 3: 5, 4: 1})
+    for e, k in product((1, 2, 3), (1, 2, 4)):
+        expected = [sum(h.coeff(n - j * e) * comb(j + k - 1, k - 1) for j in range(n // e + 1))
+                    for n in range(12)]
+        assert SeriesForm(h, F(e), k).coefficients(12) == expected
+
+
 def test_series_form_rejects_a_nonpositive_exponent():
-    # with exponent 0 or below the coefficient loop would never end
+    # with exponent 0 or below there is no stride to sum the series along
     for e in (F(0), F(-1)):
         with pytest.raises(ValueError, match="must be positive"):
             SeriesForm(GP.from_list([1, 1]), e, 2).coefficients(4)

@@ -28,7 +28,7 @@ from ehrkit.geometry import (
 from ehrkit.linalg import solve_unique
 
 from conftest import CORPUS
-from helpers import brute_force_hull, greedy_affine_basis, vertices_from_halfspaces
+from helpers import brute_force_hull, count_calls, greedy_affine_basis, vertices_from_halfspaces
 
 
 def pts(*coords):
@@ -186,8 +186,24 @@ def test_hull_ray_limit(monkeypatch):
 
 def test_facet_description_rejects_lower_dimensional():
     seg = build_polytope(pts((0, 0), (1, 1)))
-    with pytest.raises(NotFullDimensional):
-        seg.facets
+    for Q in (seg, dilate(seg, 2), translate(seg, (1, 0))):
+        with pytest.raises(NotFullDimensional):
+            Q.facets
+        with pytest.raises(NotFullDimensional):
+            Q._incidence
+
+
+def test_polytope_is_built_with_its_facets(monkeypatch):
+    """The hull runs once, in build_polytope; dilate and translate carry its
+    facets over, and the stored facet table is outside ==, hash and repr."""
+    hulls = count_calls(monkeypatch, geometry._hull_full_dim)
+    P = build_polytope(pts((0, 0), (1, 2), (1, 3)))
+    for Q in (P, dilate(P, F(1, 3)), translate(P, (F(1, 3), 0))):
+        assert len(Q.facets) == len(Q._incidence) == 3
+    assert len(hulls) == 1
+    bare = geometry.Polytope(P.vertices, P.ambient_dim, P.dim, P.denominator_q)
+    assert bare == P and hash(bare) == hash(P) and repr(bare) == repr(P)
+    assert "Halfspace" not in repr(P)
 
 
 def test_contains():
@@ -199,6 +215,14 @@ def test_contains():
     assert contains(tri, (F(1, 3), F(1, 3)), "interior")
     with pytest.raises(MixedDimensions):
         contains(box, (0, 0, 0))
+
+
+def test_halfspace_slack_needs_a_point_of_its_dimension():
+    hs = Halfspace((1, 2), 3)
+    assert hs.slack((1, 1)) == 0 and hs.slack((F(1, 2), 0)) == F(5, 2)
+    for x in ((1,), (1, 1, 1)):
+        with pytest.raises(MixedDimensions):
+            hs.slack(x)
 
 
 def test_solve_unique_rejects_mismatched_rhs():

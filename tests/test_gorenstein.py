@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ehrkit.errors import NotLatticePolytope, OriginNotInterior
+from ehrkit.errors import IdentityViolated, NotLatticePolytope, OriginNotInterior
 from ehrkit.geometry import build_polytope, contains, dilate, translate
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit import triangulation
@@ -14,7 +14,7 @@ from ehrkit.gorenstein import (
     is_reflexive,
     verify_gorenstein_identities,
 )
-from ehrkit.decomposition import hstar_boundary, hstar_polytope
+from ehrkit.decomposition import EhrhartReport, hstar_boundary, hstar_polytope
 from ehrkit.ehrhart import fpp_points
 from ehrkit.triangulation import (
     find_interior_point,
@@ -154,6 +154,22 @@ def test_identity_reflexive_cases():
     assert "hstar_equals_geom_q_times_boundary" in rep.checks
     assert rep.polynomials["hstar"] == \
         GP.geometric(2) * rep.polynomials["hstar_boundary"]
+
+
+@pytest.mark.parametrize("P, message", [
+    (square2, "^reflexive polytope must have"),
+    (triangle, "^Gorenstein polytope must satisfy"),
+    (dilate(box, F(1, 2)), "^rational reflexive polytope must"),
+    (build_polytope(pts((0,), (F(2, 3),))), "^rational Gorenstein polytope must")],
+    ids=["reflexive", "gorenstein", "rational-reflexive", "rational-gorenstein"])
+def test_identities_refuse_a_wrong_boundary_hstar(monkeypatch, P, message):
+    """These identities are theorems: a boundary h* off by one in its constant
+    term must be refused, not reported."""
+    real = EhrhartReport.hstar_boundary.func
+    monkeypatch.setattr(EhrhartReport, "hstar_boundary",
+                        property(lambda report: real(report) + GP.one()))
+    with pytest.raises(IdentityViolated, match=message):
+        verify_gorenstein_identities(P)
 
 
 def test_identity_rational_gorenstein_two_thirds_segment():

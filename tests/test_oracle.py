@@ -8,7 +8,7 @@ from math import ceil, floor
 import pytest
 
 from ehrkit import oracle
-from ehrkit.errors import BoxTooLarge, NotFullDimensional
+from ehrkit.errors import BoxTooLarge, NotFullDimensional, TailNonzero
 from ehrkit.geometry import build_polytope, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.linalg import interpolate_polynomial
@@ -30,6 +30,19 @@ def test_count_examples():
     assert count_points(seg, 3) == 3
     with pytest.raises(NotFullDimensional):
         count_points(build_polytope(pts((0, 0), (1, 1))), 1)
+
+
+@pytest.mark.parametrize("mode", ["closed", "interior", "boundary"])
+def test_a_wrong_count_leaves_a_nonzero_tail(monkeypatch, mode):
+    """One count off by one at n = 1 adds z(1 - z^q)^power to the product,
+    whose last term lies past the degree bound in every mode."""
+    real = oracle.count_points
+    monkeypatch.setattr(oracle, "count_points",
+                        lambda P, n, mode="closed": real(P, n, mode) + (n == 1))
+    for P in (build_polytope(pts((0, 0), (1, 0), (0, 1))),
+              build_polytope(pts((F(-1, 2),), (F(1, 2),)))):
+        with pytest.raises(TailNonzero, match=mode):
+            hstar_from_counts(P, mode)
 
 
 def test_count_modes_add_up(corpus_polytope):

@@ -243,6 +243,18 @@ def test_apex_outside_P_is_a_bad_argument(monkeypatch):
     assert len(half_open_cone(square2, (2, 1)).cells) == 3  # a boundary apex is in P
 
 
+def test_apex_of_the_wrong_dimension_is_refused(monkeypatch):
+    # the facet slacks alone would zip a short apex with the normals and truncate it
+    T = triangulate_boundary(square2)
+    pulls = count_calls(monkeypatch, triangulation._pull_face)
+    for apex in ((1,), (1, 1, 1)):
+        with pytest.raises(MixedDimensions):
+            half_open_cone(square2, apex)
+        with pytest.raises(MixedDimensions):
+            half_open_decompose(T, square2, apex=apex)
+    assert pulls == []
+
+
 def test_half_open_decompose_rejects_nongeneric_y():
     T = triangulate_boundary(square2)
     with pytest.raises(NotGeneric):
