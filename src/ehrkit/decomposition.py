@@ -32,6 +32,7 @@ from .ehrhart import fpp_lattice_points  # noqa: F401
 from .triangulation import (
     ConeTriangulation,
     HalfOpenSimplex,
+    _apex,
     _decompose,
     _half_open,
     _pull_facets,
@@ -223,7 +224,8 @@ class EhrhartReport:
             raise WalkTooLarge("q = %d: every cell of the h* cone has at least q residues, "
                                "more than the limit %d" % (self.q, ENUMERATION_LIMIT))
         v = P.vertices[0]
-        return _hstar(_half_open(P, _pull_facets(P, v, self._pulled), v))
+        top, slacks = _apex(P, v)
+        return _hstar(_half_open(P, _pull_facets(P, slacks, self._pulled), v, top))
 
     @cached_property
     def hstar_boundary(self) -> GradedPolynomial:

@@ -168,16 +168,17 @@ def _apex(P: Polytope, apex):
     return column, slacks
 
 
-def _pull_facets(P: Polytope, apex=None, pulled=None) -> list[tuple[int, ...]]:
-    """Pulling triangulations of the facets of P whose hyperplane misses the
-    point apex of P (every facet when apex is None), as sorted ascending index
-    tuples into P.vertices, which sort as their point tuples would.
+def _pull_facets(P: Polytope, slacks=None, pulled=None) -> list[tuple[int, ...]]:
+    """Pulling triangulations of the facets of P on which an apex has nonzero
+    slack, its slacks as _apex gives them (every facet when slacks is None),
+    as sorted ascending index tuples into P.vertices, which sort as their
+    point tuples would.
 
     Each face, a vertex bitmask, is pulled once per memo `pulled` (a fresh one
     per call by default), so a second call through the same memo pulls only
     the faces the first did not reach."""
     pulled = {} if pulled is None else pulled
-    slacks = [1] * len(P._incidence) if apex is None else _apex(P, apex)[1]
+    slacks = [1] * len(P._incidence) if slacks is None else slacks
     pieces = []
     for F, slack in zip(P._incidence, slacks):
         if slack:
@@ -244,15 +245,15 @@ def _generic_point(P: Polytope, apex: Point, cells):
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
-def _half_open(P: Polytope, pieces, apex, y=None, points=None) -> ConeTriangulation:
+def _half_open(P: Polytope, pieces, apex, top, y=None, points=None) -> ConeTriangulation:
     """The pieces, index tuples into `points` (P's vertices, then any other
-    point), coned over the point apex of P, each cell built once with the
-    facets visible from y (default: _generic_point's) removed and its count."""
+    point), coned over the point apex of P, whose column top is _apex's, each
+    cell built once with the facets visible from y (default:
+    _generic_point's) removed and its count."""
     apex, points = as_point(apex), P.vertices if points is None else points
     q, rows = P._int_vertices
     columns = [tuple(a // g for a in w + (q,)) for w in rows for g in [gcd(q, *w)]]
     columns += map(_homogenized, points[len(rows):])
-    top = _apex(P, apex)[0]
     cells = [tuple(columns[i] for i in piece) + (top,) for piece in pieces]
     if y is None:
         y, seen = _generic_point(P, apex, cells)
@@ -278,10 +279,11 @@ def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
     slack / q, to the facet whose incidence holds it; a caller's cell counts itself."""
     if apex is None:
         apex = find_interior_point(P)[1]
-    cone = _half_open(P, pieces, apex, y, points)
+    top, slacks = _apex(P, apex)
+    cone = _half_open(P, pieces, apex, top, y, points)
     counts = [None] * len(pieces)
     if points is None:
-        q, slacks = P.denominator_q, _apex(P, apex)[1]
+        q = P.denominator_q
         for k, (piece, cell) in enumerate(zip(pieces, cone.cells)):
             bits = sum(1 << i for i in piece)
             height = next(s for F, s in zip(P._incidence, slacks) if F & bits == bits) // q
@@ -297,7 +299,8 @@ def half_open_cone(P: Polytope, apex) -> ConeTriangulation:
     """Half-open d-simplices partitioning P: the facets whose hyperplane misses
     the point apex of P are pulled, coned over it and masked by visibility."""
     apex = as_point(apex)
-    return _half_open(P, _pull_facets(P, apex), apex)
+    top, slacks = _apex(P, apex)
+    return _half_open(P, _pull_facets(P, slacks), apex, top)
 
 
 def _index(P: Polytope, cells):

@@ -15,7 +15,8 @@ from ehrkit.decomposition import hstar_boundary, hstar_polytope, inequality_audi
 from ehrkit.ehrhart import hstar_cells
 from ehrkit.gorenstein import gorenstein_index, verify_gorenstein_identities
 from ehrkit.rational_ehrhart import codenominator, rational_decompose, rational_series
-from ehrkit.triangulation import _half_open, _pull_facets, half_open_decompose, triangulate_boundary
+from ehrkit.triangulation import (_apex, _half_open, _pull_facets, half_open_decompose,
+                                  triangulate_boundary)
 
 from conftest import CORPUS, bundle_for
 from helpers import generic_points, scan_reflexive
@@ -134,7 +135,8 @@ def test_criterion_6_invariant_suite():
         ys = generic_points(P)
         ok = ok and len({hstar_cells(half_open_decompose(T, P, y=y)[0].simplices, q)
                          for y in ys} | {hstar_boundary(P)}) == 1
-        ok = ok and len({hstar_cells(_half_open(P, _pull_facets(P, v), v, y).cells, q)
+        top, slacks = _apex(P, v)
+        ok = ok and len({hstar_cells(_half_open(P, _pull_facets(P, slacks), v, top, y).cells, q)
                          for y in ys} | {hstar_polytope(P)}) == 1
     _report(6, "palindromicity, reciprocity, boundary difference identity, "
                "positivity chain, missing-face bounds, generic-point invariance", ok)

@@ -270,3 +270,16 @@ def test_ehrhart_report_eliminates_no_cell_twice(monkeypatch, P):
         raise AssertionError("a pipeline cell ran _residue_count")
     monkeypatch.setattr(triangulation, "_residue_count", eliminated)
     ehrhart_report(P)
+
+
+def test_each_cone_places_its_apex_once(monkeypatch):
+    """The apex's column and facet slacks are computed once per cone: the
+    vertex cone of h* pulls and cones with one placement, and the cone over
+    x of the boundary h* cones and measures facet distances with one."""
+    P = dict(standard_corpus())["random-d3-q2-0"]
+    placed = count_calls(monkeypatch, triangulation._apex)
+    rep = EhrhartReport(P)
+    rep.hstar
+    assert len(placed) == 1
+    rep.hstar_boundary
+    assert len(placed) == 2

@@ -438,8 +438,9 @@ def test_apex_and_generic_point_invariance():
             boundaries = [half_open_decompose(T, P, y=y, apex=a)[0] for y in ys]
             assert len({tuple(S.missing for S in B.simplices) for B in boundaries}) > 1
             assert {hstar_cells(B.simplices, q) for B in boundaries} == {hstar_boundary(P)}
+        top, slacks = triangulation._apex(P, v)
         hstar_values = {hstar_cells(triangulation._half_open(
-            P, triangulation._pull_facets(P, v), v, y).cells, q) for y in ys}
+            P, triangulation._pull_facets(P, slacks), v, top, y).cells, q) for y in ys}
         assert hstar_values == {hstar_polytope(P)}
 
 

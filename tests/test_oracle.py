@@ -3,13 +3,13 @@ import pathlib
 import tracemalloc
 import types
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, prod
 
 import pytest
 
 from ehrkit import oracle
 from ehrkit.errors import BoxTooLarge, NotFullDimensional, TailNonzero
-from ehrkit.geometry import build_polytope, dilate
+from ehrkit.geometry import Halfspace, build_polytope, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.linalg import interpolate_polynomial
 from ehrkit.oracle import count_points, hstar_from_counts
@@ -35,10 +35,11 @@ def test_count_examples():
 @pytest.mark.parametrize("mode", ["closed", "interior", "boundary"])
 def test_a_wrong_count_leaves_a_nonzero_tail(monkeypatch, mode):
     """One count off by one at n = 1 adds z(1 - z^q)^power to the product,
-    whose last term lies past the degree bound in every mode."""
-    real = oracle.count_points
-    monkeypatch.setattr(oracle, "count_points",
-                        lambda P, n, mode="closed": real(P, n, mode) + (n == 1))
+    whose last term lies past the degree bound in every mode.  The fault
+    sits in the sweep, which hstar_from_counts calls with its one plan."""
+    real = oracle._counts
+    monkeypatch.setattr(oracle, "_counts", lambda plan, n, shifts: [
+        real(plan, n, shifts)[0] + (n == 1)] + real(plan, n, shifts)[1:])
     for P in (build_polytope(pts((0, 0), (1, 0), (0, 1))),
               build_polytope(pts((F(-1, 2),), (F(1, 2),)))):
         with pytest.raises(TailNonzero, match=mode):
@@ -117,6 +118,80 @@ def test_box_guard():
     huge = build_polytope(pts((0,), (10 ** 9,)))
     with pytest.raises(BoxTooLarge):
         count_points(huge, 1000)
+
+
+def test_every_box_is_sized_before_the_first_sweep(monkeypatch):
+    """Box size is not monotone in n, so hstar_from_counts sizes the box of
+    every dilate first: here n = 1 fits and n = 2 does not, and nothing is
+    swept before the refusal."""
+    sweeps = count_calls(monkeypatch, oracle._counts)
+    long = build_polytope(pts((0, 0), (2 * 10 ** 7, 0), (0, 1)))
+    with pytest.raises(BoxTooLarge):
+        hstar_from_counts(long, "closed")
+    assert sweeps == []
+
+
+def namespace(P, facets):
+    """P's vertices with another facet list, as the oracle reads a polytope."""
+    return types.SimpleNamespace(vertices=P.vertices, ambient_dim=P.ambient_dim,
+                                 is_full_dimensional=True, facets=list(facets))
+
+
+def test_the_clip_holds_every_point_the_facets_admit():
+    """The loop bounds come from the facet list, not from the true hull, so a
+    list missing a facet is counted point for point: the leaked-pair hull of
+    test_checks, which lacks one of its 14 facets, and cross-polytopes less
+    their first facet.  Each list still confines its points to P's box, so
+    the box count is its whole count."""
+    leaked = build_polytope(pts((0, 0, 1, 0), (0, 1, 1, 2), (1, 0, 0, 0), (1, 0, 0, 1),
+                                (1, 0, 0, 2), (1, 0, 1, 2), (1, 1, 1, 1), (1, 2, 2, 1),
+                                (2, 0, 1, 0), (2, 2, 0, 1)))
+    lists = [namespace(leaked, [hs for hs in leaked.facets
+                                if hs != Halfspace((2, -1, -2, 0), 2)])]
+    for d in (3, 4):
+        cross = build_polytope([tuple(F(s) if i == j else F(0) for i in range(d))
+                                for j in range(d) for s in (1, -1)])
+        lists.append(namespace(cross, cross.facets[1:]))
+    for N in lists:
+        for n in (1, 2, 3):
+            for mode in ("closed", "interior", "boundary"):
+                assert count_points(N, n, mode) == brute_force_count(N, n, mode), (n, mode)
+
+
+def test_counts_do_not_depend_on_the_axis_order():
+    """Permuting the coordinates permutes the plan's axes and changes no
+    count; the elongated simplex's long axis, the fiber axis, moves with the
+    permutation."""
+    long = pts((0, 0, 0), (9, 1, 0), (0, 1, 1), (2, 0, 1))
+    for points in (long, pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+                   pts((0, 0, 0, 0), (F(5, 2), 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+                       (1, F(1, 2), 1, 1))):
+        P = build_polytope(points)
+        for shift in range(1, P.dim):
+            Q = build_polytope([p[shift:] + p[:shift] for p in points])
+            for n in (1, 2, 3):
+                for mode in ("closed", "interior", "boundary"):
+                    assert count_points(Q, n, mode) == count_points(P, n, mode), (n, mode)
+    for points in (long, [p[1:] + p[:1] for p in long]):  # the long axis first, then last
+        P = build_polytope(points)
+        _, least, greatest = oracle._plan(P, oracle._extremes(P))[0]
+        assert [b - a for a, b in zip(least, greatest)] == [1, 1, 9]
+
+
+def test_the_sweep_stays_near_a_thin_polytope(monkeypatch):
+    """A thin simplex along the diagonal of its box: the sweep bounds far
+    fewer fibers, over all of its _bounds calls, than the box has."""
+    widths = []
+    real = oracle._bounds
+    monkeypatch.setattr(oracle, "_bounds", lambda rest, step, width, k: (
+        widths.append(width), real(rest, step, width, k))[1])
+    thin = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (60, 60, 61)))
+    for n in (1, 2):
+        widths.clear()
+        assert count_points(thin, n) == brute_force_count(thin, n, "closed")
+        lows, highs = oracle._bounding_box(thin, n)
+        fibers = prod(hi - lo + 1 for lo, hi in zip(lows[:-1], highs[:-1]))
+        assert sum(widths) * 8 < fibers, (n, sum(widths), fibers)
 
 
 def test_hstar_from_counts_examples():

@@ -1,6 +1,6 @@
 """Property and metamorphic tests over random rational polytopes, d <= 3, q <= 3,
 with an oracle check also in d = 4, q <= 2, the oracle's counts against a
-point-by-point scan in d <= 4, an oracle-free metamorphic check
+point-by-point scan in d <= 5, an oracle-free metamorphic check
 in d = 4, 5, q <= 2 and one through the lattice chart of polytopes embedded
 in higher dimension, over random point sets in d <= 4 for the hull, and over
 random half-open simplices for the parallelepiped walk.
@@ -26,7 +26,7 @@ from ehrkit.geometry import build_polytope, point_denominator, project_to_affine
 from ehrkit.linalg import (_int_normal, _int_rank, _residue_count, _scaled, determinant, dot,
                            solve_unique)
 from ehrkit.oracle import count_points, hstar_from_counts
-from ehrkit.triangulation import HalfOpenSimplex, _pull_facets, half_open_cone
+from ehrkit.triangulation import HalfOpenSimplex, _apex, _pull_facets, half_open_cone
 
 from helpers import (brute_force_count, brute_force_fpp_points, brute_force_hull,
                      check_pulled_pieces, cone_volume, fraction_determinant, fraction_rank,
@@ -85,10 +85,11 @@ def test_pipeline_matches_oracle_in_4d(P):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(rational_polytopes(dims=(1, 4)))
+@given(rational_polytopes(dims=(1, 5)))
 def test_oracle_counts_match_point_by_point(P):
-    """The oracle's row sweep, whose boxes are padded to two axes in d = 1, 2
-    and whose facets have last normal entries 0, +-1 and larger, against a
+    """The oracle's row sweep, whose boxes are padded to two axes in d = 1, 2,
+    whose rows are clipped to the projections of nP in d >= 3 and whose
+    facets have last normal entries 0, +-1 and larger, against a
     point-by-point test of its box."""
     for n in (1, 2):
         for mode in ("closed", "interior", "boundary"):
@@ -154,7 +155,7 @@ def test_vertex_numbering_is_lexicographic(P):
     to ascending point tuples in the order the point tuples sort in."""
     for hs, face in zip(P.facets, P._incidence):
         assert face == sum(1 << i for i, v in enumerate(P.vertices) if hs.slack(v) == 0)
-    for pieces in (_pull_facets(P), _pull_facets(P, P.vertices[0])):
+    for pieces in (_pull_facets(P), _pull_facets(P, _apex(P, P.vertices[0])[1])):
         points = [tuple(P.vertices[i] for i in piece) for piece in pieces]
         assert all(list(p) == sorted(set(p)) for p in points)
         assert points == sorted(points)

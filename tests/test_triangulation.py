@@ -267,7 +267,8 @@ def test_y_outside_the_interior_is_rejected():
     with pytest.raises(ValueError, match="y must lie in the interior of P"):
         half_open_decompose(triangulate_boundary(skew), skew, y=(10, F(1, 7)))
     with pytest.raises(ValueError, match="y must lie in the interior of P"):
-        triangulation._half_open(skew, triangulation._pull_facets(skew, v), v,
+        top, slacks = triangulation._apex(skew, v)
+        triangulation._half_open(skew, triangulation._pull_facets(skew, slacks), v, top,
                                  (F(-3, 7), F(-11, 13)))
 
 
