@@ -50,20 +50,20 @@ def symmetric_decompose(h: GradedPolynomial, q: int, ell: int, d: int):
     """
     if h.grid != 1:
         raise ValueError("decomposition works on integer-exponent polynomials")
-    quot, rem = h.divmod_exact(GradedPolynomial.geometric(q))
-    if not rem.is_zero:
+    quot = h.times_one_minus(1).over_one_minus(q)
+    if quot is None:
         raise NotDivisible("input is not divisible by 1 + z + ... + z^%d" % (q - 1))
-    lhs = quot * GradedPolynomial.geometric(ell)
+    lhs = quot.times_one_minus(ell).over_one_minus(1)
     n = q * d
     if lhs.degree_key > n:
         raise NoSolution("left side exceeds degree %d" % n)
-    one_minus = GradedPolynomial.from_dict({0: 1, ell: -1})
-    b, rem = (lhs.reverse(n) - lhs).divmod_exact(one_minus)
-    if not rem.is_zero:
-        raise NoSolution("reversal difference is not divisible by 1 - z^ell")
+    # lhs lies in geom(ell) Z[z] with degree <= n, so these two are theorems
+    b = (lhs.reverse(n) - lhs).over_one_minus(ell)
+    if b is None:
+        raise IdentityViolated("reversal difference is not divisible by 1 - z^ell")
     a = lhs - b.shift(ell)
     if not (a.is_palindromic(n) and (b.is_zero or b.is_palindromic(n - ell))):
-        raise NoSolution("decomposition is not palindromic")
+        raise IdentityViolated("decomposition is not palindromic")
     return a, b
 
 
@@ -75,6 +75,7 @@ class DecompositionReport:
     a: GradedPolynomial
     b: GradedPolynomial
     a_equals_boundary: bool
+    """Always True: the report raises IdentityViolated when a is not boundary h*."""
     s_degree: int
 
     def to_json_dict(self) -> dict:

@@ -257,18 +257,14 @@ class SeriesForm:
 
     def coefficients(self, count: int) -> list[int]:
         """First `count` series coefficients, indexed by key on the numerator grid."""
-        e_key = self.denom_exponent * self.numerator.grid
-        if e_key.denominator != 1 or e_key <= 0:
-            raise ValueError("denominator exponent must be positive, on the numerator grid")
+        step = self.numerator.key_of(self.denom_exponent)
         if self.denom_power < 0:
             raise ValueError("denominator power must be nonnegative")
-        e_key = int(e_key)
         num = self.numerator.as_dict()
         out = [num.get(n, 0) for n in range(count)]
-        # each factor 1 / (1 - z^e) is one running sum at stride e
-        for _ in range(self.denom_power):
-            for n in range(e_key, count):
-                out[n] += out[n - e_key]
+        for _ in range(self.denom_power):  # each 1 / (1 - z^e) is one running sum at stride e
+            for n in range(step, count):
+                out[n] += out[n - step]
         return out
 
 

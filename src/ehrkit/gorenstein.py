@@ -36,7 +36,6 @@ from math import gcd
 
 from .errors import IdentityViolated, NotFullDimensional, NotLatticePolytope, OriginNotInterior
 from .geometry import Polytope, as_point, contains
-from .gradedpoly import GradedPolynomial
 from .decomposition import EhrhartReport
 from .linalg import solve_unique
 
@@ -148,23 +147,22 @@ def verify_gorenstein_identities(P: Polytope) -> GorensteinIdentityReport:
     h, hb, ell = report.hstar, report.hstar_boundary, report.ell
     checks: list[str] = []
 
-    geom = GradedPolynomial.geometric
-
+    # geom(k) = (1 - z^k)/(1 - z), and multiplying both sides by 1 - z loses nothing
     if status.kind is GorensteinKind.REFLEXIVE:
         _require(h == hb, "reflexive polytope must have h* equal to boundary h*")
         checks.append("hstar_equals_boundary")
     elif status.kind is GorensteinKind.RATIONAL_REFLEXIVE:
-        _require(h == geom(q) * hb,
+        _require(h.times_one_minus(1) == hb.times_one_minus(q),
                  "rational reflexive polytope must satisfy h* = geom(q) * boundary h*")
         checks.append("hstar_equals_geom_q_times_boundary")
     elif status.kind is GorensteinKind.GORENSTEIN:
         g = status.g
-        _require(hb == geom(g) * h,
+        _require(hb.times_one_minus(1) == h.times_one_minus(g),
                  "Gorenstein polytope must satisfy boundary h* = geom(g) * h*")
         _require(g == ell, "lattice Gorenstein index must equal the interior dilate")
         checks.append("boundary_equals_geom_g_times_hstar")
     elif status.kind is GorensteinKind.RATIONAL_GORENSTEIN:
-        _require(geom(ell) * h == geom(q) * hb,
+        _require(h.times_one_minus(ell) == hb.times_one_minus(q),
                  "rational Gorenstein polytope must satisfy geom(ell) h* = geom(q) boundary h*")
         checks.append("geom_ell_hstar_equals_geom_q_boundary")
 

@@ -5,7 +5,8 @@ fractional-exponent numerators of rational Ehrhart series (grid r or 2r).
 A key k stands for the monomial z^(k/grid); zero coefficients are never
 stored, so equality is structural.  Keys and coefficients must be ints (in
 JSON, ints or decimal-integer strings), the grid an int >= 1, and every
-operation, long division included, stays in integer arithmetic.
+operation stays in integer arithmetic.  Series identities multiply and
+divide by 1 - z^e alone; exact division by it is a running sum at stride e.
 """
 
 from __future__ import annotations
@@ -67,10 +68,7 @@ class GradedPolynomial:
         return dict(self.coeffs)
 
     def coeff(self, key: int) -> int:
-        for k, c in self.coeffs:
-            if k == key:
-                return c
-        return 0
+        return self.as_dict().get(key, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -140,31 +138,31 @@ class GradedPolynomial:
 
     def dominates(self, other: "GradedPolynomial") -> bool:
         """Coefficient-wise self >= other."""
-        self._require_same_grid(other)
-        theirs = other.as_dict()
-        mine = self.as_dict()
-        keys = set(mine) | set(theirs)
-        return all(mine.get(k, 0) >= theirs.get(k, 0) for k in keys)
+        return (self - other).is_nonnegative
 
-    def divmod_exact(self, other: "GradedPolynomial"):
-        """Polynomial divmod by integer long division.  Quotients are unique,
-        so a step whose leading coefficient does not divide exactly means no
-        integral quotient exists: it raises ValueError."""
-        self._require_same_grid(other)
-        if self.is_zero:
-            return self, self
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        top, lead = other.coeffs[-1]
-        rem, quot = self.as_dict(), {}
-        for k in range(self.degree_key - top, -1, -1):
-            c, m = divmod(rem.get(k + top, 0), lead)
-            if m:
-                raise ValueError("division left non-integer coefficients")
-            quot[k] = c
-            for key, b in other.coeffs:
-                rem[k + key] = rem.get(k + key, 0) - c * b
-        return GradedPolynomial.from_dict(quot, self.grid), GradedPolynomial.from_dict(rem, self.grid)
+    def key_of(self, e) -> int:
+        """The key of z^e, which must be a positive multiple of 1/grid."""
+        key = Fraction(e) * self.grid
+        if key.denominator != 1 or key <= 0:
+            raise ValueError("exponent %s must be positive and on the grid 1/%d" % (e, self.grid))
+        return int(key)
+
+    def times_one_minus(self, e) -> "GradedPolynomial":
+        """Multiply by 1 - z^e."""
+        step, out = self.key_of(e), self.as_dict()
+        for k, c in self.coeffs:
+            out[k + step] = out.get(k + step, 0) - c
+        return GradedPolynomial.from_dict(out, self.grid)
+
+    def over_one_minus(self, e) -> "GradedPolynomial | None":
+        """The exact quotient by 1 - z^e, or None when the division leaves a
+        remainder: one running sum at stride e, whose top e terms must vanish."""
+        step, coeffs = self.key_of(e), self.as_dict()
+        values = [coeffs.get(k, 0) for k in range(self.degree_key + 1)]
+        for n in range(step, len(values)):
+            values[n] += values[n - step]
+        top = max(len(values) - step, 0)
+        return None if any(values[top:]) else GradedPolynomial.from_list(values[:top], self.grid)
 
     # -- grid handling ----------------------------------------------------------
 

@@ -87,11 +87,11 @@ def _origin_position(P: Polytope) -> str:
 def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
     """h* of the scaled polytope re-expressed over (1 - z^m)^(d+1).
 
-    m must be an int, not a bool.  At m = q the lift is 1.  Otherwise it
-    multiplies d + 1 times by a polynomial of m/q terms, the k-th time
-    (k = 0..d) a numerator of degree below q(d+1) + k(m - q).  The
-    coefficient products this bounds must stay within ENUMERATION_LIMIT,
-    checked before h* is computed.
+    m must be an int, not a bool.  At m = q the lift is 1.  Otherwise h* is
+    multiplied d + 1 times by (1 - z^m)/(1 - z^q), a pass each way over fewer
+    than m(d+1) terms.  Checked before h* is computed, the bound counts the
+    schoolbook lift's coefficient products, at least m(d+1)^2: the order of the
+    passes' work and above the output's size, so it caps both by ENUMERATION_LIMIT.
     """
     q, d = scaled.q, scaled.d
     if not isinstance(m, int) or isinstance(m, bool):
@@ -106,9 +106,8 @@ def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
         raise InvalidM("m = %d lifts the numerator with up to %d coefficient products, more "
                        "than the limit %d" % (m, products, ENUMERATION_LIMIT))
     h = scaled.hstar
-    lift = GradedPolynomial.from_dict({q * i: 1 for i in range(m // q)})
     for _ in range(d + 1):
-        h = h * lift
+        h = h.times_one_minus(m).over_one_minus(q)
     return h
 
 

@@ -138,21 +138,6 @@ def fraction_solve(rows, rhs):
     return tuple(x)
 
 
-def fraction_divmod(num, den):
-    """Long division of dense coefficient lists (low degree first) over
-    Fraction: (quotient, remainder), the remainder of len(den) - 1 entries."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den[-1] == 0:
-        den.pop()
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for k in reversed(range(len(quot))):
-        quot[k] = num[k + len(den) - 1] / den[-1]
-        for i, d in enumerate(den):
-            num[k + i] -= quot[k] * d
-    return quot, (num + [Fraction(0)] * len(den))[:len(den) - 1]
-
-
 def hyperplane_through(points):
     """Primitive integer (normal, offset) with normal . p == offset for d points in R^d.
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,9 +244,9 @@ def test_bad_m_is_a_usage_error(capsys):
 
 
 def test_huge_m_is_a_usage_error(monkeypatch, capsys):
-    def multiply(self, other):
+    def multiply(self, e):
         raise AssertionError("the lift multiplied before its size check")
-    monkeypatch.setattr(GP, "__mul__", multiply)
+    monkeypatch.setattr(GP, "times_one_minus", multiply)
     assert run(["rational", "--vertices", "0,0,0; 1,0,0; 0,1,0; 0,0,1", "--m", "1000000"]) == 2
     assert capsys.readouterr().err.startswith("usage error: --m: ")
 
@@ -274,3 +278,23 @@ def test_dump_triangulation_reuses_the_cone(square2_file, tmp_path, monkeypatch,
                 "--dump-triangulation", str(tmp_path / "tri.json")]) == 0
     capsys.readouterr()
     assert [len(calls) for calls in counts] == [1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rational", "--vertices", "0,0; 1/2,0; 0,1/2"],  # small: fails at the last flush
+    ["hstar", "--json", "--vertices", "0; 1/3000"],  # 62 kB: fails inside print
+])
+def test_closed_pipe_gives_no_traceback(argv):
+    """`ehrkit ... | head -c 10` closes stdout before the output is written;
+    the CLI exits 1 with nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ehrkit.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ehrkit.errors import ApexInSpan, NoSolution, NotDivisible
+from ehrkit.errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible
 from ehrkit.geometry import build_polytope
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import (
@@ -64,6 +64,33 @@ def test_symmetric_decompose_refusals():
     # 1 + z^3 has degree 3, above q*d = 1, so no palindromic pair of degree 1 exists
     with pytest.raises(NoSolution, match="left side exceeds degree 1"):
         symmetric_decompose(GP.from_dict({0: 1, 3: 1}), q=1, ell=1, d=1)
+
+
+def test_symmetric_decompose_at_q_ten_to_the_five():
+    """h* of [0, 1/q]^3 is geom(q) A(z^q), with A = 1 + 4z + z^2 the Eulerian
+    polynomial.  Its interior dilate is ell = q + 1, so a = geom(q + 1) A(z^q)
+    and b = 0.  The decomposition is linear in q; long division by geom(q)
+    would take about 3 * 10^10 steps here."""
+    q = 10 ** 5
+    eulerian = GP.from_dict({0: 1, q: 4, 2 * q: 1})
+    a, b = symmetric_decompose(GP.geometric(q) * eulerian, q=q, ell=q + 1, d=3)
+    assert a == GP.geometric(q + 1) * eulerian and b.is_zero
+
+
+@pytest.mark.parametrize("wrong, message", [(lambda b: None, "not divisible by 1 - z"),
+                                            (lambda b: b + GP.one(), "not palindromic")])
+def test_symmetric_decompose_theorem_checks(monkeypatch, wrong, message):
+    """lhs lies in geom(ell) Z[z] with degree <= q*d, so rev - lhs is
+    (1 - z^ell) b with b palindromic, and then a is palindromic too: only a
+    broken division by 1 - z^ell reaches these two checks."""
+    real = GP.over_one_minus
+
+    def broken(self, e):
+        return wrong(real(self, e)) if e == 2 else real(self, e)
+    monkeypatch.setattr(GP, "over_one_minus", broken)
+    # the unit square: q = 1, ell = 2, so only the last division is by 1 - z^2
+    with pytest.raises(IdentityViolated, match=message):
+        symmetric_decompose(GP.from_list([1, 1]), q=1, ell=2, d=2)
 
 
 def test_symmetric_decompose_is_deterministic_unique():

@@ -1,12 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehrkit.gradedpoly import GradedPolynomial as GP
-
-from helpers import fraction_divmod
 
 
 def test_construction_drops_zeros():
@@ -58,60 +56,50 @@ def test_reverse_and_palindromic():
     assert GP.zero().is_palindromic()
 
 
-def test_divmod_exact():
-    p = GP.from_list([1, 1, 1, 1])
-    q, r = p.divmod_exact(GP.from_list([1, 1]))
-    assert q == GP.from_list([1, 0, 1]) and r.is_zero
-    q, r = GP.from_list([1, 1, 1]).divmod_exact(GP.from_list([1, 1]))
-    assert not r.is_zero
+def test_one_minus_examples():
+    # (1 + z + z^2)(1 - z) = 1 - z^3, and 1 + z^2 on grid 2 is 1 + z
+    assert GP.geometric(3).times_one_minus(1) == GP.from_dict({0: 1, 3: -1})
+    assert GP.from_dict({0: 1, 3: -1}).over_one_minus(1) == GP.geometric(3)
+    assert GP.from_dict({0: 1, 3: -1}).over_one_minus(3) == GP.one()
+    assert GP.from_list([1, 1, 1, 1]).over_one_minus(2) is None
+    assert GP.from_list([1, 0, 1], grid=2).times_one_minus(F(1, 2)) == \
+        GP.from_list([1, -1, 1, -1], grid=2)
+    # (1 - z^2) * geom(2)(z^2) = 1 - z^4, read at exponent 2 on grid 1
+    assert GP.from_dict({0: 1, 4: -1}).over_one_minus(2) == GP.from_dict({0: 1, 2: 1})
 
 
-def test_divmod_exact_edge_cases():
+def test_one_minus_edge_cases():
     zero = GP.zero()
-    assert zero.divmod_exact(zero) == (zero, zero)
-    assert zero.divmod_exact(GP.from_list([1, 2])) == (zero, zero)
-    with pytest.raises(ZeroDivisionError):
-        GP.one().divmod_exact(zero)
-    with pytest.raises(ValueError, match="non-integer"):
-        GP.from_list([1, 1]).divmod_exact(GP.from_list([0, 2]))  # quotient 1/2
-    with pytest.raises(ValueError, match="non-integer"):
-        GP.from_list([0, 0, 1]).divmod_exact(GP.from_list([1, 2]))  # z/2 - 1/4
-    # negative leading coefficients: 1 - z^3 = (1 + z + z^2)(1 - z) and
-    # 1 + 5z - 2z^2 = (-2 + z)(1 - 2z) + 3, but z^2 / (1 - 2z) starts at -z/2
-    assert GP.from_dict({0: 1, 3: -1}).divmod_exact(GP.from_list([1, -1])) == \
-        (GP.from_list([1, 1, 1]), zero)
-    assert GP.from_list([1, 5, -2]).divmod_exact(GP.from_list([1, -2])) == \
-        (GP.from_list([-2, 1]), GP.from_list([3]))
-    with pytest.raises(ValueError, match="non-integer"):
-        GP.from_list([0, 0, 1]).divmod_exact(GP.from_list([1, -2]))
-    assert GP.from_list([3]).divmod_exact(GP.from_list([1, -1])) == (zero, GP.from_list([3]))
-    with pytest.raises(ValueError, match="grid mismatch"):
-        GP.one().divmod_exact(GP.one(2))
+    assert zero.times_one_minus(3) == zero
+    assert zero.over_one_minus(3) == zero
+    assert GP.zero(2).over_one_minus(F(1, 2)) == GP.zero(2)
+    assert GP.from_list([3]).over_one_minus(1) is None
+    # z^e must be a positive multiple of 1/grid: z^(1/3) is not on grid 2
+    for p, e in ((GP.one(2), F(1, 3)), (GP.one(), F(1, 2)), (GP.one(), 0), (GP.one(), -1)):
+        for op in (p.times_one_minus, p.over_one_minus):
+            with pytest.raises(ValueError, match="must be positive and on the grid"):
+                op(e)
 
 
 coefficient_lists = st.lists(st.integers(-6, 6), max_size=7)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(coefficient_lists, coefficient_lists.filter(any), st.integers(1, 3), st.booleans())
-def test_divmod_exact_is_long_division(a, b, grid, multiple):
-    """Integer long division agrees with Fraction long division: the same
-    quotient and remainder when they are integral, ValueError when not; and
-    then q*b + r = a with deg r < deg b."""
-    if multiple:  # an exact multiple plus a constant, so most divisions are integral
-        a = (GP.from_list(a) * GP.from_list(b) + GP.from_list(a[:1])).as_dict()
-        a = [a.get(k, 0) for k in range(max(a, default=-1) + 1)]
-    A, B = GP.from_list(a, grid), GP.from_list(b, grid)
-    quot, rem = fraction_divmod(a, b)
-    if any(c.denominator != 1 for c in quot):
-        with pytest.raises(ValueError, match="non-integer"):
-            A.divmod_exact(B)
-        return
-    q, r = A.divmod_exact(B)
-    assert q == GP.from_list([int(c) for c in quot], grid)
-    assert r == GP.from_list([int(c) for c in rem], grid)
-    assert q * B + r == A
-    assert r.degree_key < B.degree_key
+@given(coefficient_lists, st.integers(1, 4), st.sampled_from([1, 2]))
+def test_one_minus_round_trip(a, e, grid):
+    """(p * (1 - z^e)) / (1 - z^e) == p on grids 1 and 2."""
+    p = GP.from_list(a, grid)
+    assert p.times_one_minus(F(e, grid)).over_one_minus(F(e, grid)) == p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(coefficient_lists, coefficient_lists.filter(any), st.integers(1, 4),
+       st.sampled_from([1, 2]))
+def test_one_minus_refuses_a_remainder(a, rem, e, grid):
+    """Any nonzero remainder of degree below e makes the division inexact."""
+    assume(any(rem[:e]))
+    product = GP.from_list(a, grid).times_one_minus(F(e, grid))
+    assert (product + GP.from_list(rem[:e], grid)).over_one_minus(F(e, grid)) is None
 
 
 def test_dominates():

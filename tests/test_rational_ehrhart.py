@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -72,9 +74,9 @@ def test_rational_series_takes_only_an_int_m(endpoint, m):
 def test_rational_series_refuses_a_huge_lift(monkeypatch):
     """m = 10^6 on the standard 3-simplex would lift with about 6 * 10^12
     coefficient products; it is refused before the first one."""
-    def multiply(self, other):
+    def multiply(self, e):
         raise AssertionError("the lift multiplied before its size check")
-    monkeypatch.setattr(GP, "__mul__", multiply)
+    monkeypatch.setattr(GP, "times_one_minus", multiply)
     simplex = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(InvalidM, match="coefficient products"):
         rational_series(simplex, m=10 ** 6)
@@ -89,6 +91,18 @@ def test_rational_decompose_worked_example():
     assert b == GP.from_list([1, 2, 1], grid=2)
     # z^(ell/r) = z: the shifted part reassembles the numerator
     assert a + b.shift(ell) == rep.numerator
+
+
+def test_rational_decompose_at_codenominator_5005():
+    """The origin lies outside this polygon, so the decomposed polytope is
+    P/(2r) with q = 10,010.  Its series algebra is linear in q; with long
+    division it took minutes."""
+    P = build_polytope(pts((2, F(-1, 2)), (F(-3, 2), -2), (F(1, 2), -1), (F(1, 2), F(-3, 2))))
+    rep = rational_decompose(P)
+    assert (rep.r, rep.refined, rep.origin_position) == (5005, True, "outside")
+    data = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == \
+        "8c73a640e36281ae97667af5a62398df53429a74fedf817b2e34ea9cfa5dd7dc"
 
 
 def test_rational_decompose_interior_case():
