@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import (ENUMERATION_LIMIT, ApexInSpan, IdentityViolated, NoSolution, NotDivisible,
@@ -157,6 +158,14 @@ class AuditItem:
     level: str = "requirement"  # or "warning"
 
 
+def _chain(name: str, larger, smaller) -> AuditItem:
+    """The item for larger[j] >= smaller[j], witnessed by the first j that fails."""
+    for j, (big, small) in enumerate(zip(larger, smaller)):
+        if big < small:
+            return AuditItem(name, True, False, "j=%d: %d < %d" % (j, big, small))
+    return AuditItem(name, True, True, "all indices")
+
+
 @dataclass(frozen=True)
 class InequalityAudit:
     items: tuple[AuditItem, ...]
@@ -256,26 +265,11 @@ class EhrhartReport:
         h, hb, ell = self.hstar, self.hstar_boundary, self.ell
         s = h.degree_key
         hd = h.as_dict()
-        top = q * (d + 1) - 1
-        items = []
-
-        ok, witness = True, "all indices"
-        for j in range((top + 1) // 2):
-            low = sum(hd.get(i, 0) for i in range(0, j + 2))
-            high = sum(hd.get(top - i, 0) for i in range(0, j + 1))
-            if low < high:
-                ok, witness = False, "j=%d: %d < %d" % (j, low, high)
-                break
-        items.append(AuditItem("cumulative_lower", True, ok, witness))
-
-        ok, witness = True, "all indices"
-        for j in range(s + 1):
-            high = sum(hd.get(s - i, 0) for i in range(0, j + 1))
-            low = sum(hd.get(i, 0) for i in range(0, j + 1))
-            if high < low:
-                ok, witness = False, "j=%d: %d < %d" % (j, high, low)
-                break
-        items.append(AuditItem("cumulative_upper", True, ok, witness))
+        dense = [hd.get(i, 0) for i in range(q * (d + 1))]
+        prefix = list(accumulate(dense))
+        items = [_chain("cumulative_lower", prefix[1:len(dense) // 2 + 1],
+                        accumulate(reversed(dense))),
+                 _chain("cumulative_upper", accumulate(reversed(dense[:s + 1])), prefix)]
 
         if P.is_lattice:
             quasi = QuasiCoefficients.from_hstar(h, q, d)
@@ -289,12 +283,13 @@ class EhrhartReport:
             items.append(AuditItem("leading_coefficient_bound", False, True,
                                    "lattice polytopes only"))
 
-        if ell <= q:
+        # geom(ell) h* = geom(q) (hb + z^ell b) gives h* >= hb only when ell | q
+        if q % ell == 0:
             items.append(AuditItem("boundary_dominated", True, h.dominates(hb),
                                    "ell=%d <= q=%d" % (ell, q)))
         else:
-            items.append(AuditItem("boundary_dominated", False, True,
-                                   "ell=%d > q=%d" % (ell, q)))
+            reason = "ell=%d > q=%d" if ell > q else "ell=%d does not divide q=%d"
+            items.append(AuditItem("boundary_dominated", False, True, reason % (ell, q)))
 
         # each boundary cell holds |det| >= 1 residues and hb(1) is their sum
         unimodular = P.is_lattice and hb.evaluate_at_one() == len(self.cone[0].simplices)
@@ -320,10 +315,11 @@ class EhrhartReport:
 def inequality_audit(P: Polytope) -> InequalityAudit:
     """Evaluate the coefficient inequalities implied by the decomposition.
 
-    Cumulative lower/upper chains on h*_P, the bound between the two leading
-    quasipolynomial coefficients (lattice polytopes), and boundary domination
-    h*_boundary <= h*_P when ell <= q.  Chains that are only known under a
-    unimodular boundary triangulation are reported as warnings.
+    Cumulative lower/upper chains on h*_P, read off prefix sums of its
+    coefficients, the bound between the two leading quasipolynomial
+    coefficients (lattice polytopes), and boundary domination
+    h*_boundary <= h*_P when ell divides q.  Chains that are only known under
+    a unimodular boundary triangulation are reported as warnings.
     """
     return EhrhartReport(P).audit
 

@@ -121,17 +121,10 @@ def _int_rank(rows) -> int:
 
 def _residue_count(columns):
     """Residue count of the parallelepiped of independent integer columns, the
-    index of their lattice in its saturation (None when dependent): the last
-    pivot for n columns of n entries, the gcd of the cofactor vector for n + 1,
-    the product of the Smith invariants for more."""
-    m, pivots, _ = _echelon(columns)
-    if len(pivots) != len(columns):
+    index of their lattice in its saturation: the product of the Smith
+    invariants (None when the columns are dependent)."""
+    if _int_rank(columns) != len(columns):
         return None
-    extra = len(columns[0]) - len(pivots) if columns else None
-    if extra == 0:
-        return abs(m[-1][-1])
-    if extra == 1:
-        return gcd(*_kernel(m, pivots, len(pivots) + 1))
     return prod(diagonalize(list(zip(*columns)))[0])
 
 

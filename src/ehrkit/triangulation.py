@@ -59,8 +59,8 @@ class HalfOpenSimplex:
     A True mask entry removes the facet opposite that vertex, i.e. forces the
     barycentric coordinate of that vertex to stay strictly positive.
     `_count` is the residue count of the columns: pipeline cells pass the one
-    their visibility solve found, and other cells get it from an elimination
-    that also checks their independence.
+    their visibility solve found, and other cells get it from the Smith form
+    of their columns after a rank check of their independence.
     """
 
     vertices: tuple[Point, ...]

@@ -1,5 +1,8 @@
+import random
+import time
 from fractions import Fraction as F
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +10,7 @@ from ehrkit.errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible
 from ehrkit.geometry import build_polytope
 from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.decomposition import (
+    AuditItem,
     DecompositionReport,
     EhrhartReport,
     _b_polynomial,
@@ -222,6 +226,64 @@ def test_inequality_audit_boundary_domination_cases():
     sq = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
     item = next(i for i in inequality_audit(sq).items if i.name == "boundary_dominated")
     assert not item.applicable  # ell = 2 > q = 1
+
+
+def test_boundary_domination_needs_ell_to_divide_q():
+    """geom(ell) h* = geom(q) (hb + z^ell b) gives h* >= hb only when ell | q.
+    Here q = 3 and ell = 2, and h* = 1 + z^2 + 2z^3 + 2z^4 + 2z^5 + z^7 is
+    not above hb = 1 + 3z^3 + z^6, so the item does not apply."""
+    tri = build_polytope([(F(0), F(-4, 3)), (F(-4, 3), F(-5, 3)), (F(-1), F(-4, 3))])
+    assert hstar_polytope(tri) == GP.from_dict({0: 1, 2: 1, 3: 2, 4: 2, 5: 2, 7: 1})
+    assert hstar_boundary(tri) == GP.from_dict({0: 1, 3: 3, 6: 1})
+    audit = inequality_audit(tri)
+    item = next(i for i in audit.items if i.name == "boundary_dominated")
+    assert not item.applicable and item.witness == "ell=2 does not divide q=3"
+    assert audit.all_passed
+
+
+def quadratic_chains(h, q, d):
+    """The two cumulative chain items by their definition, each sum taken anew."""
+    hd, s, top = h.as_dict(), h.degree_key, q * (d + 1) - 1
+    items = []
+    for name, pairs in (
+            ("cumulative_lower", [(sum(hd.get(i, 0) for i in range(j + 2)),
+                                   sum(hd.get(top - i, 0) for i in range(j + 1)))
+                                  for j in range((top + 1) // 2)]),
+            ("cumulative_upper", [(sum(hd.get(s - i, 0) for i in range(j + 1)),
+                                   sum(hd.get(i, 0) for i in range(j + 1)))
+                                  for j in range(s + 1)])):
+        bad = next(((j, big, small) for j, (big, small) in enumerate(pairs) if big < small), None)
+        items.append(AuditItem(name, True, bad is None,
+                               "all indices" if bad is None else "j=%d: %d < %d" % bad))
+    return items
+
+
+@pytest.mark.parametrize("q, d", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3), (5, 2)])
+def test_prefix_sum_chains_match_their_definition(q, d):
+    """The audit's chains read prefix sums; on random h* of degree below
+    q(d + 1) they give the items of the quadratic definition, witnesses too."""
+    rng = random.Random(q * 10 + d)
+    for _ in range(300):
+        s = rng.randrange(q * (d + 1))
+        h = GP.from_dict({i: rng.randint(0, 3) for i in range(s)} | {s: rng.randint(1, 3)})
+        # a report whose cached fields are set by hand: the audit reads only these
+        report = EhrhartReport(SimpleNamespace(denominator_q=q, dim=d, is_lattice=False))
+        report.__dict__.update(hstar=h, hstar_boundary=GP.one(),
+                               _interior_point=(q * (d + 1) - s, None))
+        assert list(report.audit.items[:2]) == quadratic_chains(h, q, d)
+
+
+def test_audit_is_linear_in_q():
+    """conv(0, e1/q, e2/q) at q = 10^5: h* has degree q - 1 in a range of
+    3q, and the per-index sums of the definition would take about 10^10
+    steps.  The audit alone, after h* and boundary h* exist, is quick."""
+    q = 10 ** 5
+    report = EhrhartReport(build_polytope([(F(0), F(0)), (F(1, q), F(0)), (F(0), F(1, q))]))
+    assert report.hstar == GP.geometric(q) and report.ell == 2 * q + 1
+    report.hstar_boundary
+    start = time.monotonic()
+    assert report.audit.all_passed
+    assert time.monotonic() - start < 1
 
 
 def test_inequality_audit_over_corpus(corpus_bundle):

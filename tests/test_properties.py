@@ -105,6 +105,7 @@ def test_report_fields_match_standalone_entry_points(P):
     assert report.hstar_interior == hstar_interior(P)
     assert report.decomposition == stapledon_report(P)
     assert report.audit == inequality_audit(P)
+    assert report.audit.all_passed
 
 
 @PROPERTY
@@ -116,7 +117,7 @@ def test_visibility_masks_are_slack_signs(P):
 
 def check_pipeline_counts(P):
     """Every cell of both cones, and every boundary cell, carries the count
-    that an elimination of its own columns gives."""
+    that the Smith form of its own columns gives."""
     boundary, cone = EhrhartReport(P).cone
     cells = half_open_cone(P, P.vertices[0]).cells + cone.cells + boundary.simplices
     assert [S._count for S in cells] == [_residue_count(S._columns) for S in cells]
@@ -199,14 +200,17 @@ def polytopes_and_unimodular_images(draw):
 def test_metamorphic_in_dimensions_four_and_five(case):
     """No oracle: h* is invariant under the lattice map, boundary h* is
     palindromic of degree qd, and h*(1) = d! q^(d+1) vol (what `volume`
-    reads) matches the volume of the boundary pieces coned over a point."""
+    reads) matches the volume of the boundary pieces coned over a point, and
+    every applicable requirement of the inequality audit holds."""
     P, image = case
     q, d = P.denominator_q, P.dim
     pieces = check_pulled_pieces(P)
-    h = hstar_polytope(P)
+    report = EhrhartReport(P)
+    h = report.hstar
     assert hstar_polytope(image) == h
-    assert hstar_boundary(P).is_palindromic(q * d)
+    assert report.hstar_boundary.is_palindromic(q * d)
     assert h.evaluate_at_one() == factorial(d) * q ** (d + 1) * cone_volume(P, pieces)
+    assert report.audit.all_passed
 
 
 @st.composite
