@@ -226,12 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Ehrhart series, boundary h*-polynomials and friends.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p, multiple=False):
-        if multiple:
-            p.add_argument("-f", "--file", action="append",
-                           help="polytope JSON file (repeatable)")
-        else:
-            p.add_argument("-f", "--file", help="polytope JSON file")
+    def add_input(p):
+        p.add_argument("-f", "--file", help="polytope JSON file")
         p.add_argument("--vertices", help='inline vertex list, e.g. "0,0; 1/2,1; 1,0"')
         p.add_argument("--project", action="store_true",
                        help="chart lower-dimensional input onto its affine hull "

@@ -30,16 +30,8 @@ from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .ehrhart import QuasiCoefficients, SeriesForm, _height_counts, _hstar, hstar_cells
 # unused here but stays bound: perfbench's streaming-walk test patches it at this name
 from .ehrhart import fpp_lattice_points  # noqa: F401
-from .triangulation import (
-    ConeTriangulation,
-    HalfOpenSimplex,
-    _apex,
-    _decompose,
-    _half_open,
-    _pull_facets,
-    find_interior_point,
-    half_open_cone,
-)
+from .triangulation import (ConeTriangulation, HalfOpenSimplex, _decompose, _pull_facets,
+                            find_interior_point, half_open_cone)
 
 
 def symmetric_decompose(h: GradedPolynomial, q: int, ell: int, d: int):
@@ -187,9 +179,9 @@ class EhrhartReport:
     Each field is computed on first read and at most once.  The fields share
     h*, the interior point (ell, x), and the half-open cone over x, which
     feeds the boundary h* and the b-route; the audit's unimodularity test
-    compares boundary h*(1), the residue count, with the cell count.  Both
-    cones pull their facets through one memo, so each face is pulled once
-    per report, and h* read alone pulls only the facets that miss its vertex.
+    compares boundary h*(1), the residue count, with the cell count.  Each
+    cone pulls its own facets: h* those that miss its vertex, the cone over
+    x every facet.
     """
 
     polytope: Polytope
@@ -211,15 +203,10 @@ class EhrhartReport:
         return find_interior_point(self.polytope)
 
     @cached_property
-    def _pulled(self):
-        """The pull memo of both cones: face -> its pulled pieces."""
-        return {}
-
-    @cached_property
     def cone(self):
         """(BoundaryTriangulation, ConeTriangulation) over the interior point x."""
-        pieces = _pull_facets(self.polytope, pulled=self._pulled)
-        return _decompose(self.polytope, pieces, apex=self._interior_point[1])
+        return _decompose(self.polytope, _pull_facets(self.polytope),
+                          apex=self._interior_point[1])
 
     @cached_property
     def hstar(self) -> GradedPolynomial:
@@ -229,13 +216,10 @@ class EhrhartReport:
         least q residues: q past ENUMERATION_LIMIT is refused before the
         generic-point search.
         """
-        P = self.polytope
         if self.q > ENUMERATION_LIMIT:
             raise WalkTooLarge("q = %d: every cell of the h* cone has at least q residues, "
                                "more than the limit %d" % (self.q, ENUMERATION_LIMIT))
-        v = P.vertices[0]
-        top, slacks = _apex(P, v)
-        return _hstar(_half_open(P, _pull_facets(P, slacks, self._pulled), v, top))
+        return _hstar(half_open_cone(self.polytope, self.polytope.vertices[0]))
 
     @cached_property
     def hstar_boundary(self) -> GradedPolynomial:

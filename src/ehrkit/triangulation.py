@@ -7,19 +7,20 @@ opposite vertex i when y's barycentric coordinate i is negative, which one
 exact solve per cell decides (y is generic when no coordinate is zero).  That
 turns the cover into a genuine partition with exactly one closed cell, which
 is what makes constant terms add up correctly downstream; the same solve
-gives the cell's residue count, |det| of its columns, and a boundary cell
-has its cone cell's count over the apex's lattice distance to its facet (the
-pyramid rule), so no pipeline cell is eliminated twice.  h* uses the
-lexicographically smallest vertex as apex; boundary h* and the b-route use an
-interior point x, over which every facet is pulled and the cells without x
-partition the boundary.  The pulled pieces stay index tuples over P's integer
-vertex table until their masks are known, so each cell is built once, with
-its final mask, and each boundary cell once from its cone cell; a report
-pulls both of its cones through one memo, so it pulls each face once.
+gives the cell's residue count, |det| of its columns, and every boundary
+cell, a caller's too, has its cone cell's count over the apex's lattice
+distance to its facet (the pyramid rule), so no pipeline cell is eliminated
+twice.  h* uses the lexicographically smallest vertex as apex; boundary h* and
+the b-route use an interior point x, over which every facet is pulled and the
+cells without x partition the boundary.  The pulled pieces stay index tuples
+over P's integer vertex table until their masks are known, so each cell is
+built once, with its final mask, and each boundary cell once from its cone
+cell; each cone pulls its own faces.
 
 Pulling works on the face lattice that the hull's vertex-facet incidence, one
 vertex bitmask per facet, already gives: a simplex face is its own piece, any
-other is coned from its lex-min vertex, its lowest bit, and none is re-hulled.
+other is coned from its lex-min vertex, its lowest bit, and none is re-hulled;
+the pieces must close up at every ridge, which certifies the hull.
 
 Everything is deterministic: vertex orderings are lexicographic and the
 generic point comes from one fixed perturbation schedule, verified exactly
@@ -30,6 +31,7 @@ which must lie in the interior of P.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -59,8 +61,9 @@ class HalfOpenSimplex:
     A True mask entry removes the facet opposite that vertex, i.e. forces the
     barycentric coordinate of that vertex to stay strictly positive.
     `_count` is the residue count of the columns: pipeline cells pass the one
-    their visibility solve found, and other cells get it from the Smith form
-    of their columns after a rank check of their independence.
+    their visibility solve or the pyramid rule found, and other cells get it
+    from the Smith form of their columns after a rank check of their
+    independence.
     """
 
     vertices: tuple[Point, ...]
@@ -168,23 +171,24 @@ def _apex(P: Polytope, apex):
     return column, slacks
 
 
-def _pull_facets(P: Polytope, slacks=None, pulled=None) -> list[tuple[int, ...]]:
+def _pull_facets(P: Polytope, slacks=None) -> list[tuple[int, ...]]:
     """Pulling triangulations of the facets of P on which an apex has nonzero
     slack, its slacks as _apex gives them (every facet when slacks is None),
     as sorted ascending index tuples into P.vertices, which sort as their
-    point tuples would.
-
-    Each face, a vertex bitmask, is pulled once per memo `pulled` (a fresh one
-    per call by default), so a second call through the same memo pulls only
-    the faces the first did not reach."""
-    pulled = {} if pulled is None else pulled
+    point tuples would; each face, a vertex bitmask, is pulled once.  The
+    pieces certify the hull: each ridge, a piece less one vertex, lies in two
+    pieces or in one and a facet not pulled, else IdentityViolated."""
     slacks = [1] * len(P._incidence) if slacks is None else slacks
-    pieces = []
+    pulled, pieces = {}, []
     for F, slack in zip(P._incidence, slacks):
         if slack:
-            if F not in pulled:
-                pulled[F] = _pull_face(F, P.dim - 1, P._incidence, pulled)
-            pieces += pulled[F]
+            pieces += _pull_face(F, P.dim - 1, P._incidence, pulled)
+    unpulled = [F for F, slack in zip(P._incidence, slacks) if not slack]
+    masks = [sum(1 << i for i in piece) for piece in pieces]
+    ridges = Counter(m ^ 1 << i for m, piece in zip(masks, pieces) for i in piece)
+    for ridge, n in ridges.items():
+        if n != 2 and not (n == 1 and any(ridge & F == ridge for F in unpulled)):
+            raise IdentityViolated("pulled pieces do not close up: a ridge lies in %d of them" % n)
     return sorted(pieces)
 
 
@@ -274,31 +278,34 @@ def _half_open(P: Polytope, pieces, apex, top, y=None, points=None) -> ConeTrian
 def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
     """half_open_decompose of the boundary pieces (index tuples into points).
     The facet opposite the apex lies in a facet of P and is never removed, so
-    each cone cell's mask restricts to its boundary cell.  A pulled piece
-    (points None) has its cone cell's count over the apex's lattice distance,
-    slack / q, to the facet whose incidence holds it; a caller's cell counts itself."""
+    each cone cell's mask restricts to its boundary cell.  Each boundary cell
+    has its cone cell's count over the apex's lattice distance, slack / q, to
+    a facet that holds all of its points (the pyramid rule): a vertex's facets
+    are its incidence bits, any other point's those where its slack is zero."""
     if apex is None:
         apex = find_interior_point(P)[1]
     top, slacks = _apex(P, apex)
     cone = _half_open(P, pieces, apex, top, y, points)
-    counts = [None] * len(pieces)
-    if points is None:
-        q = P.denominator_q
-        for k, (piece, cell) in enumerate(zip(pieces, cone.cells)):
-            bits = sum(1 << i for i in piece)
-            height = next(s for F, s in zip(P._incidence, slacks) if F & bits == bits) // q
-            counts[k], rest = divmod(cell._count, height)
-            if rest:
-                raise IdentityViolated("facet distance does not divide the cone count")
-    boundary = tuple(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1], cell._columns[:-1],
-                                     count) for cell, count in zip(cone.cells, counts))
-    return BoundaryTriangulation(boundary, P), cone
+    incidence, n = P._incidence, len(P.vertices)
+    for k, u in enumerate(map(_homogenized, points[n:] if points else ()), n):
+        incidence = [F | (not s) << k for F, s in zip(incidence, P._int_slacks(u[:-1], u[-1]))]
+    boundary = []
+    for piece, cell in zip(pieces, cone.cells):
+        bits = sum(1 << i for i in piece)
+        height = next((s for F, s in zip(incidence, slacks) if F & bits == bits), None)
+        if height is None:
+            raise ValueError("boundary cell lies in no facet of P")
+        count, rest = divmod(cell._count, height // P.denominator_q)
+        if rest:
+            raise IdentityViolated("facet distance does not divide the cone count")
+        boundary.append(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1],
+                                        cell._columns[:-1], count))
+    return BoundaryTriangulation(tuple(boundary), P), cone
 
 
 def half_open_cone(P: Polytope, apex) -> ConeTriangulation:
     """Half-open d-simplices partitioning P: the facets whose hyperplane misses
     the point apex of P are pulled, coned over it and masked by visibility."""
-    apex = as_point(apex)
     top, slacks = _apex(P, apex)
     return _half_open(P, _pull_facets(P, slacks), apex, top)
 

@@ -26,7 +26,8 @@ from ehrkit.geometry import build_polytope, point_denominator, project_to_affine
 from ehrkit.linalg import (_int_normal, _int_rank, _residue_count, _scaled, determinant, dot,
                            solve_unique)
 from ehrkit.oracle import count_points, hstar_from_counts
-from ehrkit.triangulation import HalfOpenSimplex, _apex, _pull_facets, half_open_cone
+from ehrkit.triangulation import (HalfOpenSimplex, _apex, _pull_facets, half_open_cone,
+                                 half_open_decompose, triangulate_boundary)
 
 from helpers import (brute_force_count, brute_force_fpp_points, brute_force_hull,
                      check_pulled_pieces, cone_volume, fraction_determinant, fraction_rank,
@@ -116,10 +117,13 @@ def test_visibility_masks_are_slack_signs(P):
 
 
 def check_pipeline_counts(P):
-    """Every cell of both cones, and every boundary cell, carries the count
-    that the Smith form of its own columns gives."""
+    """Every cell of both cones, and every boundary cell, the report's and
+    those from closed pulled cells given back, carries the count that the
+    Smith form of its own columns gives."""
     boundary, cone = EhrhartReport(P).cone
-    cells = half_open_cone(P, P.vertices[0]).cells + cone.cells + boundary.simplices
+    given_back = half_open_decompose(triangulate_boundary(P), P)[0].simplices
+    cells = (half_open_cone(P, P.vertices[0]).cells + cone.cells + boundary.simplices
+             + given_back)
     assert [S._count for S in cells] == [_residue_count(S._columns) for S in cells]
 
 

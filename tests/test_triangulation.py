@@ -12,7 +12,7 @@ from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotF
                            NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.gorenstein import gorenstein_index, is_rational_reflexive
-from ehrkit.linalg import diagonalize
+from ehrkit.linalg import _residue_count, diagonalize
 from ehrkit.rational_ehrhart import codenominator
 from ehrkit.triangulation import (
     BoundaryTriangulation,
@@ -101,10 +101,10 @@ def test_pulling_builds_no_hull(monkeypatch):
 def test_each_face_is_pulled_once(monkeypatch):
     """The boundary of the 5-cube reaches 105 distinct faces, 10 facets, 30
     cubes, 40 squares and 25 edges, each pulled once; an edge is a simplex, its
-    own piece, so no vertex is pulled.  So does a whole report, which builds
-    each of its 120 cells over a vertex, 240 cells over x and 240 boundary
-    cells once.  h* alone pulls only the 30 faces of the five facets that miss
-    the origin."""
+    own piece, so no vertex is pulled.  Each cone of a report pulls its own
+    faces, each once: the h* cone the 30 faces of the five facets that miss
+    the origin, the cone over x all 105.  A whole report builds each of its
+    120 cells over a vertex, 240 cells over x and 240 boundary cells once."""
     expected = triangulate_boundary(cube5)
     calls = count_calls(monkeypatch, triangulation._pull_face)
     assert triangulate_boundary(cube5) == expected
@@ -112,12 +112,14 @@ def test_each_face_is_pulled_once(monkeypatch):
     calls.clear()
     built = count_constructions(monkeypatch)
     ehrhart_report(cube5)
-    assert len(calls) == len({face for face, *_ in calls}) == 105
+    assert len(calls) == 30 + 105
     assert len(built) == 120 + 240 + 240
-    for read_hstar in (hstar_polytope, lambda P: EhrhartReport(P).hstar):
+    report = EhrhartReport(cube5)
+    for read, pulls in ((hstar_polytope, 30), (lambda P: report.hstar, 30),
+                        (lambda P: report.cone, 105)):
         calls.clear()
-        read_hstar(cube5)
-        assert len(calls) == len({face for face, *_ in calls}) == 30
+        read(cube5)
+        assert len(calls) == len({face for face, *_ in calls}) == pulls
 
 
 def test_pyramid_mask_rule():
@@ -288,6 +290,20 @@ def test_figure_configuration_with_split_edge():
     assert sorted(s.missing_count for s in boundary.simplices) == [0, 1, 1, 1, 2]
     far_edge = by_verts[tuple(pts((0, 3), (3, 3)))]
     assert far_edge.missing_count == 2
+    # (0, 1) is no vertex: its facet is found by zero slack, and each cell's
+    # pyramid-rule count is the Smith count of its columns; they add up to
+    # the 12 boundary points
+    counts = [s._count for s in boundary.simplices]
+    assert counts == [_residue_count(s._columns) for s in boundary.simplices]
+    assert sorted(counts) == [1, 2, 3, 3, 3]
+
+
+def test_a_caller_cell_in_no_facet_is_a_bad_argument():
+    # a diagonal, and a chord from the non-vertex (0, 1), cut through the square
+    for chord in (((0, 0), (2, 2)), ((0, 1), (2, 2))):
+        with pytest.raises(ValueError, match="boundary cell lies in no facet of P"):
+            half_open_decompose([HalfOpenSimplex.closed(pts(*chord))], square2,
+                                apex=(1, F(1, 2)))
 
 
 def test_cone_y_is_generic():
