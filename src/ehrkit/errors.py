@@ -103,5 +103,5 @@ class IdentityViolated(EhrkitError):
 
 class InvalidM(EhrkitError):
     """m is not an int, does not make the scaled polytope a lattice polytope,
-    or lifting the numerator to m would take more than ENUMERATION_LIMIT
-    coefficient products."""
+    or the numerator lifted to m would hold more than
+    rational_ehrhart.LIFT_TERM_LIMIT terms."""

@@ -1,16 +1,16 @@
 """Exact rational polytopes: vertices, facets, containment, dilation, duality.
 
 Points are tuples of Fraction; every predicate is decided exactly.  The hull
-is a double description on the points scaled to integers: the facets are
-the extreme rays of the cone of valid inequalities, and each keeps its tight
-points as a bitmask, which gives the vertices and the vertex-facet incidence
+is a double description on the points scaled to integers once: the facets
+are the extreme rays of the cone of valid inequalities, each with its
+zero-slack points as a bitmask, which gives the vertices and the incidence
 in the same pass.  That is all the sophistication needed at desk scale
 (dimension <= 6, <= 50 vertices).
 
-All types are immutable values.  A full-dimensional polytope is built with
-its facets and vertex-facet incidence; the only mutation anywhere is
-construct-once caches (the integer vertex and facet tables here, the fields
-of an EhrhartReport), which are idempotent and safe to publish across threads.
+All types are immutable values, built with their integer vertex table and,
+when full-dimensional, their facets and incidence; the only mutation anywhere
+is construct-once caches (the integer facet table here, the fields of an
+EhrhartReport), which are idempotent and safe to publish across threads.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import islice
+from itertools import chain, compress, islice
 from math import gcd, lcm
-from operator import and_
+from operator import and_, not_
 
 from .errors import (
     EmptyInput,
@@ -43,7 +43,6 @@ from .linalg import (
     _scaled,
     diagonalize,
     dot,
-    primitive_row,
     solve_unique,
     vec_add,
     vec_scale,
@@ -102,10 +101,10 @@ class Halfspace:
 
 
 def _facet_table(rows, masks):
-    """(facets, incidence) from rational rows (*normal, offset), made
-    primitive, and the vertex bitmask of each row, in sorted facet order."""
-    return tuple(zip(*sorted(zip((Halfspace(r[:-1], r[-1]) for r in map(primitive_row, rows)),
-                                 masks))))
+    """(facets, incidence) from integer rows (*normal, offset), made primitive,
+    and the vertex bitmask of each row, sorted on the rows."""
+    rows = (tuple(a // g for a in r) for r in rows for g in [gcd(*r)])
+    return tuple(zip(*((Halfspace(r[:-1], r[-1]), m) for r, m in sorted(zip(rows, masks)))))
 
 
 def _facet_plane(rows, inside, weight):
@@ -142,25 +141,25 @@ def _adjacent(common, masks, d) -> bool:
     return next(islice(through, 2, None), None) is None
 
 
-def _hull_full_dim(points: list[Point], d: int, simplex=None):
-    """Double-description hull of sorted points affinely spanning R^d.
+def _hull_full_dim(ints, d: int, simplex=None, scale: int = 1):
+    """Double-description hull of sorted distinct integer points spanning R^d.
 
-    Returns (vertices, facets, incidence): the extreme points and the facets,
-    both sorted, and per facet the bitmask of its vertices (bit i for
-    vertices[i]).  The facets are the extreme rays (normal, offset) of the cone
-    of inequalities normal . w <= offset on the points times L, the lcm of
-    their denominators.  From `simplex` (default _affine_basis's) on, each
-    point in sorted order keeps the rays it satisfies and adds one per adjacent
-    pair of rays on either side of it; each ray keeps its tight set as a bitmask.
+    Returns (rows, (facets, incidence)): the extreme points and the facets of
+    the points over `scale`, both sorted, and per facet the bitmask of its
+    vertices (bit k for rows[k]).  The facets are the extreme rays (normal,
+    offset, tight set) of the cone of inequalities normal . w <= offset on the
+    points.  From `simplex` (default _affine_basis's) on, each point keeps the
+    rays it satisfies and adds one per adjacent pair on either side of it.  A
+    ray must hold on every point, be tight exactly on its tight set, and have
+    tight vertices of rank d, read against the simplex.
     """
-    scale, ints = _scaled(points)
     simplex = simplex or _affine_basis(ints)
     if len(simplex) != d + 1:
         raise ValueError("points do not span the ambient space")
     inside = tuple(sum(ints[i][c] for i in simplex) for c in range(d))  # (d+1) * centroid
-    # rays are (normal, offset, tight set)
-    rays = [(*_facet_plane([ints[j] for j in simplex if j != i], inside, d + 1),
-             sum(1 << j for j in simplex if j != i)) for i in simplex]
+    # rays are (normal, offset, tight set); base[t] is the facet opposite simplex[t]
+    rays = base = [(*_facet_plane([ints[j] for j in simplex if j != i], inside, d + 1),
+                    sum(1 << j for j in simplex if j != i)) for i in simplex]
     for ip, p in enumerate(ints):
         if ip in simplex:
             continue
@@ -178,20 +177,28 @@ def _hull_full_dim(points: list[Point], d: int, simplex=None):
                     g = gcd(*row)
                     rays.append((tuple(a // g for a in row[:-1]), row[-1] // g, m1 & m2 | 1 << ip))
 
-    if any(dot(n, w) > o for n, o, _ in rays for w in ints):
+    bits = [1 << i for i in range(len(ints))]
+    slacks = [[o - dot(n, w) for w in ints] for n, o, _ in rays]
+    if min(map(min, slacks)) < 0:
         raise IdentityViolated("hull misses an input point")
+    if any(sum(compress(bits, map(not_, row))) != m for row, (_, _, m) in zip(slacks, rays)):
+        raise IdentityViolated("hull facet's bitmask is not its zero-slack set")
     # a point is a vertex exactly when the facets through it meet in it alone
-    full = (1 << len(ints)) - 1
-    index = [i for i in range(len(ints))
-             if reduce(and_, (m for _, _, m in rays if m >> i & 1), full) == 1 << i]
-    tight = [[k for k, i in enumerate(index) if m >> i & 1] for _, _, m in rays]
-    # the rank of the transpose, with d + 1 rows, is the cheaper elimination
-    if any(_int_rank(list(zip(*(ints[index[k]] + (1,) for k in ks)))) != d for ks in tight):
+    index = [i for i, b in enumerate(bits)
+             if reduce(and_, (m for _, _, m in rays if m & b), -1) == b]
+    # A facet's tight vertices have rank d homogenized: in the slacks of the
+    # simplex's facets, where simplex[t] is a multiple of unit row t, the k simplex
+    # vertices on it plus the rank of the others' slacks opposite the rest (k = d: none).
+    kept = sum(bits[j] for j in simplex if j in index)
+    base = [([o - dot(n, w) for w in ints], kept & bits[j]) for (n, o, _), j in zip(base, simplex)]
+    if any((k := (m & kept).bit_count()) != d and (k > d or d != k + _int_rank(
+            [[r[i] for i in index if m & ~kept & bits[i]] for r, b in base if not m & b]))
+           for _, _, m in rays):
         raise IdentityViolated("hull facet is not spanned by its tight vertices")
     # n . x <= o / L is the integer row (L n, o)
-    return (tuple(points[i] for i in index),
-            *_facet_table((tuple(scale * a for a in n) + (o,) for n, o, _ in rays),
-                          (sum(1 << k for k in ks) for ks in tight)))
+    return [ints[i] for i in index], _facet_table(
+        (vec_scale(scale, n) + (o,) for n, o, _ in rays),
+        (sum(1 << k for k, i in enumerate(index) if m >> i & 1) for _, _, m in rays))
 
 
 @dataclass(frozen=True)
@@ -201,9 +208,9 @@ class Polytope:
     vertices are lexicographically sorted and irredundant; denominator_q is
     the least positive integer q with q * (every vertex) integral.  A
     full-dimensional polytope is built with its facets and the vertex-facet
-    incidence: per facet a bitmask, bit i for vertices[i].  Cached on demand:
-    the integer vertex table (q, the rows q·v) and the integer facet table
-    (normal, q·offset).
+    incidence: per facet a bitmask, bit i for vertices[i], and every polytope
+    with its integer vertex table (q, the rows q·v).  Cached on demand: the
+    integer facet table (normal, q·offset).
     """
 
     vertices: tuple[Point, ...]
@@ -212,6 +219,7 @@ class Polytope:
     denominator_q: int
     # (facets, incidence) when full-dimensional, else None; derived from the vertices
     _hull: tuple | None = field(default=None, compare=False, repr=False)
+    _int_vertices: tuple | None = field(default=None, compare=False, repr=False)
 
     def _facet_data(self):
         if self._hull is None:
@@ -227,10 +235,6 @@ class Polytope:
     @property
     def _incidence(self) -> tuple[int, ...]:
         return self._facet_data()[1]
-
-    @cached_property
-    def _int_vertices(self):
-        return _scaled(self.vertices)
 
     @cached_property
     def _int_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -258,10 +262,13 @@ class Polytope:
         return {"vertices": [[format_rational(c) for c in v] for v in self.vertices]}
 
 
-def _polytope(verts, ambient: int, dim: int, hull=None) -> Polytope:
-    """The Polytope on the sorted vertices verts, with the (facets, incidence)
-    of its hull when it is full-dimensional."""
-    return Polytope(verts, ambient, dim, lcm(*(point_denominator(v) for v in verts)), hull)
+def _polytope(verts, ambient: int, dim: int, hull=None, scaled=None) -> Polytope:
+    """The Polytope on the sorted vertices verts, with its hull's (facets,
+    incidence) when full-dimensional; `scaled` is (L, rows L·v), any L."""
+    scale, rows = scaled or _scaled(verts)
+    g = gcd(scale, *chain.from_iterable(rows))  # q = L / g
+    return Polytope(verts, ambient, dim, scale // g, hull,
+                    (scale // g, [tuple(a // g for a in w) for w in rows]))
 
 
 def build_polytope(points) -> Polytope:
@@ -278,19 +285,21 @@ def build_polytope(points) -> Polytope:
     ambient = len(pts[0])
     if ambient == 0 or any(len(p) != ambient for p in pts):
         raise MixedDimensions("points must share a positive ambient dimension")
-    pts = sorted(set(pts))
-    basis = _affine_basis(_scaled(pts)[1])
+    scale, ints = _scaled(pts)
+    point_of = dict(zip(ints, pts))
+    ints = sorted(point_of)
+    basis = _affine_basis(ints)
     dim = len(basis) - 1
 
     if dim == 0:
         return _polytope((pts[0],), ambient, dim)
     if dim == ambient:
-        verts, facets, incidence = _hull_full_dim(pts, ambient, basis)
-        return _polytope(verts, ambient, dim, (facets, incidence))
-    columns = list(zip(*(vec_sub(pts[j], pts[0]) for j in basis[1:])))
-    charted = [solve_unique(columns, vec_sub(p, pts[0])) for p in pts]
-    keep = set(_hull_full_dim(sorted(charted), dim)[0])
-    return _polytope(tuple(sorted(p for p, c in zip(pts, charted) if c in keep)), ambient, dim)
+        rows, hull = _hull_full_dim(ints, ambient, basis, scale)
+        return _polytope(tuple(map(point_of.get, rows)), ambient, dim, hull, (scale, rows))
+    columns = list(zip(*(vec_sub(ints[j], ints[0]) for j in basis[1:])))
+    chart = dict(zip(_scaled([solve_unique(columns, vec_sub(w, ints[0])) for w in ints])[1], ints))
+    rows = sorted(map(chart.get, _hull_full_dim(sorted(chart), dim)[0]))
+    return _polytope(tuple(map(point_of.get, rows)), ambient, dim)
 
 
 def contains(P: Polytope, x, mode: str = "closed") -> bool:
@@ -312,7 +321,8 @@ def dilate(P: Polytope, t) -> Polytope:
         raise NonpositiveScale("dilation factor must be positive, got %s" % t)
     verts = tuple(sorted(vec_scale(t, v) for v in P.vertices))
     return _polytope(verts, P.ambient_dim, P.dim, P._hull and _facet_table(
-        (hs.normal + (t * hs.offset,) for hs in P.facets), P._incidence))
+        (vec_scale(t.denominator, hs.normal) + (t.numerator * hs.offset,) for hs in P.facets),
+        P._incidence))
 
 
 def translate(P: Polytope, v) -> Polytope:
@@ -320,8 +330,10 @@ def translate(P: Polytope, v) -> Polytope:
     if len(v) != P.ambient_dim:
         raise MixedDimensions("translation vector has wrong dimension")
     verts = tuple(sorted(vec_add(p, v) for p in P.vertices))
+    den, (u,) = _scaled([v])
     return _polytope(verts, P.ambient_dim, P.dim, P._hull and _facet_table(
-        (hs.normal + (hs.offset + dot(hs.normal, v),) for hs in P.facets), P._incidence))
+        (vec_scale(den, hs.normal) + (den * hs.offset + dot(hs.normal, u),) for hs in P.facets),
+        P._incidence))
 
 
 def dual(P: Polytope) -> Polytope:

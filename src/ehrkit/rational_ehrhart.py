@@ -18,10 +18,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .errors import ENUMERATION_LIMIT, IdentityViolated, InvalidM
+from .errors import IdentityViolated, InvalidM
 from .geometry import Polytope, as_point, contains, dilate
 from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .decomposition import EhrhartReport
+
+
+# Most terms a lifted numerator may hold, m(d + 1).  At about 500 bytes per
+# term at the peak of the lift, 10^6 terms take about 0.5 GB.
+LIFT_TERM_LIMIT = 10 ** 6
 
 
 def codenominator(P: Polytope) -> int:
@@ -89,9 +94,8 @@ def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
 
     m must be an int, not a bool.  At m = q the lift is 1.  Otherwise h* is
     multiplied d + 1 times by (1 - z^m)/(1 - z^q), a pass each way over fewer
-    than m(d+1) terms.  Checked before h* is computed, the bound counts the
-    schoolbook lift's coefficient products, at least m(d+1)^2: the order of the
-    passes' work and above the output's size, so it caps both by ENUMERATION_LIMIT.
+    than m(d+1) terms.  Checked before h* is computed, the bound caps those
+    m(d+1) terms, which size both the output and each pass, by LIFT_TERM_LIMIT.
     """
     q, d = scaled.q, scaled.d
     if not isinstance(m, int) or isinstance(m, bool):
@@ -101,10 +105,9 @@ def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:
                        "(needs a positive multiple of %d)" % (m, q))
     if m == q:
         return scaled.hstar
-    products = m // q * sum(q * (d + 1) + k * (m - q) for k in range(d + 1))
-    if products > ENUMERATION_LIMIT:
-        raise InvalidM("m = %d lifts the numerator with up to %d coefficient products, more "
-                       "than the limit %d" % (m, products, ENUMERATION_LIMIT))
+    if m * (d + 1) > LIFT_TERM_LIMIT:
+        raise InvalidM("m = %d lifts the numerator to %d terms, more than the limit %d"
+                       % (m, m * (d + 1), LIFT_TERM_LIMIT))
     h = scaled.hstar
     for _ in range(d + 1):
         h = h.times_one_minus(m).over_one_minus(q)

@@ -6,7 +6,8 @@ generator coefficients, and half-open membership counts go through the
 barycentric definition.  Visibility masks have a reference of their own,
 the slack signs of each cell's facet halfspaces, facet descriptions one in
 vertex enumeration, and the hull one that tries every Fraction hyperplane
-through d of the points.  The pulling rule is checked face by face from the
+through d of the points; a facet is spanned when its tight vertices have
+rank d homogenized.  The pulling rule is checked face by face from the
 facet inequalities, and volumes by coning boundary pieces over a point.
 Ranks, determinants and exact solves run Gaussian elimination over Fraction,
 sharing no code with the library's fraction-free elimination; polynomial
@@ -77,6 +78,16 @@ def greedy_affine_basis(ints):
         if fraction_rank([vec_sub(ints[j], ints[0]) for j in basis[1:] + [i]]) == len(basis):
             basis.append(i)
     return basis
+
+
+def unspanned_facets(P):
+    """The facets of P whose tight vertices do not span a hyperplane: the
+    homogenized rows (v, 1) of the vertices in the facet's incidence mask do
+    not have rank d, by elimination over Fraction.  The per-facet definition
+    the hull's certificate must agree with."""
+    return [hs for hs, mask in zip(P.facets, P._incidence)
+            if fraction_rank([v + (1,) for i, v in enumerate(P.vertices) if mask >> i & 1])
+            != P.ambient_dim]
 
 
 def fraction_determinant(rows):

@@ -211,6 +211,25 @@ def test_hull_facets_are_spanned(monkeypatch):
     assert len(leaked) == 1
 
 
+@pytest.mark.parametrize("fault", [
+    lambda normal, offset: (normal, offset + 1),  # tight on none of its points
+    lambda normal, offset: ((0,) * len(normal), 0),  # tight on the point opposite too
+], ids=["gains-a-point-off-its-plane", "loses-a-tight-point"])
+def test_hull_mask_is_its_zero_slack_set(monkeypatch, fault):
+    # the first facet of the start simplex keeps the mask of its two points
+    # while its plane moves out by one, or collapses to 0 . x <= 0
+    real = geometry._facet_plane
+    made = []
+
+    def faulty(rows, inside, weight):
+        made.append(rows)
+        return (fault if len(made) == 1 else lambda *plane: plane)(*real(rows, inside, weight))
+    monkeypatch.setattr(geometry, "_facet_plane", faulty)
+    with pytest.raises(IdentityViolated, match="bitmask is not its zero-slack set"):
+        build_polytope([(0, 0), (2, 0), (0, 2)])
+    assert len(made) == 3
+
+
 def test_report_catches_a_hull_missing_a_facet(monkeypatch):
     # here the leaked ray blocks a real adjacent pair and a later point cuts
     # it, so the hull passes its own checks with 13 of 14 facets.  Pulled

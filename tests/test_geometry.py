@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from ehrkit import geometry
+from ehrkit import geometry, linalg
 from ehrkit.errors import (
     EmptyInput,
     HullTooLarge,
@@ -25,10 +26,11 @@ from ehrkit.geometry import (
     project_to_affine_hull,
     translate,
 )
-from ehrkit.linalg import solve_unique
+from ehrkit.linalg import _scaled, solve_unique
 
 from conftest import CORPUS
-from helpers import brute_force_hull, count_calls, greedy_affine_basis, vertices_from_halfspaces
+from helpers import (brute_force_hull, count_calls, greedy_affine_basis, unspanned_facets,
+                     vertices_from_halfspaces)
 
 
 def pts(*coords):
@@ -146,6 +148,109 @@ def test_hull_of_cubes_and_cross_polytopes():
         assert [m.bit_count() for m in cube._incidence] == [2 ** (d - 1)] * (2 * d)
         assert [m.bit_count() for m in cross._incidence] == [d] * 2 ** d
         assert cube._incidence == _tight_masks(cube) and cross._incidence == _tight_masks(cross)
+
+
+def _simplex(d):
+    return [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+def _cube(d):
+    return list(product((0, 1), repeat=d))
+
+
+def _cross(d):
+    return [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+
+
+def _unimodular_image(rng, points):
+    """The integer points under x -> Ux + c: U is d unit transvections times
+    a signed permutation, so it lies in GL_d(Z), and c is in {-1, 0, 1}^d."""
+    d = len(points[0])
+    U = [[rng.choice((1, -1)) * (j == k) for j in range(d)] for k in rng.sample(range(d), d)]
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        t = rng.choice((1, -1))
+        U[i] = [a + t * b for a, b in zip(U[i], U[j])]
+    c = [rng.randint(-1, 1) for _ in range(d)]
+    return [tuple(sum(a * x for a, x in zip(row, p)) + ci for row, ci in zip(U, c)) for p in points]
+
+
+def _check_certified(P):
+    """The hull's certificate against its definitions: every facet is spanned
+    by its tight vertices, the incidence is the zero-slack sets, and the
+    integer vertex table read off the hull's rows is the vertices scaled."""
+    assert unspanned_facets(P) == []
+    assert P._incidence == _tight_masks(P)
+    assert P._int_vertices == _scaled(P.vertices)
+
+
+def test_hull_certificate_over_the_corpus():
+    for _, P in CORPUS:
+        if P.is_full_dimensional:
+            _check_certified(P)
+            assert (P.vertices, P.facets) == brute_force_hull(P.vertices)
+
+
+def test_hull_certificate_on_unimodular_cubes_and_cross_polytopes():
+    """Cubes and cross-polytopes in d = 2..6 under seeded GL_d(Z) maps.  The
+    brute-force hull tries every d of the points, too many for the 32 and 64
+    corners of the 5- and 6-cube; there the facets must give back exactly
+    the corners by vertex enumeration, and they are 2d."""
+    rng = random.Random(29)
+    for d in range(2, 7):
+        for points, facets in ((_cube(d), 2 * d), (_cross(d), 2 ** d)):
+            image = _unimodular_image(rng, points)
+            P = build_polytope(image)
+            _check_certified(P)
+            assert len(P.facets) == facets
+            if len(image) <= 16:
+                assert (P.vertices, P.facets) == brute_force_hull(image)
+            else:
+                assert P.vertices == vertices_from_halfspaces(P.facets, d) == tuple(
+                    sorted(map(tuple, pts(*image))))
+
+
+def test_hull_certificate_on_random_rational_polytopes():
+    """The corpus recipe in d = 2..5: d + 1 to d + 4 points with coordinates
+    k/q, |k| <= 2q, q = 2 or 3, redrawn until they span R^d; interior and
+    repeated points are mixed in."""
+    rng = random.Random(2029)
+    for d in range(2, 6):
+        for _ in range(6):
+            q = rng.choice((2, 3))
+            while True:
+                points = [tuple(F(rng.randint(-2 * q, 2 * q), q) for _ in range(d))
+                          for _ in range(rng.randint(d + 1, d + 4))]
+                P = build_polytope(points + points[:1])
+                if P.is_full_dimensional:
+                    break
+            _check_certified(P)
+            assert (P.vertices, P.facets) == brute_force_hull(points)
+
+
+def test_facets_holding_d_simplex_vertices_need_no_elimination(monkeypatch):
+    """A facet that holds d vertices of the starting simplex has rank d with
+    no elimination; every other facet eliminates only its other vertices'
+    slacks.  With one rank elimination per facet, the d-simplex took d + 1,
+    cube-4d 8, cube-6d 12 and cross-6d 64, each over d + 1 rows.  The points
+    are scaled to integers once per build."""
+    ranks = count_calls(monkeypatch, linalg._int_rank)
+    scalings = count_calls(monkeypatch, linalg._scaled)
+
+    def eliminations(points):
+        ranks.clear()
+        scalings.clear()
+        build_polytope(points)
+        assert len(scalings) == 1
+        return [(len(rows), len(rows[0])) for (rows,) in ranks]
+    for d in range(2, 7):
+        assert eliminations(_simplex(d)) == []
+    assert eliminations(_cube(4)) == [(4, 7)] * 4  # the facets x_i = 1
+    assert eliminations(_cube(6)) == [(6, 31)] * 6
+    # the simplex is -e_1, ..., -e_6 and e_6: a facet holding k of them
+    # eliminates d - k vertices over d + 1 - k rows, and the two with k = 6 none
+    assert Counter(eliminations(_cross(6))) == {(2, 1): 10, (3, 2): 20, (4, 3): 20, (5, 4): 10,
+                                                (6, 5): 2}
 
 
 def test_affine_basis_is_the_greedy_one():

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from ehrkit import rational_ehrhart
 from ehrkit.errors import InvalidM
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.gradedpoly import GradedPolynomial as GP
-from ehrkit.decomposition import hstar_boundary, hstar_polytope
+from ehrkit.decomposition import EhrhartReport, hstar_boundary, hstar_polytope
 from ehrkit.ehrhart import SeriesForm
 from ehrkit.oracle import count_points
 from ehrkit.rational_ehrhart import (
@@ -72,14 +73,51 @@ def test_rational_series_takes_only_an_int_m(endpoint, m):
 
 
 def test_rational_series_refuses_a_huge_lift(monkeypatch):
-    """m = 10^6 on the standard 3-simplex would lift with about 6 * 10^12
-    coefficient products; it is refused before the first one."""
+    """m = 10^6 on the standard 3-simplex would lift the numerator to
+    4 * 10^6 terms, about 1.9 GB at the lift's peak; it is refused before
+    h* is computed."""
     def multiply(self, e):
         raise AssertionError("the lift multiplied before its size check")
     monkeypatch.setattr(GP, "times_one_minus", multiply)
+    monkeypatch.setattr(EhrhartReport, "hstar", property(lambda self: pytest.fail("h* computed")))
     simplex = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(InvalidM, match="coefficient products"):
+    with pytest.raises(InvalidM, match="4000000 terms, more than the limit 1000000"):
         rational_series(simplex, m=10 ** 6)
+
+
+def test_the_lift_term_limit_is_inclusive(monkeypatch):
+    """A lift of exactly LIFT_TERM_LIMIT terms is made; the next multiple of
+    q, one more term per factor, is refused.  The limit is lowered so the
+    lift at the boundary stays small: the unit square has q = 1, d + 1 = 3."""
+    monkeypatch.setattr(rational_ehrhart, "LIFT_TERM_LIMIT", 3 * 60)
+    square = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
+    assert rational_series(square, m=60).m == 60
+    with pytest.raises(InvalidM, match="m = 61 lifts the numerator to 183 terms"):
+        rational_series(square, m=61)
+
+
+def test_a_lift_of_a_large_q_is_refused(monkeypatch):
+    """The term bound refuses every lift m != q once q(d + 1) > LIFT_TERM_LIMIT / 2,
+    since m >= 2q.  Here d = 2, q = 2 * 10^5 and m = 2q: 1.2 * 10^6 terms.  The
+    earlier bound, 10^8 schoolbook coefficient products, counted 24q = 4.8 * 10^6
+    and accepted it.  The refusal comes before h* is computed."""
+    monkeypatch.setattr(EhrhartReport, "hstar", property(lambda self: pytest.fail("h* computed")))
+    q = 200_000
+    sliver = build_polytope(pts((0, 0), (1, 0), (0, F(1, q))))
+    with pytest.raises(InvalidM, match="1200000 terms, more than the limit 1000000"):
+        rational_series(sliver, m=2 * q)
+
+
+def test_rational_series_lifts_the_square_to_m_6000():
+    """The unit square at m = 6000 lifts to 17,999 terms, well within the
+    term limit; its series matches the lattice-point counts of the first
+    dilates and of those next to m."""
+    square = build_polytope(pts((0, 0), (1, 0), (0, 1), (1, 1)))
+    rep = rational_series(square, m=6000)
+    assert (rep.r, rep.m, len(rep.numerator.as_dict())) == (1, 6000, 17_999)
+    coeffs = SeriesForm(rep.numerator, F(rep.m), 3).coefficients(6003)
+    for n in (1, 2, 3, 4, 5, 5999, 6000, 6001, 6002):
+        assert coeffs[n] == count_points(dilate(square, n), 1) == (n + 1) ** 2, n
 
 
 def test_rational_decompose_worked_example():
