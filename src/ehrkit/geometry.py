@@ -8,9 +8,8 @@ in the same pass.  That is all the sophistication needed at desk scale
 (dimension <= 6, <= 50 vertices).
 
 All types are immutable values, built with their integer vertex table and,
-when full-dimensional, their facets and incidence; the only mutation anywhere
-is construct-once caches (the integer facet table here, the fields of an
-EhrhartReport), which are idempotent and safe to publish across threads.
+when full-dimensional, their facets and incidence; a Polytope holds no lazy
+state.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, compress, islice
 from math import gcd, lcm
 from operator import and_, not_
@@ -209,8 +208,7 @@ class Polytope:
     the least positive integer q with q * (every vertex) integral.  A
     full-dimensional polytope is built with its facets and the vertex-facet
     incidence: per facet a bitmask, bit i for vertices[i], and every polytope
-    with its integer vertex table (q, the rows q·v).  Cached on demand: the
-    integer facet table (normal, q·offset).
+    with its integer vertex table (q, the rows q·v).
     """
 
     vertices: tuple[Point, ...]
@@ -236,14 +234,9 @@ class Polytope:
     def _incidence(self) -> tuple[int, ...]:
         return self._facet_data()[1]
 
-    @cached_property
-    def _int_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        return tuple((hs.normal, self.denominator_q * hs.offset) for hs in self.facets)
-
     def _int_slacks(self, u, ell) -> list[int]:
-        """q·ell times the slack of u / ell on each facet: ell·(q·offset) - q·(normal·u)."""
-        q = self.denominator_q
-        return [ell * qoff - q * dot(normal, u) for normal, qoff in self._int_facets]
+        """ell times the slack of u / ell on each facet: ell·offset - normal·u."""
+        return [ell * hs.offset - dot(hs.normal, u) for hs in self.facets]
 
     @property
     def is_lattice(self) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -176,16 +175,6 @@ class GradedPolynomial:
         """Sub-polynomial of the terms whose exponent is an integer, on grid 1."""
         return GradedPolynomial.from_dict(
             {k // self.grid: c for k, c in self.coeffs if k % self.grid == 0}, 1)
-
-    def simplified(self) -> "GradedPolynomial":
-        """Reduce the grid by the common divisor of all keys and the grid."""
-        g = self.grid
-        for k, _ in self.coeffs:
-            g = gcd(g, k)
-        if g <= 1:
-            return self
-        return GradedPolynomial(self.grid // g,
-                                tuple((k // g, c) for k, c in self.coeffs))
 
     # -- rendering ----------------------------------------------------------------
 

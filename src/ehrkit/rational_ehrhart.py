@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import IdentityViolated, InvalidM
-from .geometry import Polytope, as_point, contains, dilate
+from .geometry import Polytope, dilate
 from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .decomposition import EhrhartReport
 
@@ -81,12 +81,8 @@ class RationalSeriesReport:
 
 
 def _origin_position(P: Polytope) -> str:
-    origin = as_point([0] * P.ambient_dim)
-    if contains(P, origin, "interior"):
-        return "interior"
-    if contains(P, origin, "closed"):
-        return "boundary"
-    return "outside"
+    least = min(P._int_slacks((0,) * P.ambient_dim, 1))
+    return "interior" if least > 0 else "boundary" if least == 0 else "outside"
 
 
 def _lifted_numerator(scaled: EhrhartReport, m: int) -> GradedPolynomial:

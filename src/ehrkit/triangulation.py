@@ -48,10 +48,8 @@ from .errors import (
     NotGeneric,
 )
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
-from .geometry import (Point, Polytope, as_point, build_polytope, contains,  # noqa: F401
-                       format_rational)
-from .linalg import (_echelon, _homogenized, _kernel, _residue_count, dot, solve_unique,
-                     vec_add, vec_scale)
+from .geometry import Point, Polytope, as_point, build_polytope, format_rational  # noqa: F401
+from .linalg import _echelon, _homogenized, _kernel, _residue_count, dot, solve_unique
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def _pull_face(face, dim, incidence, pulled):
 
 
 def _apex(P: Polytope, apex):
-    """apex = u / ell as the homogenized column (u, ell), and q·ell times its
+    """apex = u / ell as the homogenized column (u, ell), and ell times its
     slack on each facet of P; MixedDimensions when apex has the wrong length,
     ValueError when it is outside P."""
     column = _homogenized(as_point(apex))
@@ -220,32 +218,36 @@ def _visible(cell, y):
     return tuple(k * kernel[n] > 0 for k in kernel[:n]), abs(m[n - 1][n - 1])
 
 
-def _visibility(cells, y: Point):
+def _visibility(cells, Y):
     """Per cell (homogenized integer columns), the mask of facets visible
-    from the point y and its count; None when y lies on some cell hyperplane."""
-    Y = _homogenized(y)
+    from the point with homogenized integer column Y and its count; None when
+    the point lies on some cell hyperplane."""
     seen = [_visible(cell, Y) for cell in cells]
     return None if None in seen else seen
 
 
-def _generic_point(P: Polytope, apex: Point, cells):
-    """A rational interior point y of P off every hyperplane of the cells
-    (homogenized integer columns) of a cone over apex, with their visibility
-    masks and counts.  y starts from the apex (the vertex centroid when the
-    apex is on the boundary) and moves by eps^(i+1) along coordinate i;
-    genericity is verified exactly, with 32 tries that halve eps from 1/64."""
+def _generic_point(P: Polytope, top, cells):
+    """The homogenized integer column Y of an interior point y of P off every
+    hyperplane of the cells (homogenized integer columns) of a cone over the
+    apex with column top, with their visibility masks and counts.  y starts
+    from the apex (the vertex centroid when the apex is on the boundary) and
+    moves by E^-(i+1) along coordinate i; genericity is verified exactly, with
+    32 tries that double E from 64.  Base (b, t) makes Y_i = b_i·E^d +
+    t·E^(d-1-i) over D = t·E^d, reduced by their gcd."""
     if not cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
-    base = apex
-    if not contains(P, base, "interior"):
-        base = vec_scale(Fraction(1, len(P.vertices)),
-                         [sum(v[c] for v in P.vertices) for c in range(d)])
+    base, t = top[:-1], top[-1]
+    if min(P._int_slacks(base, t)) == 0:
+        q, rows = P._int_vertices
+        base, t = [sum(col) for col in zip(*rows)], q * len(rows)
     for attempt in range(32):
-        eps = Fraction(1, 64 * 2 ** attempt)
-        y = vec_add(base, [eps ** (i + 1) for i in range(d)])
-        if contains(P, y, "interior") and (seen := _visibility(cells, y)) is not None:
-            return y, seen
+        E = 64 << attempt
+        Y = [b * E ** d + t * E ** (d - 1 - i) for i, b in enumerate(base)] + [t * E ** d]
+        g = gcd(*Y)
+        Y = tuple(a // g for a in Y)
+        if min(P._int_slacks(Y[:-1], Y[-1])) > 0 and (seen := _visibility(cells, Y)) is not None:
+            return Y, seen
     raise ExhaustedRetries("no generic point found after 32 refinements")
 
 
@@ -260,14 +262,17 @@ def _half_open(P: Polytope, pieces, apex, top, y=None, points=None) -> ConeTrian
     columns += map(_homogenized, points[len(rows):])
     cells = [tuple(columns[i] for i in piece) + (top,) for piece in pieces]
     if y is None:
-        y, seen = _generic_point(P, apex, cells)
+        Y, seen = _generic_point(P, top, cells)
     else:
-        y = as_point(y)
-        if not contains(P, y, "interior"):
+        Y = _homogenized(as_point(y))
+        if len(Y) != len(top):
+            raise MixedDimensions("query point has wrong dimension")
+        if min(P._int_slacks(Y[:-1], Y[-1])) <= 0:
             raise ValueError("y must lie in the interior of P")
-        seen = _visibility(cells, y)
+        seen = _visibility(cells, Y)
         if seen is None:
             raise NotGeneric("point lies on a cell hyperplane")
+    y = tuple(Fraction(a, Y[-1]) for a in Y[:-1])
     if any(mask[-1] for mask, _ in seen):
         raise IdentityViolated("the facet opposite the apex is visible from y")
     return ConeTriangulation(apex, tuple(
@@ -279,7 +284,7 @@ def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
     """half_open_decompose of the boundary pieces (index tuples into points).
     The facet opposite the apex lies in a facet of P and is never removed, so
     each cone cell's mask restricts to its boundary cell.  Each boundary cell
-    has its cone cell's count over the apex's lattice distance, slack / q, to
+    has its cone cell's count over the apex's lattice distance, its slack, to
     a facet that holds all of its points (the pyramid rule): a vertex's facets
     are its incidence bits, any other point's those where its slack is zero."""
     if apex is None:
@@ -295,7 +300,7 @@ def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
         height = next((s for F, s in zip(incidence, slacks) if F & bits == bits), None)
         if height is None:
             raise ValueError("boundary cell lies in no facet of P")
-        count, rest = divmod(cell._count, height // P.denominator_q)
+        count, rest = divmod(cell._count, height)
         if rest:
             raise IdentityViolated("facet distance does not divide the cone count")
         boundary.append(HalfOpenSimplex(cell.vertices[:-1], cell.missing[:-1],
@@ -339,10 +344,10 @@ def _box(P: Polytope, ell: int = 1) -> list[range]:
 
 def _box_scan(P: Polytope, ell: int = 1):
     """The integer points of ell·P's bounding box, lazily in lexicographic order,
-    each paired with whether q·(normal·u) < ell·(q·offset) on every facet."""
-    q = P.denominator_q
+    each paired with whether normal·u < ell·offset on every facet."""
+    rows = [(hs.normal, ell * hs.offset) for hs in P.facets]
     for u in product(*_box(P, ell)):
-        yield u, all(q * dot(normal, u) < ell * qoff for normal, qoff in P._int_facets)
+        yield u, all(dot(normal, u) < bound for normal, bound in rows)
 
 
 def interior_lattice_points(P: Polytope) -> list[tuple[int, ...]]:

@@ -237,6 +237,25 @@ def generic_points(P, count=3):
                   for i, c in enumerate(centroid)) for k in range(count)]
 
 
+def fraction_generic_point(cone):
+    """The generic point of a cone by the definition of its schedule, in
+    Fractions: from the apex, or the vertex centroid when the apex is on the
+    boundary of P, the first y = base + (eps, eps^2, ..., eps^d), eps = 1/64
+    halved on each try, that is interior to P and off every cell hyperplane."""
+    P, n = cone.parent, len(cone.parent.vertices)
+    base = cone.apex
+    if min(hs.slack(base) for hs in P.facets) == 0:
+        base = [sum(v[i] for v in P.vertices) / n for i in range(P.ambient_dim)]
+    planes = [hs for cell in cone.cells for hs in cell_halfspaces(cell)]
+    for k in range(32):
+        eps = Fraction(1, 64 * 2 ** k)
+        y = tuple(b + eps ** (i + 1) for i, b in enumerate(base))
+        if (min(hs.slack(y) for hs in P.facets) > 0
+                and all(hs.slack(y) != 0 for hs in planes)):
+            return y
+    raise AssertionError("the schedule found no generic point")
+
+
 def pulling_violations(P, pieces):
     """The pieces, each a sorted vertex tuple, that break the pulling rule.
 

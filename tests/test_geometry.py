@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
 from ehrkit import geometry, linalg
+from ehrkit.decomposition import ehrhart_report
 from ehrkit.errors import (
     EmptyInput,
     HullTooLarge,
@@ -27,6 +29,8 @@ from ehrkit.geometry import (
     translate,
 )
 from ehrkit.linalg import _scaled, solve_unique
+from ehrkit.oracle import hstar_from_counts
+from ehrkit.rational_ehrhart import rational_decompose
 
 from conftest import CORPUS
 from helpers import (brute_force_hull, count_calls, greedy_affine_basis, unspanned_facets,
@@ -35,6 +39,17 @@ from helpers import (brute_force_hull, count_calls, greedy_affine_basis, unspann
 
 def pts(*coords):
     return [tuple(F(c) for c in p) for p in coords]
+
+
+def test_a_polytope_holds_no_lazy_state():
+    """Every slack is read off P's own facet rows, so the pipeline, the oracle
+    and the rational decomposition leave nothing behind on a q = 2 polytope."""
+    P = build_polytope(pts((F(-1, 2), 0), (1, F(1, 2)), (0, 1)))
+    assert P.denominator_q == 2
+    ehrhart_report(P)
+    hstar_from_counts(P)
+    rational_decompose(P)
+    assert set(vars(P)) == {f.name for f in fields(P)}
 
 
 def test_build_drops_interior_point():

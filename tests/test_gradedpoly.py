@@ -112,7 +112,6 @@ def test_grid_operations():
     graded = p.regrade(2)
     assert graded.grid == 2 and graded.degree == 2
     assert graded.integer_part() == GP.from_list([1, 7, 2])
-    assert GP.from_dict({0: 1, 2: 5}, grid=2).simplified() == GP.from_list([1, 5])
 
 
 def test_text_rendering():

@@ -24,15 +24,16 @@ TYPED = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
 
 def test_two_rung_run_writes_the_schema(tmp_path):
     out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(LADDER), "--rungs", "random-d3-q2,cross-6d",
-                    "--out", str(out)], check=True, capture_output=True)
+    subprocess.run([sys.executable, str(LADDER), "--rungs",
+                    "random-d3-q2,codenominator-5005,cross-6d", "--out", str(out)],
+                   check=True, capture_output=True)
     print(out.read_text(encoding="utf-8"))  # the ladder's figures, shown with pytest -s
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["schema"] == ladder.SCHEMA and doc["repeats"] == ladder.REPEATS and doc["commit"]
     assert doc["src_tree"] == "unknown" or re.fullmatch("[0-9a-f]{40}", doc["src_tree"])
     assert doc["calls"] == list(ladder.CALLS)
     assert doc["oracle_scanline_bound"] == ladder.ORACLE_SCANLINE_BOUND
-    assert list(doc["rungs"]) == ["cross-6d", "random-d3-q2"]  # in ladder order
+    assert list(doc["rungs"]) == ["cross-6d", "random-d3-q2", "codenominator-5005"]  # in order
     for rung in doc["rungs"].values():
         assert {"d", "q", "points", "vertices", "oracle_scanlines"} <= set(rung)
         assert list(rung["calls"]) == doc["calls"]
@@ -47,6 +48,9 @@ def test_two_rung_run_writes_the_schema(tmp_path):
     assert cross["calls"]["hstar_polytope"]["outcome"] == "ok"
     # its rational series walks too many residues: refused, and recorded
     assert rational["calls"]["rational_series"]["outcome"] == "WalkTooLarge"
+    # the polygon CI times at r = 5005: its series is in reach
+    codenominator = doc["rungs"]["codenominator-5005"]
+    assert codenominator["q"] == 2 and codenominator["calls"]["rational_series"]["outcome"] == "ok"
 
 
 def test_a_typed_error_is_an_outcome_and_any_other_propagates():

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 from ehrkit import geometry, triangulation
+from ehrkit.corpus import _random_rational
 from ehrkit.decomposition import (EhrhartReport, ehrhart_report, hstar_boundary, hstar_interior,
                                   hstar_polytope)
 from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotFullDimensional,
@@ -32,6 +33,7 @@ from helpers import (
     count_calls,
     count_constructions,
     count_in_scaled_cell,
+    fraction_generic_point,
     sample_in_polytope,
     slack_masks,
 )
@@ -274,6 +276,13 @@ def test_y_outside_the_interior_is_rejected():
                                  (F(-3, 7), F(-11, 13)))
 
 
+def test_y_of_the_wrong_dimension_is_refused():
+    T = triangulate_boundary(square2)
+    for y in ((1,), (1, 1, 1)):
+        with pytest.raises(MixedDimensions):
+            half_open_decompose(T, square2, y=y)
+
+
 def test_figure_configuration_with_split_edge():
     """Square with one subdivided edge: masks come out 1 closed, 3 single, 1 double."""
     P = build_polytope(pts((0, 0), (0, 3), (3, 0), (3, 3)))
@@ -313,6 +322,34 @@ def test_cone_y_is_generic():
     for cell in cone.cells:
         for hs in cell_halfspaces(cell):
             assert hs.slack(cone.y) != 0
+
+
+def test_integer_generic_point_is_the_fraction_schedule():
+    """The integer schedule accepts the point the Fraction schedule defines,
+    for the cone over the lex-min vertex and for the report's cone over x, on
+    the corpus and three seeded random polytopes with q = 2 or 3 per d = 2..5;
+    the golden digests do not pin the h* cone's y, since no output dumps it.
+    The last polytope has the vertex (64, 1) on the first try's ray from
+    x = 0, so its report's cone takes the second try."""
+    rng = random.Random(30)
+    polytopes = [P for _, P in CORPUS if P.is_full_dimensional]
+    polytopes += [_random_rational(rng, d, rng.choice((2, 3)))
+                  for d in range(2, 6) for _ in range(3)]
+    for P in polytopes + [build_polytope(pts((64, 1), (-1, -1), (-1, 1)))]:
+        for cone in (half_open_cone(P, P.vertices[0]), EhrhartReport(P).cone[1]):
+            assert cone.y == fraction_generic_point(cone)
+
+
+def test_int_slacks_are_ell_times_the_facet_slacks():
+    rng = random.Random(31)
+    for q in (2, 3):
+        P = dilate(five_vertex, F(1, q))
+        assert P.denominator_q == q
+        for ell in (1, 2, 3, 6):
+            for _ in range(5):
+                u = tuple(rng.randint(-9, 9) for _ in range(3))
+                x = tuple(F(a, ell) for a in u)
+                assert P._int_slacks(u, ell) == [ell * hs.slack(x) for hs in P.facets]
 
 
 def test_exactly_one_closed_over_corpus():

@@ -4,10 +4,11 @@
 
 Rungs are the cube and the cross-polytope in d = 3..6, one seeded random
 rational polytope per (d, q) with d = 3..5 and q = 2, 3 (the corpus recipe),
-and the five worked examples of the corpus; perfbench's generators make the
-first three kinds.  Each call runs on a polytope rebuilt from the rung's raw
-points, so every call pays its own hull, and `build_polytope` is timed as a
-call of its own.  The file holds, per rung and call, the median wall time of
+the five worked examples of the corpus, and one q = 2 polygon of
+codenominator r = 5005; perfbench's generators make the first three kinds.
+Each call runs on a polytope rebuilt from the rung's raw points, so every
+call pays its own hull, and `build_polytope` is timed as a call of its own.
+The file holds, per rung and call, the median wall time of
 REPEATS calls and the outcome: "ok", the class name of the typed EhrkitError
 it raised, or "skipped" for the oracle on rungs whose bounding boxes hold
 more than ORACLE_SCANLINE_BOUND scanlines, as perfbench's `oracle_scanlines`
@@ -31,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +43,8 @@ REPEATS = 3
 ORACLE_SCANLINE_BOUND = 1_500_000
 SEED = 20240801
 WORKED = ("square-02", "skew-quad", "segment-half", "wide-triangle", "wide-triangle-half")
+# the polygon CI decomposes at r = 5005, the lcm of its facet offsets
+CODENOMINATOR_5005 = "2,-1/2; -3/2,-2; 1/2,-1; 1/2,-3/2"
 CALLS = ("build_polytope", "hstar_polytope", "hstar_boundary", "stapledon_report",
          "verify_gorenstein_identities", "rational_series", "hstar_from_counts")
 
@@ -57,7 +61,9 @@ def rungs(workloads):
             for d in range(3, 6) for q in (2, 3)]
     from ehrkit.corpus import standard_corpus
     corpus = dict(standard_corpus())
-    return out + [(name, list(corpus[name].vertices)) for name in WORKED]
+    out += [(name, list(corpus[name].vertices)) for name in WORKED]
+    polygon = [tuple(map(Fraction, v.split(","))) for v in CODENOMINATOR_5005.split(";")]
+    return out + [("codenominator-5005", polygon)]
 
 
 def timed(fn):
