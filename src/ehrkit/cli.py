@@ -24,7 +24,7 @@ from .geometry import (
 from .decomposition import EhrhartReport
 from .gorenstein import verify_gorenstein_identities
 from .rational_ehrhart import rational_decompose, rational_series
-from .oracle import hstar_from_counts
+from .oracle import _hstars_from_counts
 from .corpus import standard_corpus
 from .triangulation import triangulation_to_json_dict
 
@@ -203,9 +203,8 @@ def _cmd_verify(args) -> int:
     for name, P in entries:
         try:
             report = EhrhartReport(P)
-            ok = (report.hstar == hstar_from_counts(P, "closed")
-                  and report.hstar_boundary == hstar_from_counts(P, "boundary")
-                  and report.hstar_interior == hstar_from_counts(P, "interior"))
+            ok = (report.hstar, report.hstar_boundary,
+                  report.hstar_interior) == _hstars_from_counts(P)
         except EhrkitError as exc:
             ok = False
             rows.append((name, "ERROR: %s" % exc))

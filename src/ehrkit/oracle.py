@@ -2,12 +2,15 @@
 
 Only geometry types and the GradedPolynomial value type are shared; nothing
 here touches the half-open machinery, so an agreement between the two routes
-is meaningful evidence.  One sweep per dilate walks the integer points of nP
-a row at a time: every facet bounds the last coordinate on all fibers of the
-row at once, as a range or a map over one, so no Python loop body runs per
-fiber.  Each mode sweeps only the slack it reads: the facets' own for the
-closed count, one less for the interior count, and both for the boundary
-count, which is their difference.
+is meaningful evidence.  One sweep per count_points or hstar_from_counts
+call walks the integer points of every dilate nP the call needs, in batches
+of rows: each facet that meets the fiber axis bounds the last coordinate on
+all fibers of a batch at once, as one stream of ranges, and each facet
+parallel to it clips the fibers of every row of the batch by floor
+divisions, so no Python loop body runs per row or per fiber.  Each mode
+sweeps only the slack it reads: the facets' own for the closed count, one
+less for the interior count, and both for the boundary count, which is
+their difference; verify reads all three modes from one sweep of both.
 
 A sweep plan, built once per count_points or hstar_from_counts call, keeps
 the sweep to the rows and fibers that meet nP instead of all of its bounding
@@ -29,9 +32,10 @@ picks.
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import Counter
+from itertools import chain, islice, repeat
 from math import gcd, lcm, prod
-from operator import add, floordiv, mul
+from operator import add, floordiv, le, mul, sub
 
 from .errors import ENUMERATION_LIMIT, BoxTooLarge, NotFullDimensional, TailNonzero
 from .geometry import Polytope
@@ -141,8 +145,8 @@ def _plan(P: Polytope, extremes):
 
 
 def _bounds(rest, step, width, k):
-    """floor(r / k) over the residuals r = rest, rest + step, ... of the width
-    fibers of one row, lazily: a range itself when k = 1."""
+    """floor(r / k) over the residuals r = rest, rest + step, ... at width
+    consecutive values of one coordinate, lazily: a range itself when k = 1."""
     line = range(rest, rest + step * width, step) if step else repeat(rest, width)
     return line if k == 1 else map(floordiv, line, repeat(k))
 
@@ -181,52 +185,103 @@ def _rows(levels, n, lows, highs):
     yield from descend([], lows[0], highs[0])
 
 
-def _counts(plan, n: int, shifts) -> list[int]:
-    """One count per slack shift s: the integer points x of nP's box with
-    normal.x <= n*offset - s on every facet, for facets that keep every
-    fiber inside the box, as P's own do.  s = 0 counts nP and s = 1 its
-    interior, since with integer data a.x < R <=> a.x <= R - 1.
+# rows per batch of the sweep: the per-row lists of a batch, one per facet
+# and shift, grow with it, not with the call
+_BATCH = 1024
 
-    The sweep runs over the rows that _rows yields: the last two axes of the
-    plan's order, at each prefix of the others that the clip keeps, each
-    over the fibers the clip keeps.  Every clip row holds wherever the
-    facets do, so the rows and fibers it skips hold no counted point.  On
-    the fibers of a row a facet's residual slack r steps by a constant, and
-    with a its last normal entry it bounds the last coordinate by
-    floor(r / a) from above when a > 0, and by ceil(r / a) from below when
-    a < 0, kept negated as floor(r / -a) so that both sides take the least
-    bound.  A facet with a = 0 bounds both
-    sides, by top + span * r from above and by bottom - span * r from below:
-    where r >= 0 both lie outside the box, and where r < 0 they cross, which
-    empties the fiber whatever the other facets allow there.  The bounds are
-    ranges and maps, never lists, so memory does not grow with the row.
+
+def _batches(plan, dilates):
+    """The rows (n, (first fiber, width)) that _rows yields for every dilate
+    n with a nonempty box, in dilate order, in lists of at most _BATCH rows."""
+    extremes, _, levels = plan
+    boxes = ((n, _box(extremes, n)) for n in dilates)
+    sweep = chain.from_iterable(zip(repeat(n), _rows(levels, n, lows, highs))
+                                for n, (lows, highs) in boxes
+                                if all(map(le, lows, highs)))
+    while batch := list(islice(sweep, _BATCH)):
+        yield batch
+
+
+def _counts(plan, dilates, shifts) -> list[list[int]]:
+    """Per dilate n, one count per slack shift s: the integer points x of
+    nP's box with normal.x <= n*offset - s on every facet, for facets that
+    keep every fiber inside the box, as P's own do.  s = 0 counts nP and
+    s = 1 its interior, since with integer data a.x < R <=> a.x <= R - 1.
+
+    One sweep serves every dilate.  It reads the rows that _rows yields, the
+    last two axes of the plan's order at each prefix of the others that the
+    clip keeps, a batch of rows at a time; every clip row holds wherever the
+    facets do, so the rows and fibers it skips hold no counted point.  On a
+    row each facet's residual slack r = n*offset - s - head.start steps by
+    -b from fiber to fiber, b the facet's row-axis entry.  With a its last
+    normal entry, a facet bounds the last coordinate by floor(r / a) from
+    above when a > 0, and by ceil(r / a) from below when a < 0, kept
+    negated as floor(r / -a) so that both sides take the least bound; each
+    facet's bounds over the whole batch are one stream of ranges.  A facet
+    with a = 0 instead clips the row's fiber offsets t to b*t <= r: t <=
+    floor(r / b) when b > 0, t >= -floor(r / -b) when b < 0, and none when
+    b = 0 and r < 0.  Each dilate's total is read off the combined stream
+    by its number of fibers.  The bounds are ranges and maps, never lists,
+    and the per-row lists grow only with the batch.
     """
-    extremes, facets, levels = plan
-    lows, highs = _box(extremes, n)
-    if any(lo > hi for lo, hi in zip(lows, highs)):
-        return [0] * len(shifts)
-    top, bottom = highs[-1], lows[-1]
-    span = top - bottom + 1
-    # per side, (normal without its last entry, divisor, slack per shift)
-    above, below = [], []
-    for normal, offset in facets:
-        *head, a = normal
-        slack = n * offset
-        if a:
-            (above if a > 0 else below).append((head, abs(a), [slack - s for s in shifts]))
-        else:
-            head = [span * c for c in head]
-            above.append((head, 1, [top + span * (slack - s) for s in shifts]))
-            below.append((head, 1, [span * (slack - s) - bottom for s in shifts]))
-    totals = [0] * len(shifts)
-    for start, width in _rows(levels, n, lows, highs):
-        for i in range(len(shifts)):
-            # fiber by fiber, the upper bounds and the negated lower bounds
-            upper, lower = ([_bounds(slacks[i] - sum(map(mul, head, start)), -head[-1], width, k)
-                             for head, k, slacks in side] for side in (above, below))
-            totals[i] += sum(map(max, map(add, _tightest(upper), _tightest(lower)),
-                                 repeat(-1))) + width
-    return totals
+    _, facets, _ = plan
+    totals = {n: [0] * len(shifts) for n in dilates}
+    for batch in _batches(plan, dilates):
+        ns, rows = zip(*batch)
+        starts, widths = zip(*rows)
+        columns = list(zip(*starts))
+        rows_per_dilate = Counter(ns).items()
+        # per facet, (row-axis entry b, last entry a, unshifted residual per row)
+        clips, sides = [], []
+        for normal, offset in facets:
+            *head, a = normal
+            residual = map(mul, ns, repeat(offset))
+            for c, column in zip(head, columns):
+                if c:
+                    residual = map(sub, residual, map(mul, column, repeat(c)))
+            (sides if a else clips).append((head[-1], a, list(residual)))
+        for i, s in enumerate(shifts):
+            # the clip keeps each row's fibers t = first, ..., end - 1, as the
+            # least end and the least -first <= 0 that its facets allow
+            ends, firsts = widths, None
+            for b, _, residual in clips:
+                if b > 0:
+                    ends = map(min, ends, map(floordiv, map(add, residual, repeat(b - s)),
+                                              repeat(b)))
+                elif b < 0:
+                    firsts = map(min, firsts or repeat(0),
+                                 map(floordiv, map(sub, residual, repeat(s)), repeat(-b)))
+                else:
+                    ends = map(mul, ends, map(le, repeat(s), residual))
+            if firsts is not None:
+                firsts = list(firsts)
+                ends = map(add, ends, firsts)
+            fibers = list(map(max, ends, repeat(0)))
+            upper, lower = [], []
+            for b, a, residual in sides:
+                residual = map(sub, residual, repeat(s))
+                if firsts is not None and b:
+                    residual = map(add, residual, map(mul, firsts, repeat(b)))
+                k = abs(a)
+                if b:
+                    residual = list(residual)
+                    bounds = chain.from_iterable(map(
+                        range, residual, map(sub, residual, map(mul, fibers, repeat(b))),
+                        repeat(-b)))
+                    if k > 1:
+                        bounds = map(floordiv, bounds, repeat(k))
+                else:
+                    if k > 1:
+                        residual = map(floordiv, residual, repeat(k))
+                    bounds = chain.from_iterable(map(repeat, residual, fibers))
+                (upper if a > 0 else lower).append(bounds)
+            # top - bottom per fiber, at least -1 where the fiber is empty
+            spans = map(max, map(add, _tightest(upper), _tightest(lower)), repeat(-1))
+            per_row = iter(fibers)
+            for n, rows in rows_per_dilate:
+                width = sum(islice(per_row, rows))
+                totals[n][i] += sum(islice(spans, width)) + width
+    return [totals[n] for n in dilates]
 
 
 # mode -> (q, d) -> (constant term of the count series, power of (1 - z^q)
@@ -234,14 +289,16 @@ def _counts(plan, n: int, shifts) -> list[int]:
 _SERIES = {"closed": lambda q, d: (1, d + 1, q * (d + 1) - 1),
            "interior": lambda q, d: (0, d + 1, q * (d + 1)),
            "boundary": lambda q, d: (1, d, q * d)}
-# mode -> the slack shifts its sweep reads
+# mode -> the slack shifts its sweep reads, and its count from the counts
+# per shift: boundary is closed less interior
 _SHIFTS = {"closed": (0,), "interior": (1,), "boundary": (0, 1)}
+_READ = {"closed": lambda c: c[0], "interior": lambda c: c[1],
+         "boundary": lambda c: c[0] - c[1]}
 
 
-def _count(plan, n: int, mode: str) -> int:
-    """The mode's count of nP from one sweep: boundary is closed less interior."""
-    counts = _counts(plan, n, _SHIFTS[mode])
-    return counts[0] - counts[1] if mode == "boundary" else counts[0]
+def _mode_counts(counts, shifts, mode: str) -> list[int]:
+    """The mode's count of each dilate from a sweep's counts per shift."""
+    return [_READ[mode](dict(zip(shifts, c))) for c in counts]
 
 
 def count_points(P: Polytope, n: int, mode: str = "closed") -> int:
@@ -258,32 +315,45 @@ def count_points(P: Polytope, n: int, mode: str = "closed") -> int:
         raise ValueError("mode must be closed, interior or boundary")
     extremes = _extremes(P)
     _sized(extremes, n)
-    return _count(_plan(P, extremes), n, mode)
+    shifts = _SHIFTS[mode]
+    return _mode_counts(_counts(_plan(P, extremes), (n,), shifts), shifts, mode)[0]
 
 
 def hstar_from_counts(P: Polytope, mode: str = "closed") -> GradedPolynomial:
-    """Numerator polynomial recovered by series division against brute counts.
+    """Numerator polynomial recovered by series division against brute
+    counts, from one sweep of the dilates that reads only the mode's slack."""
+    if mode not in _SERIES:
+        raise ValueError("mode must be closed, boundary or interior")
+    return _hstars_from_counts(P, (mode,))[0]
 
-    Every dilate's box is sized before the first sweep, since box size is not
-    monotone in n, and one sweep plan serves every dilate.  The truncated
-    count series, with the mode's constant term, is multiplied by the mode's
-    power of (1 - z^q); the surplus terms past the degree bound must all
-    vanish, otherwise something is inconsistent and TailNonzero is raised.
+
+def _hstars_from_counts(P: Polytope, modes=("closed", "boundary", "interior")):
+    """The numerator of each mode, as hstar_from_counts gives it, all from
+    one sweep of P's dilates 1 .. q(d+1)+d+1 that reads the modes' slacks.
+
+    Every dilate's box is sized before the sweep, since box size is not
+    monotone in n, and one sweep plan serves every dilate.  Per mode, the
+    truncated count series, with the mode's constant term, is multiplied by
+    the mode's power of (1 - z^q); the surplus terms past the degree bound
+    must all vanish, otherwise something is inconsistent and TailNonzero is
+    raised.
     """
     if not P.is_full_dimensional:
         raise NotFullDimensional("h* from counts needs a full-dimensional polytope")
-    if mode not in _SERIES:
-        raise ValueError("mode must be closed, boundary or interior")
     q, d = P.denominator_q, P.dim
-    constant, power, bound = _SERIES[mode](q, d)
     terms = q * (d + 1) + d + 2
     extremes = _extremes(P)
     for n in range(1, terms):
         _sized(extremes, n)
-    plan = _plan(P, extremes)
-    coeffs = [constant] + [_count(plan, n, mode) for n in range(1, terms)]
-    for _ in range(power):
-        coeffs = [coeffs[i] - (coeffs[i - q] if i >= q else 0) for i in range(terms)]
-    if any(coeffs[i] for i in range(bound + 1, terms)):
-        raise TailNonzero("series division leaves a nonzero tail for mode %r" % mode)
-    return GradedPolynomial.from_dict({i: c for i, c in enumerate(coeffs[:bound + 1])})
+    shifts = tuple(sorted({s for mode in modes for s in _SHIFTS[mode]}))
+    counts = _counts(_plan(P, extremes), range(1, terms), shifts)
+    numerators = []
+    for mode in modes:
+        constant, power, bound = _SERIES[mode](q, d)
+        coeffs = [constant] + _mode_counts(counts, shifts, mode)
+        for _ in range(power):
+            coeffs = [coeffs[i] - (coeffs[i - q] if i >= q else 0) for i in range(terms)]
+        if any(coeffs[i] for i in range(bound + 1, terms)):
+            raise TailNonzero("series division leaves a nonzero tail for mode %r" % mode)
+        numerators.append(GradedPolynomial.from_dict(dict(enumerate(coeffs[:bound + 1]))))
+    return tuple(numerators)

@@ -9,7 +9,7 @@ if str(SRC) not in sys.path:
 
 from ehrkit.corpus import standard_corpus  # noqa: E402
 from ehrkit.decomposition import hstar_boundary, hstar_interior, hstar_polytope  # noqa: E402
-from ehrkit.oracle import hstar_from_counts  # noqa: E402
+from ehrkit.oracle import _hstars_from_counts  # noqa: E402
 
 CORPUS = standard_corpus()
 CORPUS_IDS = [name for name, _ in CORPUS]
@@ -29,9 +29,7 @@ class _Bundle:
         self.hstar = hstar_polytope(P)
         self.hstar_boundary = hstar_boundary(P)
         self.hstar_interior = hstar_interior(P)
-        self.oracle_hstar = hstar_from_counts(P, "closed")
-        self.oracle_boundary = hstar_from_counts(P, "boundary")
-        self.oracle_interior = hstar_from_counts(P, "interior")
+        self.oracle_hstar, self.oracle_boundary, self.oracle_interior = _hstars_from_counts(P)
 
 
 _CACHE = {}

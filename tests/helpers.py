@@ -46,6 +46,19 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
+def unimodular_image(rng, points):
+    """The points under x -> Ux + c: U is d unit transvections times a signed
+    permutation, so it lies in GL_d(Z), and c is in {-1, 0, 1}^d."""
+    d = len(points[0])
+    U = [[rng.choice((1, -1)) * (j == k) for j in range(d)] for k in rng.sample(range(d), d)]
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        t = rng.choice((1, -1))
+        U[i] = [a + t * b for a, b in zip(U[i], U[j])]
+    c = [rng.randint(-1, 1) for _ in range(d)]
+    return [tuple(sum(a * x for a, x in zip(row, p)) + ci for row, ci in zip(U, c)) for p in points]
+
+
 def count_constructions(monkeypatch):
     """Record every HalfOpenSimplex built from now on."""
     built = []

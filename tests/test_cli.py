@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrkit import geometry
+from ehrkit import geometry, oracle
 from ehrkit.cli import run
 from ehrkit.ehrhart import _hstar
 from ehrkit.geometry import polytope_from_json_dict
@@ -235,6 +235,15 @@ def test_verify_computes_hstar_once_per_polytope(square2_file, p52_file, monkeyp
     assert run(["verify", "-f", square2_file, "-f", p52_file]) == 0
     capsys.readouterr()
     assert len(reports) == len(hstars) == 2
+
+
+def test_verify_sweeps_each_polytope_once(square2_file, p52_file, monkeypatch, capsys):
+    """All three oracle modes of a polytope come from one sweep of both slack
+    shifts over its dilates 1 .. q(d+1) + d + 1, here q = 1 and d = 2."""
+    sweeps = count_calls(monkeypatch, oracle._counts)
+    assert run(["verify", "-f", square2_file, "-f", p52_file]) == 0
+    capsys.readouterr()
+    assert [(list(args[1]), tuple(args[2])) for args in sweeps] == [(list(range(1, 7)), (0, 1))] * 2
 
 
 def test_bad_m_is_a_usage_error(capsys):

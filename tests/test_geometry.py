@@ -33,8 +33,8 @@ from ehrkit.oracle import hstar_from_counts
 from ehrkit.rational_ehrhart import rational_decompose
 
 from conftest import CORPUS
-from helpers import (brute_force_hull, count_calls, greedy_affine_basis, unspanned_facets,
-                     vertices_from_halfspaces)
+from helpers import (brute_force_hull, count_calls, greedy_affine_basis, unimodular_image,
+                     unspanned_facets, vertices_from_halfspaces)
 
 
 def pts(*coords):
@@ -177,19 +177,6 @@ def _cross(d):
     return [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
 
 
-def _unimodular_image(rng, points):
-    """The integer points under x -> Ux + c: U is d unit transvections times
-    a signed permutation, so it lies in GL_d(Z), and c is in {-1, 0, 1}^d."""
-    d = len(points[0])
-    U = [[rng.choice((1, -1)) * (j == k) for j in range(d)] for k in rng.sample(range(d), d)]
-    for _ in range(d):
-        i, j = rng.sample(range(d), 2)
-        t = rng.choice((1, -1))
-        U[i] = [a + t * b for a, b in zip(U[i], U[j])]
-    c = [rng.randint(-1, 1) for _ in range(d)]
-    return [tuple(sum(a * x for a, x in zip(row, p)) + ci for row, ci in zip(U, c)) for p in points]
-
-
 def _check_certified(P):
     """The hull's certificate against its definitions: every facet is spanned
     by its tight vertices, the incidence is the zero-slack sets, and the
@@ -214,7 +201,7 @@ def test_hull_certificate_on_unimodular_cubes_and_cross_polytopes():
     rng = random.Random(29)
     for d in range(2, 7):
         for points, facets in ((_cube(d), 2 * d), (_cross(d), 2 ** d)):
-            image = _unimodular_image(rng, points)
+            image = unimodular_image(rng, points)
             P = build_polytope(image)
             _check_certified(P)
             assert len(P.facets) == facets

@@ -39,9 +39,10 @@ def test_two_rung_run_writes_the_schema(tmp_path):
         assert list(rung["calls"]) == doc["calls"]
         for call in rung["calls"].values():
             if call["outcome"] == "skipped":
-                assert call["median_s"] is None
+                assert call["median_s"] is call["q1_s"] is call["q3_s"] is None
             else:
-                assert call["outcome"] in TYPED | {"ok"} and call["median_s"] > 0
+                assert call["outcome"] in TYPED | {"ok"}
+                assert 0 < call["q1_s"] <= call["median_s"] <= call["q3_s"], call
     cross, rational = doc["rungs"]["cross-6d"], doc["rungs"]["random-d3-q2"]
     assert cross["oracle_scanlines"] > ladder.ORACLE_SCANLINE_BOUND
     assert cross["calls"]["hstar_from_counts"]["outcome"] == "skipped"
@@ -56,8 +57,8 @@ def test_two_rung_run_writes_the_schema(tmp_path):
 def test_a_typed_error_is_an_outcome_and_any_other_propagates():
     def refuse():
         raise WalkTooLarge("too many residues")
-    seconds, outcome = ladder.timed(refuse)
-    assert outcome == "WalkTooLarge" and seconds >= 0
+    (q1, median, q3), outcome = ladder.timed(refuse)
+    assert outcome == "WalkTooLarge" and 0 <= q1 <= median <= q3
     with pytest.raises(ZeroDivisionError):
         ladder.timed(lambda: 1 // 0)
 

@@ -1,8 +1,10 @@
 import ast
 import pathlib
+import random
 import tracemalloc
 import types
 from fractions import Fraction as F
+from itertools import product
 from math import ceil, floor, prod
 
 import pytest
@@ -14,7 +16,7 @@ from ehrkit.gradedpoly import GradedPolynomial as GP
 from ehrkit.linalg import interpolate_polynomial
 from ehrkit.oracle import count_points, hstar_from_counts
 
-from helpers import brute_force_count, count_calls
+from helpers import brute_force_count, count_calls, unimodular_image
 
 
 def pts(*coords):
@@ -36,10 +38,15 @@ def test_count_examples():
 def test_a_wrong_count_leaves_a_nonzero_tail(monkeypatch, mode):
     """One count off by one at n = 1 adds z(1 - z^q)^power to the product,
     whose last term lies past the degree bound in every mode.  The fault
-    sits in the sweep, which hstar_from_counts calls with its one plan."""
+    sits in the one sweep of every dilate that hstar_from_counts reads: the
+    first shift's count of dilate 1."""
     real = oracle._counts
-    monkeypatch.setattr(oracle, "_counts", lambda plan, n, shifts: [
-        real(plan, n, shifts)[0] + (n == 1)] + real(plan, n, shifts)[1:])
+
+    def faulty(plan, dilates, shifts):
+        counts = real(plan, dilates, shifts)
+        counts[list(dilates).index(1)][0] += 1
+        return counts
+    monkeypatch.setattr(oracle, "_counts", faulty)
     for P in (build_polytope(pts((0, 0), (1, 0), (0, 1))),
               build_polytope(pts((F(-1, 2),), (F(1, 2),)))):
         with pytest.raises(TailNonzero, match=mode):
@@ -58,19 +65,20 @@ def test_count_modes_add_up(corpus_polytope):
 
 def test_each_count_is_one_sweep(monkeypatch):
     """Every mode, boundary included, reads one sweep of the dilate, and the
-    series division one sweep per dilate; each sweep asks only for the slack
-    shifts its mode reads."""
+    series division one sweep of all its dilates; each sweep asks only for
+    the slack shifts its mode reads."""
     sweeps = count_calls(monkeypatch, oracle._counts)
     tri = build_polytope(pts((0, 0), (F(3, 2), 0), (0, 1)))
     for mode, shifts in (("closed", (0,)), ("interior", (1,)), ("boundary", (0, 1))):
         sweeps.clear()
         count_points(tri, 2, mode)
-        assert [args[1] for args in sweeps] == [2]
+        assert [list(args[1]) for args in sweeps] == [[2]]
         assert [tuple(args[2]) for args in sweeps] == [shifts]
         sweeps.clear()
         hstar_from_counts(tri, mode)
-        assert [args[1] for args in sweeps] == list(range(1, 10))  # n = 1 .. q(d+1) + d + 1
-        assert {tuple(args[2]) for args in sweeps} == {shifts}
+        # n = 1 .. q(d+1) + d + 1
+        assert [list(args[1]) for args in sweeps] == [list(range(1, 10))]
+        assert [tuple(args[2]) for args in sweeps] == [shifts]
 
 
 def ehrkit_imports(source):
@@ -158,6 +166,33 @@ def test_the_clip_holds_every_point_the_facets_admit():
                 assert count_points(N, n, mode) == brute_force_count(N, n, mode), (n, mode)
 
 
+def test_the_row_clip_counts_every_mode():
+    """Facets with no fiber-axis entry clip each row's fibers instead of
+    bounding them: boxes, prisms and cross-polytopes in d = 2..4, placed
+    along the axes, halved, and moved by seeded GL_d(Z) maps plus
+    translations, counted point by point.  Among them are clip facets with
+    row-axis entry b > 0, b < 0 and b = 0."""
+    rng = random.Random(17)
+    shapes = []
+    for d in (2, 3, 4):
+        box = list(product(*(range(0, k + 1, k) for k in range(1, d + 1))))
+        prism = [tuple(int(i == j) for j in range(d - 1)) + (h,)
+                 for i in range(d) for h in (0, 2)]
+        cross = [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+        for points in (box, prism, cross):
+            shapes += [points, [tuple(F(c, 2) for c in p) for p in points]]
+            shapes += [unimodular_image(rng, points) for _ in range(2 if d < 4 else 1)]
+    signs = set()
+    for points in shapes:
+        P = build_polytope(pts(*points))
+        _, facets, _ = oracle._plan(P, oracle._extremes(P))
+        signs |= {(normal[-2] > 0) - (normal[-2] < 0) for normal, _ in facets if not normal[-1]}
+        for n in (1, 2, 3):
+            for mode in ("closed", "interior", "boundary"):
+                assert count_points(P, n, mode) == brute_force_count(P, n, mode), (points, n, mode)
+    assert signs == {1, -1, 0}
+
+
 def test_counts_do_not_depend_on_the_axis_order():
     """Permuting the coordinates permutes the plan's axes and changes no
     count; the elongated simplex's long axis, the fiber axis, moves with the
@@ -178,13 +213,23 @@ def test_counts_do_not_depend_on_the_axis_order():
         assert [b - a for a, b in zip(least, greatest)] == [1, 1, 9]
 
 
-def test_the_sweep_stays_near_a_thin_polytope(monkeypatch):
-    """A thin simplex along the diagonal of its box: the sweep bounds far
-    fewer fibers, over all of its _bounds calls, than the box has."""
+def rows_read(monkeypatch):
+    """The width of every row the sweep reads from now on."""
     widths = []
-    real = oracle._bounds
-    monkeypatch.setattr(oracle, "_bounds", lambda rest, step, width, k: (
-        widths.append(width), real(rest, step, width, k))[1])
+    real = oracle._rows
+
+    def rows(*args):
+        for start, width in real(*args):
+            widths.append(width)
+            yield start, width
+    monkeypatch.setattr(oracle, "_rows", rows)
+    return widths
+
+
+def test_the_sweep_stays_near_a_thin_polytope(monkeypatch):
+    """A thin simplex along the diagonal of its box: the rows the sweep
+    reads hold far fewer fibers than the box has."""
+    widths = rows_read(monkeypatch)
     thin = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (60, 60, 61)))
     for n in (1, 2):
         widths.clear()
@@ -272,6 +317,26 @@ def test_sweep_memory_does_not_grow_with_the_row():
     finally:
         tracemalloc.stop()
     assert peak < 256 << 10, peak
+
+
+def test_sweep_memory_does_not_grow_with_the_rows(monkeypatch):
+    """A thin 4-simplex along a diagonal, at the dilates 1 .. 10 of its h*:
+    the one sweep reads more than eight batches of rows, and its per-row
+    lists hold one batch at a time."""
+    thin = build_polytope(pts((0, 0, 0, 0), (8, 0, 0, 0), (0, 8, 8, 0), (0, 0, 1, 0),
+                              (0, 0, 0, 8)))
+    widths = rows_read(monkeypatch)
+    hstar_from_counts(thin)
+    assert len(widths) > 8 * oracle._BATCH, len(widths)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        h = hstar_from_counts(thin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == GP.from_list([1, 161, 315, 35]), h  # h*(1) = 8^3, the normalized volume
+    assert peak < 1 << 20, peak
 
 
 def test_bounding_box_reads_only_vertices_and_dimension():

@@ -8,8 +8,9 @@ the five worked examples of the corpus, and one q = 2 polygon of
 codenominator r = 5005; perfbench's generators make the first three kinds.
 Each call runs on a polytope rebuilt from the rung's raw points, so every
 call pays its own hull, and `build_polytope` is timed as a call of its own.
-The file holds, per rung and call, the median wall time of
-REPEATS calls and the outcome: "ok", the class name of the typed EhrkitError
+The file holds, per rung and call, the median and the first and third
+quartiles of the wall times of REPEATS calls, so that a figure comes with its
+own spread, and the outcome: "ok", the class name of the typed EhrkitError
 it raised, or "skipped" for the oracle on rungs whose bounding boxes hold
 more than ORACLE_SCANLINE_BOUND scanlines, as perfbench's `oracle_scanlines`
 counts them.  ehrkit is imported from `--src` (default: src/ of this
@@ -36,10 +37,11 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = 1
-REPEATS = 3
-# hstar_from_counts took 0.30 s on cross-5d (1.18e6 scanlines) and 5.6 s on
-# cube-6d (2.30e6) on a 2-CPU x86-64 machine with Python 3.11
+SCHEMA = 2
+REPEATS = 7
+# hstar_from_counts took 0.36 s on cross-5d (1.18e6 scanlines) and 1.6 s on
+# cube-6d (2.30e6), medians of 5 calls, on a 2-CPU x86-64 machine with
+# Python 3.11
 ORACLE_SCANLINE_BOUND = 1_500_000
 SEED = 20240801
 WORKED = ("square-02", "skew-quad", "segment-half", "wide-triangle", "wide-triangle-half")
@@ -67,8 +69,9 @@ def rungs(workloads):
 
 
 def timed(fn):
-    """(median seconds, outcome) of REPEATS calls of fn; a typed error is an
-    outcome, any other exception propagates."""
+    """((first quartile, median, third quartile) in seconds, outcome) of
+    REPEATS calls of fn; a typed error is an outcome, any other exception
+    propagates."""
     from ehrkit.errors import EhrkitError
     times, outcome = [], "ok"
     for _ in range(REPEATS):
@@ -78,7 +81,7 @@ def timed(fn):
         except EhrkitError as exc:
             outcome = type(exc).__name__
         times.append(time.perf_counter() - start)
-    return statistics.median(times), outcome
+    return tuple(statistics.quantiles(times, n=4, method="inclusive")), outcome
 
 
 def entry(ehrkit, name, points):
@@ -95,10 +98,11 @@ def run_rung(ehrkit, oracle_scanlines, points):
     calls = {}
     for name in CALLS:
         if name == "hstar_from_counts" and scanlines > ORACLE_SCANLINE_BOUND:
-            calls[name] = {"outcome": "skipped", "median_s": None}
+            calls[name] = {"outcome": "skipped", "median_s": None, "q1_s": None, "q3_s": None}
         else:
-            median, outcome = timed(entry(ehrkit, name, points))
-            calls[name] = {"outcome": outcome, "median_s": round(median, 6)}
+            (q1, median, q3), outcome = timed(entry(ehrkit, name, points))
+            calls[name] = {"outcome": outcome, "median_s": round(median, 6),
+                           "q1_s": round(q1, 6), "q3_s": round(q3, 6)}
     return {"d": P.ambient_dim, "q": P.denominator_q, "points": len(points),
             "vertices": len(P.vertices), "oracle_scanlines": scanlines, "calls": calls}
 
