@@ -23,8 +23,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import (ENUMERATION_LIMIT, ApexInSpan, IdentityViolated, NoSolution, NotDivisible,
-                     NotFullDimensional, WalkTooLarge)
+from .errors import ApexInSpan, IdentityViolated, NoSolution, NotDivisible, NotFullDimensional
 from .geometry import Polytope, as_point, build_polytope, point_denominator
 from .gradedpoly import GradedPolynomial, _json_flag, _json_int
 from .ehrhart import QuasiCoefficients, SeriesForm, _height_counts, _hstar, hstar_cells
@@ -181,7 +180,8 @@ class EhrhartReport:
     feeds the boundary h* and the b-route; the audit's unimodularity test
     compares boundary h*(1), the residue count, with the cell count.  Each
     cone pulls its own facets: h* those that miss its vertex, the cone over
-    x every facet.
+    x every facet.  No field tests a size: each enumeration it runs refuses
+    its own oversized work, once.
     """
 
     polytope: Polytope
@@ -205,20 +205,16 @@ class EhrhartReport:
     @cached_property
     def cone(self):
         """(BoundaryTriangulation, ConeTriangulation) over the interior point x."""
-        return _decompose(self.polytope, _pull_facets(self.polytope),
-                          apex=self._interior_point[1])
+        return _decompose(self.polytope, _pull_facets(self.polytope), self._interior_point[1])
 
     @cached_property
     def hstar(self) -> GradedPolynomial:
         """h* from the half-open cone over the lexicographically smallest vertex.
 
         Each cell's columns (q v, q) end in a row of q's, so the cell holds at
-        least q residues: q past ENUMERATION_LIMIT is refused before the
-        generic-point search.
+        least q residues, and the walk refuses their total past
+        ENUMERATION_LIMIT before it walks any cell.
         """
-        if self.q > ENUMERATION_LIMIT:
-            raise WalkTooLarge("q = %d: every cell of the h* cone has at least q residues, "
-                               "more than the limit %d" % (self.q, ENUMERATION_LIMIT))
         return _hstar(half_open_cone(self.polytope, self.polytope.vertices[0]))
 
     @cached_property

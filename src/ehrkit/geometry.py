@@ -9,7 +9,8 @@ in the same pass.  That is all the sophistication needed at desk scale
 
 All types are immutable values, built with their integer vertex table and,
 when full-dimensional, their facets and incidence; a Polytope holds no lazy
-state.
+state.  The oracle's sweeps and the pipeline's scans read the bounding box
+of a dilate nP off such a table, and check its size, with one helper each.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, islice
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import and_, not_
 
 from .errors import (
+    ENUMERATION_LIMIT,
+    BoxTooLarge,
     EmptyInput,
     HullTooLarge,
     IdentityViolated,
@@ -293,6 +296,27 @@ def build_polytope(points) -> Polytope:
     chart = dict(zip(_scaled([solve_unique(columns, vec_sub(w, ints[0])) for w in ints])[1], ints))
     rows = sorted(map(chart.get, _hull_full_dim(sorted(chart), dim)[0]))
     return _polytope(tuple(map(point_of.get, rows)), ambient, dim)
+
+
+def _extremes(table):
+    """(q, least, greatest) of an integer vertex table (q, rows q·v): per
+    axis, the least and the greatest row entry."""
+    q, rows = table
+    return q, [min(column) for column in zip(*rows)], [max(column) for column in zip(*rows)]
+
+
+def _box(extremes, n: int):
+    """(lows, highs) of nP's integer bounding box, n > 0: per axis, the ceil
+    and floor of n times the least and greatest vertex coordinate."""
+    q, least, greatest = extremes
+    return [-(-n * a // q) for a in least], [n * b // q for b in greatest]
+
+
+def _sized(extremes, n: int) -> None:
+    """BoxTooLarge when nP's bounding box has more than ENUMERATION_LIMIT points."""
+    size = prod(max(0, hi - lo + 1) for lo, hi in zip(*_box(extremes, n)))
+    if size > ENUMERATION_LIMIT:
+        raise BoxTooLarge("bounding box has %d candidate points" % size)
 
 
 def contains(P: Polytope, x, mode: str = "closed") -> bool:

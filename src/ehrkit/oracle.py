@@ -12,63 +12,48 @@ sweeps only the slack it reads: the facets' own for the closed count, one
 less for the interior count, and both for the boundary count, which is
 their difference; verify reads all three modes from one sweep of both.
 
-A sweep plan, built once per count_points or hstar_from_counts call, keeps
-the sweep to the rows and fibers that meet nP instead of all of its bounding
-box (Ancourt and Irigoin, "Scanning polyhedra with DO loops", PPoPP 1991).
-The axes are ordered by the vertices' extent, longest last, so that the
-longest axis is the fiber axis and the next longest the row axis; a
-coordinate permutation maps the points of nP one to one onto those of its
-image.  Fourier-Motzkin elimination of the facet rows, one trailing
-coordinate at a time, gives rows on each leading block of coordinates that
-bound its last coordinate over the prefix before it.  Every such row is a
-nonnegative combination of facet rows, so it holds at every point the
-facets admit, whatever the facet list: the clip never drops a point the
-facets keep, and dropping a row only loosens it.  The facets still decide
-each fiber, so for facets that keep every fiber inside the box, as P's own
-do, every count is the one a sweep of the whole box gives.  Other facet
-lists are counted past the box along the fiber axis, which the axis order
-picks.
+Each call scales P's vertices once, into the integer table (q, q·v); the box
+of every dilate is read off it and sized with geometry's helpers, which the
+pipeline's interior-point scans share, before anything is swept.  A sweep
+plan, built once per call from the same table, keeps the sweep to the rows
+and fibers that meet nP instead of all of its bounding box (Ancourt and
+Irigoin, "Scanning polyhedra with DO loops", PPoPP 1991).  The axes are
+ordered by the vertices' extent, longest last, so that the longest axis is
+the fiber axis and the next longest the row axis; a coordinate permutation
+maps the points of nP one to one onto those of its image.  Fourier-Motzkin
+elimination of the facet rows, one trailing coordinate at a time, gives rows
+on each leading block of coordinates that bound its last coordinate over the
+prefix before it.  Every such row is a nonnegative combination of facet
+rows, so it holds at every point the facets admit, whatever the facet list:
+the clip never drops a point the facets keep, and dropping a row only
+loosens it.  The facets still decide each fiber, so for facets that keep
+every fiber inside the box, as P's own do, every count is the one a sweep of
+the whole box gives.  Other facet lists are counted past the box along the
+fiber axis, which the axis order picks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, islice, repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, floordiv, le, mul, sub
 
-from .errors import ENUMERATION_LIMIT, BoxTooLarge, NotFullDimensional, TailNonzero
-from .geometry import Polytope
+from .errors import NotFullDimensional, TailNonzero
+from .geometry import Polytope, _box, _extremes, _sized
 from .gradedpoly import GradedPolynomial
 
 
-def _extremes(P: Polytope):
-    """(q, least, greatest): q the least common denominator of P's vertex
-    coordinates and, per axis, the least and greatest coordinate times q."""
+def _table(P: Polytope):
+    """P's integer vertex table (q, rows q·v), q the lcm of its denominators."""
     q = lcm(*(c.denominator for v in P.vertices for c in v))
-    columns = [[c.numerator * (q // c.denominator) for c in column]
-               for column in zip(*P.vertices)]
-    return q, [min(column) for column in columns], [max(column) for column in columns]
-
-
-def _box(extremes, n: int):
-    """(lows, highs): ceil and floor of n times each axis's least and
-    greatest vertex coordinate, for a positive n."""
-    q, least, greatest = extremes
-    return [-(-n * a // q) for a in least], [n * b // q for b in greatest]
+    return q, [tuple(c.numerator * (q // c.denominator) for c in v) for v in P.vertices]
 
 
 def _bounding_box(P: Polytope, n: int):
     """(lows, highs) of nP's integer bounding box; reads only P.vertices, so
     perfbench sizes its oracle inputs with it on a bare namespace."""
-    return _box(_extremes(P), n)
-
-
-def _sized(extremes, n: int) -> None:
-    """BoxTooLarge when nP's bounding box has more than ENUMERATION_LIMIT points."""
-    size = prod(max(0, hi - lo + 1) for lo, hi in zip(*_box(extremes, n)))
-    if size > ENUMERATION_LIMIT:
-        raise BoxTooLarge("bounding box has %d candidate points" % size)
+    return _box(_extremes(_table(P)), n)
 
 
 def _eliminate(rows, points, k):
@@ -103,12 +88,13 @@ def _eliminate(rows, points, k):
     return out
 
 
-def _plan(P: Polytope, extremes):
-    """(extremes, facets, levels): the sweep plan of P, for every dilate.
+def _plan(P: Polytope, table):
+    """(extremes, facets, levels): the sweep plan of P, for every dilate,
+    from its integer vertex table (q, rows q·v).
 
     The axes are ordered by the vertices' coordinate extent, largest last; a
     box of one axis is padded with a zero axis in front to two.  extremes
-    are _extremes(P) in that order, and facets (normal, offset) with the
+    are the table's, in that order, and facets (normal, offset) with the
     normal in it.  levels[k - 1], for each coordinate k between the first and
     the last, holds the rows (head, a, offset) with head.x' + a·x_k <=
     n·offset for the prefix x' before x_k, split by the sign of a into
@@ -120,7 +106,7 @@ def _plan(P: Polytope, extremes):
     only decides which rows are worth keeping, so the clip is sound for any
     facet list, true hull or not.
     """
-    q, least, greatest = extremes
+    q, least, greatest = _extremes(table)
     d = len(least)
     order = sorted(range(d), key=lambda c: greatest[c] - least[c])
     pad = [0] * (2 - d)
@@ -128,8 +114,7 @@ def _plan(P: Polytope, extremes):
     facets = [(pad + [hs.normal[c] for c in order], hs.offset) for hs in P.facets]
     levels = []
     if d > 2:
-        points = [tuple(v[c].numerator * (q // v[c].denominator) for c in order)
-                  for v in P.vertices]
+        points = [tuple(u[c] for c in order) for u in table[1]]
         rows = [(tuple(normal), offset, sum(1 << i for i, u in enumerate(points)
                                             if sum(map(mul, normal, u)) == q * offset))
                 for normal, offset in facets]
@@ -289,34 +274,34 @@ def _counts(plan, dilates, shifts) -> list[list[int]]:
 _SERIES = {"closed": lambda q, d: (1, d + 1, q * (d + 1) - 1),
            "interior": lambda q, d: (0, d + 1, q * (d + 1)),
            "boundary": lambda q, d: (1, d, q * d)}
-# mode -> the slack shifts its sweep reads, and its count from the counts
-# per shift: boundary is closed less interior
-_SHIFTS = {"closed": (0,), "interior": (1,), "boundary": (0, 1)}
-_READ = {"closed": lambda c: c[0], "interior": lambda c: c[1],
-         "boundary": lambda c: c[0] - c[1]}
+# mode -> {slack shift its sweep reads: the sign of that shift's count in
+# the mode's count}: boundary is closed less interior
+_SHIFTS = {"closed": {0: 1}, "interior": {1: 1}, "boundary": {0: 1, 1: -1}}
 
 
-def _mode_counts(counts, shifts, mode: str) -> list[int]:
-    """The mode's count of each dilate from a sweep's counts per shift."""
-    return [_READ[mode](dict(zip(shifts, c))) for c in counts]
+def _sweep(P: Polytope, dilates, modes) -> list[list[int]]:
+    """Per mode, its count of nP for each dilate n, from one sweep of the
+    modes' slacks.  Box size is not monotone in n, so every dilate's box, read
+    off the one plan, is sized before the sweep."""
+    plan = _plan(P, _table(P))
+    for n in dilates:
+        _sized(plan[0], n)
+    shifts = sorted({s for mode in modes for s in _SHIFTS[mode]})
+    counts = _counts(plan, dilates, shifts)
+    return [[sum(map(mul, signs, c)) for c in counts]
+            for signs in ([_SHIFTS[mode].get(s, 0) for s in shifts] for mode in modes)]
 
 
 def count_points(P: Polytope, n: int, mode: str = "closed") -> int:
-    """|nP ∩ Z^d| (resp. interior/boundary points) from one sweep of nP.
-
-    The sweep reads only the slack the mode needs: shift 0 for closed, 1 for
-    interior, and both for boundary, which is closed less interior.
-    """
+    """|nP ∩ Z^d| (resp. interior/boundary points) from one sweep of nP that
+    reads only the slack the mode needs."""
     if not P.is_full_dimensional:
         raise NotFullDimensional("counting is defined for full-dimensional polytopes")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("dilation factor must be a positive integer, got %r" % (n,))
     if mode not in _SERIES:
         raise ValueError("mode must be closed, interior or boundary")
-    extremes = _extremes(P)
-    _sized(extremes, n)
-    shifts = _SHIFTS[mode]
-    return _mode_counts(_counts(_plan(P, extremes), (n,), shifts), shifts, mode)[0]
+    return _sweep(P, (n,), (mode,))[0][0]
 
 
 def hstar_from_counts(P: Polytope, mode: str = "closed") -> GradedPolynomial:
@@ -331,26 +316,19 @@ def _hstars_from_counts(P: Polytope, modes=("closed", "boundary", "interior")):
     """The numerator of each mode, as hstar_from_counts gives it, all from
     one sweep of P's dilates 1 .. q(d+1)+d+1 that reads the modes' slacks.
 
-    Every dilate's box is sized before the sweep, since box size is not
-    monotone in n, and one sweep plan serves every dilate.  Per mode, the
-    truncated count series, with the mode's constant term, is multiplied by
-    the mode's power of (1 - z^q); the surplus terms past the degree bound
-    must all vanish, otherwise something is inconsistent and TailNonzero is
-    raised.
+    Per mode, the truncated count series, with the mode's constant term, is
+    multiplied by the mode's power of (1 - z^q); the surplus terms past the
+    degree bound must all vanish, otherwise something is inconsistent and
+    TailNonzero is raised.
     """
     if not P.is_full_dimensional:
         raise NotFullDimensional("h* from counts needs a full-dimensional polytope")
     q, d = P.denominator_q, P.dim
     terms = q * (d + 1) + d + 2
-    extremes = _extremes(P)
-    for n in range(1, terms):
-        _sized(extremes, n)
-    shifts = tuple(sorted({s for mode in modes for s in _SHIFTS[mode]}))
-    counts = _counts(_plan(P, extremes), range(1, terms), shifts)
     numerators = []
-    for mode in modes:
+    for mode, counts in zip(modes, _sweep(P, range(1, terms), modes)):
         constant, power, bound = _SERIES[mode](q, d)
-        coeffs = [constant] + _mode_counts(counts, shifts, mode)
+        coeffs = [constant] + counts
         for _ in range(power):
             coeffs = [coeffs[i] - (coeffs[i - q] if i >= q else 0) for i in range(terms)]
         if any(coeffs[i] for i in range(bound + 1, terms)):

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd
 
 from .errors import (
     ENUMERATION_LIMIT,
@@ -48,7 +48,8 @@ from .errors import (
     NotGeneric,
 )
 # build_polytope is unused here but stays bound: perfbench's tracing test reads it at this name.
-from .geometry import Point, Polytope, as_point, build_polytope, format_rational  # noqa: F401
+from .geometry import (Point, Polytope, _box, _extremes, _sized, as_point,  # noqa: F401
+                       build_polytope, format_rational)
 from .linalg import _echelon, _homogenized, _kernel, _residue_count, dot, solve_unique
 
 
@@ -230,25 +231,31 @@ def _generic_point(P: Polytope, top, cells):
     """The homogenized integer column Y of an interior point y of P off every
     hyperplane of the cells (homogenized integer columns) of a cone over the
     apex with column top, with their visibility masks and counts.  y starts
-    from the apex (the vertex centroid when the apex is on the boundary) and
-    moves by E^-(i+1) along coordinate i; genericity is verified exactly, with
-    32 tries that double E from 64.  Base (b, t) makes Y_i = b_i·E^d +
-    t·E^(d-1-i) over D = t·E^d, reduced by their gcd."""
+    from the apex, or the vertex centroid when the apex is on the boundary,
+    and moves by E^-(i+1) along coordinate i, E doubling from 64; genericity
+    is verified exactly on at most 32 points inside P.  Points outside P are
+    skipped: y nears the base, inside P, however thin P is.  Base (b, t) makes
+    Y_i = b_i·E^d + t·E^(d-1-i) over D = t·E^d, reduced by their gcd."""
     if not cells:
         raise ValueError("cone triangulation has no cells")
     d = P.ambient_dim
     base, t = top[:-1], top[-1]
-    if min(P._int_slacks(base, t)) == 0:
+    if min(P._int_slacks(base, t)) <= 0:
         q, rows = P._int_vertices
         base, t = [sum(col) for col in zip(*rows)], q * len(rows)
-    for attempt in range(32):
-        E = 64 << attempt
+        if min(P._int_slacks(base, t)) <= 0:
+            raise IdentityViolated("the vertex centroid is not interior to P")
+    E, tries = 64, 0
+    while tries < 32:
         Y = [b * E ** d + t * E ** (d - 1 - i) for i, b in enumerate(base)] + [t * E ** d]
         g = gcd(*Y)
         Y = tuple(a // g for a in Y)
-        if min(P._int_slacks(Y[:-1], Y[-1])) > 0 and (seen := _visibility(cells, Y)) is not None:
-            return Y, seen
-    raise ExhaustedRetries("no generic point found after 32 refinements")
+        if min(P._int_slacks(Y[:-1], Y[-1])) > 0:
+            if (seen := _visibility(cells, Y)) is not None:
+                return Y, seen
+            tries += 1
+        E *= 2
+    raise ExhaustedRetries("no generic point found in 32 tries inside P")
 
 
 def _half_open(P: Polytope, pieces, apex, top, y=None, points=None) -> ConeTriangulation:
@@ -280,15 +287,13 @@ def _half_open(P: Polytope, pieces, apex, top, y=None, points=None) -> ConeTrian
         for piece, (mask, count), cell in zip(pieces, seen, cells)), P, y)
 
 
-def _decompose(P: Polytope, pieces, apex=None, y=None, points=None):
+def _decompose(P: Polytope, pieces, apex, y=None, points=None):
     """half_open_decompose of the boundary pieces (index tuples into points).
     The facet opposite the apex lies in a facet of P and is never removed, so
     each cone cell's mask restricts to its boundary cell.  Each boundary cell
     has its cone cell's count over the apex's lattice distance, its slack, to
     a facet that holds all of its points (the pyramid rule): a vertex's facets
     are its incidence bits, any other point's those where its slack is zero."""
-    if apex is None:
-        apex = find_interior_point(P)[1]
     top, slacks = _apex(P, apex)
     cone = _half_open(P, pieces, apex, top, y, points)
     incidence, n = P._incidence, len(P.vertices)
@@ -333,20 +338,17 @@ def half_open_decompose(T, P: Polytope, y=None, apex=None):
     (BoundaryTriangulation, ConeTriangulation).
     """
     pieces, points = _index(P, [S.vertices for S in T])
+    if apex is None:
+        apex = find_interior_point(P)[1]
     return _decompose(P, pieces, apex, y, points)
-
-
-def _box(P: Polytope, ell: int = 1) -> list[range]:
-    """The integer bounding box of ell·P, one coordinate range per axis."""
-    q, rows = P._int_vertices
-    return [range(-(-ell * min(col) // q), ell * max(col) // q + 1) for col in zip(*rows)]
 
 
 def _box_scan(P: Polytope, ell: int = 1):
     """The integer points of ell·P's bounding box, lazily in lexicographic order,
     each paired with whether normal·u < ell·offset on every facet."""
     rows = [(hs.normal, ell * hs.offset) for hs in P.facets]
-    for u in product(*_box(P, ell)):
+    lows, highs = _box(_extremes(P._int_vertices), ell)
+    for u in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
         yield u, all(dot(normal, u) < bound for normal, bound in rows)
 
 
@@ -356,9 +358,7 @@ def interior_lattice_points(P: Polytope) -> list[tuple[int, ...]]:
     Raises BoxTooLarge before the scan when the bounding box has more than
     ENUMERATION_LIMIT points.
     """
-    size = prod(map(len, _box(P)))
-    if size > ENUMERATION_LIMIT:
-        raise BoxTooLarge("bounding box has %d candidate points" % size)
+    _sized(_extremes(P._int_vertices), 1)
     return [u for u, inside in _box_scan(P) if inside]
 
 

@@ -132,16 +132,27 @@ def test_whole_walk_limit_is_checked_before_any_cell(monkeypatch):
         hstar_polytope(dilate(cross, F(1, 3 * 10 ** 7)))
 
 
-def test_q_limit_is_checked_before_the_generic_point_search(monkeypatch):
-    """Every h* cone cell holds at least q residues, so the standard 3-simplex
-    dilated by 10^-12, too thin for the generic-point search, is refused by
-    size first."""
-    def search(*args):
-        raise AssertionError("the generic-point search ran")
-    monkeypatch.setattr(triangulation, "_generic_point", search)
+def test_a_thin_dilate_is_refused_before_any_residue_is_walked(monkeypatch):
+    """Every h* cone cell holds at least q residues, its columns (q v, q)
+    ending in a row of q's, so the standard 3-simplex dilated by 10^-12 is
+    refused by the walk's total before any cell is walked."""
+    def walk(S, heights):
+        raise AssertionError("a residue was walked")
+    monkeypatch.setattr(ehrhart, "fpp_lattice_points", walk)
     simplex = build_polytope(pts((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(WalkTooLarge, match="q = %d" % 10 ** 12):
+    with pytest.raises(WalkTooLarge, match="have %d residues in all" % 10 ** 12):
         hstar_polytope(dilate(simplex, F(1, 10 ** 12)))
+
+
+@pytest.mark.parametrize("k", [6, 10, 12])
+def test_hstar_of_a_thin_unimodular_simplex(k):
+    """conv(0, (N, N + 1), (1, 1)) has area 1/2, so h* = 1 however thin it is,
+    and so has its pyramid over e_3; at N = 10^12 the generic point lies
+    past the 32nd step of the schedule, E = 64 * 2^31."""
+    N = 10 ** k
+    assert hstar_polytope(build_polytope(pts((0, 0), (N, N + 1), (1, 1)))) == GP.one()
+    assert hstar_polytope(build_polytope(pts((0, 0, 0), (N, N + 1, 0), (1, 1, 0),
+                                             (0, 0, 1)))) == GP.one()
 
 
 def test_one_residue_walk_skips_the_smith_form(monkeypatch):

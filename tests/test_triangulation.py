@@ -9,8 +9,8 @@ from ehrkit import geometry, triangulation
 from ehrkit.corpus import _random_rational
 from ehrkit.decomposition import (EhrhartReport, ehrhart_report, hstar_boundary, hstar_interior,
                                   hstar_polytope)
-from ehrkit.errors import (AffinelyDependent, BoxTooLarge, MixedDimensions, NotFullDimensional,
-                           NotGeneric)
+from ehrkit.errors import (AffinelyDependent, BoundExceeded, BoxTooLarge, ExhaustedRetries,
+                           MixedDimensions, NotFullDimensional, NotGeneric)
 from ehrkit.geometry import build_polytope, contains, dilate
 from ehrkit.gorenstein import gorenstein_index, is_rational_reflexive
 from ehrkit.linalg import _residue_count, diagonalize
@@ -340,6 +340,43 @@ def test_integer_generic_point_is_the_fraction_schedule():
             assert cone.y == fraction_generic_point(cone)
 
 
+def test_generic_point_counts_only_tries_inside_p(monkeypatch):
+    """With every point on some cell hyperplane, the search gives up after
+    32 visibility solves, all at points inside P.  On the thin triangle the
+    first 32 steps of the schedule all leave P, so the solves come later."""
+    solves = []
+    monkeypatch.setattr(triangulation, "_visibility", lambda cells, Y: solves.append(Y))
+    N = 10 ** 12
+    thin = build_polytope(pts((0, 0), (N, N + 1), (1, 1)))
+    centroid = [sum(v[i] for v in thin.vertices) / 3 for i in range(2)]
+    for k in range(32):
+        eps = F(1, 64 * 2 ** k)
+        assert not contains(thin, (centroid[0] + eps, centroid[1] + eps ** 2), "interior")
+    for P in (cube, thin):
+        solves.clear()
+        with pytest.raises(ExhaustedRetries):
+            half_open_cone(P, P.vertices[0])
+        assert len(solves) == 32
+        assert all(min(P._int_slacks(Y[:-1], Y[-1])) > 0 for Y in solves)
+
+
+def test_find_interior_point_gives_up_past_q_times_d_plus_one(monkeypatch):
+    """With no candidate inside, the search scans the dilates 1 .. q(d + 1)
+    and then raises BoundExceeded."""
+    real = triangulation._box_scan
+    scanned = []
+
+    def scan(P, ell=1):
+        scanned.append(ell)
+        return ((u, False) for u, _ in real(P, ell))
+    monkeypatch.setattr(triangulation, "_box_scan", scan)
+    for P, bound in ((triangle, 3), (seg_half, 4), (cube, 4), (dilate(triangle, F(1, 3)), 9)):
+        scanned.clear()
+        with pytest.raises(BoundExceeded, match="dilation %d$" % bound):
+            find_interior_point(P)
+        assert scanned == list(range(1, bound + 1))
+
+
 def test_int_slacks_are_ell_times_the_facet_slacks():
     rng = random.Random(31)
     for q in (2, 3):
@@ -398,11 +435,11 @@ def test_interior_lattice_points_checks_the_box_first(monkeypatch):
     real = geometry.Halfspace.slack
     monkeypatch.setattr(geometry.Halfspace, "slack",
                         lambda hs, x: slacks.append(x) or real(hs, x))
-    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 440)
+    monkeypatch.setattr(geometry, "ENUMERATION_LIMIT", 440)
     with pytest.raises(BoxTooLarge, match="441"):
         interior_lattice_points(big)
     assert slacks == []
-    monkeypatch.setattr(triangulation, "ENUMERATION_LIMIT", 441)
+    monkeypatch.setattr(geometry, "ENUMERATION_LIMIT", 441)
     assert len(interior_lattice_points(big)) == 19 * 18 // 2
 
 
